@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-changed lint-concurrency lint-exceptions typecheck test test-serve test-fault test-chaos test-chaos-tsan test-rollout test-parallel-tsan serve bench-serve bench-resilience bench-rollout bench-obs check
+.PHONY: lint lint-changed lint-concurrency lint-exceptions typecheck test test-perf test-serve test-fault test-chaos test-chaos-tsan test-rollout test-parallel-tsan serve bench-serve bench-resilience bench-rollout bench-obs check
 
 ## Full static-analysis gate: every repolint rule over src/.
 lint:
@@ -33,6 +33,12 @@ typecheck:
 ## Tier-1 suite (excludes the fault-injection and chaos markers).
 test:
 	$(PYTHON) -m pytest -x -q -m "not fault and not chaos"
+
+## Perf harness self-test at tiny sizes: fails when a callable the harness
+## wraps (env encode/step/reset_to, greedy_subset, the serve kernel, agent
+## q_values/act/act_batch, pearson_representation) is renamed or moved.
+test-perf:
+	$(PYTHON) -m pytest -q benchmarks/perf
 
 ## Serving subsystem only: engine parity, batcher, registry, server, metrics.
 test-serve:
@@ -86,4 +92,4 @@ bench-obs:
 	$(PYTHON) benchmarks/bench_obs.py
 
 ## Everything CI runs.
-check: lint lint-concurrency lint-exceptions typecheck test test-fault test-chaos-tsan test-parallel-tsan
+check: lint lint-concurrency lint-exceptions typecheck test test-perf test-fault test-chaos-tsan test-parallel-tsan

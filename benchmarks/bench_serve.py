@@ -5,8 +5,9 @@ Q-forwards instead of B·m single-row ones.  This bench puts a number on
 that: it fits a small PA-FEAT model, then answers the same pool of unseen
 tasks two ways —
 
-* **sequential** — per-task :meth:`repro.core.pafeat.PAFeat.select`, the
-  pre-serving baseline (one greedy episode per call);
+* **sequential** — per-task :meth:`repro.core.pafeat.PAFeat.select`, one
+  greedy episode per call: the lockstep kernel of :mod:`repro.core.batch`
+  at B=1, so the reported speedup is what batching adds to one kernel;
 * **batched** — :class:`repro.serve.BatchedGreedyEngine.select_tasks` at
   lockstep batch sizes 1, 8 and 64.
 

@@ -24,7 +24,7 @@ from repro.core.feat import FEATTrainer, UniformTaskSampler
 from repro.core.ite import IntraTaskExplorer
 from repro.core.its import InterTaskScheduler, TaskProgress
 from repro.core.pafeat import PAFeat
-from repro.core.state import EnvState, encode_state, state_dim
+from repro.core.state import EnvState, ScanEncoder, encode_state, state_dim
 
 __all__ = [
     "AgentConfig",
@@ -41,6 +41,7 @@ __all__ = [
     "IntraTaskExplorer",
     "PAFeat",
     "PAFeatConfig",
+    "ScanEncoder",
     "TaskProgress",
     "UniformTaskSampler",
     "encode_state",

@@ -1,48 +1,34 @@
-"""Batched greedy inference: B unseen-task episodes in lockstep.
+"""Greedy inference for unseen tasks: B episodes in lockstep.
 
-Sequential fast selection (:func:`repro.core.feat.greedy_subset`) runs one
-greedy episode per task, calling the Q-network once per feature step — so a
-batch of B tasks over m features costs B·m single-row forward passes, and
-the per-call Python overhead (validation, dispatch, layer loop) dominates
-the arithmetic for PA-FEAT-sized networks.
+This kernel is all of unseen-task selection.  :meth:`repro.core.pafeat.
+PAFeat.select` runs it at B=1; :meth:`~repro.core.pafeat.PAFeat.
+select_all_unseen` and the serving engine run it at larger B.
 
-The scan MDP makes a better schedule trivial: every episode starts at
-position 0 and advances the cursor by exactly one feature per step, so B
-episodes stay *position-synchronised* for their entire lifetime.  This
-kernel exploits that: it maintains one ``(B, state_dim)`` state matrix
-incrementally, and per feature step issues a single batched greedy forward
+The scan MDP makes lockstep trivial: every episode starts at position 0
+and advances the cursor by exactly one feature per step, so B episodes
+stay *position-synchronised* for their entire lifetime.  The kernel keeps
+their encodings in one :class:`~repro.core.state.ScanEncoder` — the same
+incremental encoder :class:`~repro.core.env.FeatureSelectionEnv` steps
+through — and per feature step issues a single batched greedy forward
 (:meth:`repro.rl.agent.DuelingDQNAgent.act_batch`) over the still-active
-rows, masking out episodes that truncated early on the
-``max_feature_ratio`` budget.  m forwards total, regardless of B.
+rows.  m forwards total, regardless of B.  Rows leave the batch when
+their episode truncates on the ``max_feature_ratio`` budget.  Until the
+first one does, the active rows are all rows and the kernel addresses
+them with a plain slice, so a step copies nothing; after that, with an
+index array.
 
-Bit-exactness with the sequential path is by construction, not by luck.
-Profiling shows per-row :func:`repro.core.state.encode_state` calls (not
-the network) dominate a naive lockstep loop, so the kernel reproduces the
-encoder's arithmetic with operations that are *bit-identical*, never
-merely close (the per-scalar arguments live next to the code below).  The
-three load-bearing facts:
-
-* ``np.mean(x)`` for float64 ``x`` is ``np.add.reduce(x) / x.size`` — the
-  same pairwise-summation ufunc loop minus wrapper overhead — and the
-  per-row reduction of a C-contiguous 2-D ``add.reduce(..., axis=1)``
-  applies that identical loop to each row;
-* max and comparison-count scalars are order-independent *exactly* (not
-  just approximately), so suffix maxima may be precomputed with
-  ``maximum.accumulate`` and percentiles with a broadcast ``<=`` count;
-* everything else (progress, cursor |corr|, budget fractions) is a copy
-  or an identical scalar expression.
-
-Action selection is ``argmax`` over the same Q rows the sequential
-``act(greedy=True)`` computes — they agree whenever the row's argmax is
-unique (:meth:`~repro.rl.agent.DuelingDQNAgent.act_batch` documents the
-exact-tie caveat).  Termination (cursor past the end, or selected count
-reaching ``floor(max_feature_ratio · m)``) mirrors
-:class:`~repro.core.env.FeatureSelectionEnv` exactly, and the cold-policy
-empty-subset fallback (the single most-correlated feature) is the same one
-:meth:`repro.core.pafeat.PAFeat.select` applies.  A property test
-(``tests/test_serve_engine.py``) pins batched == sequential across random
-suites, seeds and feature counts straddling numpy's pairwise-summation
-block size.
+Action choice is ``act_batch``'s argmax over the Q rows: it advances no
+action counter, draws no random numbers, and breaks exact Q ties to the
+lowest action, so selecting is side-effect free and deterministic.
+Termination (cursor past the end, or the selected count reaching
+``floor(max_feature_ratio · m)``) mirrors the environment, and a cold
+policy that deselects everything falls back to the single
+most-correlated feature so downstream evaluation is always defined.
+Training-time greedy scoring (:func:`repro.core.feat.greedy_subset`)
+steps the environment with ``act(greedy=True)`` instead; it agrees with
+this kernel whenever each row's argmax is unique, which a property test
+(``tests/test_serve_engine.py``) pins across random suites, seeds and
+feature counts straddling numpy's pairwise-summation block size.
 
 The serving layer (:mod:`repro.serve.engine`) wraps this kernel with
 chunking, registries and metrics; it lives here in ``core`` because the
@@ -54,25 +40,35 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from repro.errors import DataValidationError
 
 from repro.analysis.contracts import check_state_batch
 from repro.core.config import EnvConfig
-from repro.core.state import N_SCAN_SCALARS, state_dim
+from repro.core.state import ScanEncoder, feature_count
 
 if TYPE_CHECKING:
     from repro.rl.agent import DuelingDQNAgent
 
-# Column offsets of the scan scalars inside the encoded state; must mirror
-# the layout of :func:`repro.core.state.encode_state` (`[rep | mask | s0..s8]`).
-_S_PROGRESS = 0  # position / m
-_S_CURSOR = 1  # |corr| under the cursor
-_S_FRAC_SELECTED = 2  # len(selected) / m
-_S_MEAN_SELECTED = 3  # mean |corr| of the selected set
-_S_MEAN_REMAINING = 4  # mean |corr| of rep[position:]
-_S_MAX_REMAINING = 5  # max |corr| of rep[position:]
-_S_BUDGET_LEFT = 6  # remaining budget fraction
-_S_PERCENTILE = 7  # fraction of features with |corr| <= cursor's
-_S_REDUNDANCY = 8  # max feature-feature |corr| cursor vs selected
+
+def check_representations(
+    agent: "DuelingDQNAgent", representations: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Task representations as float vectors of the agent's feature count.
+
+    The one width check every selection path shares: a task from another
+    feature space fails here, naming both counts, instead of as a
+    ``feature_corr`` shape or layer width error further down.
+    """
+    n_features = feature_count(agent.state_dim)
+    reps = [np.asarray(rep, dtype=np.float64).reshape(-1) for rep in representations]
+    for index, rep in enumerate(reps):
+        if rep.shape[0] != n_features:
+            raise DataValidationError(
+                f"representation {index} has {rep.shape[0]} features; the "
+                f"agent serves {n_features}-feature tasks (a "
+                f"{n_features}-feature space)"
+            )
+    return reps
 
 
 def batched_greedy_subsets(
@@ -84,124 +80,38 @@ def batched_greedy_subsets(
     """Greedy subsets for a batch of task representations, in lockstep.
 
     ``representations`` holds one |Pearson| task-representation vector per
-    task; all tasks must share one feature space (equal length m) because
-    the state dimension — and therefore the Q-network — is a function of m.
-    Returns one subset per task, in input order, bit-exact with running
-    :meth:`repro.core.pafeat.PAFeat.select` per task (including the
-    most-correlated-feature fallback when a cold policy deselects
-    everything).
+    task, each over the agent's feature space.  Returns one subset per
+    task, in input order; the answer for a task does not depend on the
+    other tasks in the batch.
     """
-    reps = [np.asarray(r, dtype=np.float64).reshape(-1) for r in representations]
+    reps = check_representations(agent, representations)
     if not reps:
         return []
-    n_features = reps[0].shape[0]
-    if n_features < 1:
-        raise ValueError("task representations need at least one feature")
-    for index, rep in enumerate(reps):
-        if rep.shape[0] != n_features:
-            raise ValueError(
-                f"representation {index} has {rep.shape[0]} features; the "
-                f"batch is over a {n_features}-feature space"
-            )
-    if feature_corr is not None:
-        feature_corr = np.asarray(feature_corr, dtype=np.float64)
-        if feature_corr.shape != (n_features, n_features):
-            raise ValueError(
-                f"feature_corr must be ({n_features}, {n_features}), "
-                f"got {feature_corr.shape}"
-            )
-    n_tasks = len(reps)
-    m = n_features
-    expected_dim = state_dim(m)
-    budget = max(1, int(np.floor(config.max_feature_ratio * m)))
-
-    reps_matrix = np.stack(reps)
-    scal = 2 * m  # first scan-scalar column
-    states = np.zeros((n_tasks, expected_dim))
-    states[:, :m] = reps_matrix
-    # Nothing is selected yet: fractions are 0 and the full budget remains,
-    # exactly as encode_state computes for an empty selection.
-    states[:, scal + _S_BUDGET_LEFT] = 1.0
-
-    # Suffix maxima: max(rep[p:]) for every p at once.  Maximum is exactly
-    # order-independent, so a reversed running maximum equals the per-suffix
-    # np.max bit for bit.
-    suffix_max = np.maximum.accumulate(reps_matrix[:, ::-1], axis=1)[:, ::-1]
-    # Percentiles: mean(rep <= rep[p]) is (count of True) / m — the bool sum
-    # is an exact small integer however it is accumulated, so a broadcast
-    # comparison count divided by m reproduces the bool-array mean exactly
-    # (including NaN entries, which compare False on both paths).
-    percentile = np.empty((n_tasks, m))
-    for i in range(n_tasks):
-        counts = (reps_matrix[i][None, :] <= reps_matrix[i][:, None]).sum(axis=1)
-        percentile[i] = counts / m
-
-    selected: list[list[int]] = [[] for _ in reps]
-    n_selected = np.zeros(n_tasks, dtype=np.int64)
-    selected_mask = np.zeros((n_tasks, m), dtype=bool)
-    # Every episode starts at position 0 with nothing selected, so the only
-    # way to leave the lockstep is the budget truncation handled below.
-    active = np.arange(n_tasks)
+    encoder = ScanEncoder(np.stack(reps), config.max_feature_ratio, feature_corr)
+    m = encoder.n_features
+    active = np.arange(len(reps))
+    rows: slice | np.ndarray = slice(None)
     for position in range(m):
-        if active.size == 0:
-            break
-        # Per-step scalars.  Progress and budget denominators are Python
-        # ints, matching encode_state's scalar expressions exactly.
-        states[active, scal + _S_PROGRESS] = position / m
-        states[active, scal + _S_CURSOR] = reps_matrix[active, position]
-        states[active, scal + _S_MAX_REMAINING] = suffix_max[active, position]
-        states[active, scal + _S_PERCENTILE] = percentile[active, position]
-        # mean(rep[p:]) per row: add.reduce over the last axis runs the same
-        # pairwise-summation loop np.mean runs on each row's suffix.
-        remaining = reps_matrix[active, position:]
-        states[active, scal + _S_MEAN_REMAINING] = np.add.reduce(
-            remaining, axis=1
-        ) / (m - position)
-        if feature_corr is not None:
-            has_selection = n_selected[active] > 0
-            if np.any(has_selection):
-                # max over the selected entries of the cursor's corr row:
-                # -inf padding never wins against a real |corr| value, and
-                # maximum is exactly order-independent.
-                masked = np.where(
-                    selected_mask[active], feature_corr[position][None, :], -np.inf
-                )
-                redundancy = np.maximum.reduce(masked, axis=1)
-                rows = active[has_selection]
-                states[rows, scal + _S_REDUNDANCY] = redundancy[has_selection]
-
-        batch = states[active]  # fancy index => fresh copy per step
-        check_state_batch("batch.greedy", batch, expected_dim)
+        batch = encoder.states[rows]
+        check_state_batch("batch.greedy", batch, agent.state_dim)
         actions = agent.act_batch(batch)
-
-        survivors = []
-        for row, i in enumerate(active):
-            if actions[row] == 1:
-                selected[i].append(position)
-                count = len(selected[i])
-                n_selected[i] = count
-                selected_mask[i, position] = True
-                states[i, m + position] = 1.0
-                states[i, scal + _S_FRAC_SELECTED] = count / m
-                # mean over the selected |corr|s: the gather produces the
-                # same contiguous array encode_state reduces with np.mean.
-                chosen = reps_matrix[i][np.asarray(selected[i], dtype=np.int64)]
-                states[i, scal + _S_MEAN_SELECTED] = np.add.reduce(chosen) / count
-                states[i, scal + _S_BUDGET_LEFT] = max(
-                    0.0, (budget - count) / budget
-                )
-            # Mirror FeatureSelectionEnv: done when the scan passes the last
-            # feature or the selected count reaches the budget.
-            if position + 1 < m and len(selected[i]) < budget:
-                survivors.append(i)
-        active = np.asarray(survivors, dtype=np.int64)
-
-    results: list[tuple[int, ...]] = []
-    for i, chosen_positions in enumerate(selected):
-        subset = tuple(chosen_positions)
-        if not subset:
-            # Degenerate cold policies can deselect everything; degrade the
-            # same way the sequential path does (PAFeat.select).
-            subset = (int(np.argmax(reps[i])),)
-        results.append(subset)
-    return results
+        choosing = active[actions == 1]
+        if choosing.size:
+            # One row takes numpy's cheaper scalar indexing.
+            encoder.select(
+                int(choosing[0]) if choosing.size == 1 else choosing, position
+            )
+            # Mirror FeatureSelectionEnv: an episode is done when its
+            # selected count reaches the budget, or the scan passes the end.
+            going_on = encoder.counts[active] < encoder.budget
+            if not going_on.all():
+                active = active[going_on]
+                rows = active
+        if position + 1 == m or not active.size:
+            break
+        encoder.move(position + 1, rows)
+    masks = encoder.states[:, m : 2 * m]
+    return [
+        tuple(np.flatnonzero(mask).tolist()) or (int(np.argmax(rep)),)
+        for mask, rep in zip(masks, reps)
+    ]

@@ -26,7 +26,7 @@ from repro.errors import LifecycleError
 
 from repro.analysis.contracts import check_state_batch
 from repro.core.config import EnvConfig
-from repro.core.state import EnvState, encode_state, state_dim
+from repro.core.state import EnvState, ScanEncoder, state_dim
 from repro.rl.reward import RewardFunction
 
 
@@ -56,21 +56,21 @@ class FeatureSelectionEnv:
         self.n_features = self.task_representation.shape[0]
         if self.n_features < 1:
             raise ValueError("environment needs at least one feature")
-        if feature_corr is not None:
-            feature_corr = np.asarray(feature_corr, dtype=np.float64)
-            if feature_corr.shape != (self.n_features, self.n_features):
-                raise ValueError(
-                    f"feature_corr must be ({self.n_features}, {self.n_features}), "
-                    f"got {feature_corr.shape}"
-                )
-        self.feature_corr = feature_corr
+        # The task's per-position tables are built once here; every step
+        # after that updates the encoding in place (repro.core.state).
+        self._scan = ScanEncoder(
+            self.task_representation[None, :],
+            config.max_feature_ratio,
+            feature_corr,
+        )
+        self.feature_corr = (
+            None if feature_corr is None else np.asarray(feature_corr, dtype=np.float64)
+        )
         # ``reward_fn=None`` builds a reward-free environment: unseen-task
         # inference only reads states and never trains on the rewards.
         self.reward_fn = reward_fn if reward_fn is not None else _zero_reward
         self.config = config
-        self.max_selectable = max(
-            1, int(np.floor(config.max_feature_ratio * self.n_features))
-        )
+        self.max_selectable = self._scan.budget
         self._selected: list[int] = []
         self._position = 0
         self._previous_score = 0.0
@@ -110,6 +110,7 @@ class FeatureSelectionEnv:
             raise ValueError("selected indices exceed the feature count")
         self._selected = list(state.selected)
         self._position = state.position
+        self._scan.reset(0, state)
         raw = self.reward_fn(self._selected) if self._selected else 0.0
         self._previous_score = self._shaped(raw)
         self._done = self._position >= self.n_features or self._over_budget()
@@ -117,13 +118,10 @@ class FeatureSelectionEnv:
 
     def encode(self) -> np.ndarray:
         """Encode the current logical state as the Q-network input."""
-        encoded = encode_state(
-            self.task_representation,
-            self.logical_state(),
-            self.n_features,
-            max_feature_ratio=self.config.max_feature_ratio,
-            feature_corr=self.feature_corr,
-        )
+        # The encoding must be a fresh array: it escapes into replay-buffer
+        # transitions, so returning the encoder's row would alias every
+        # stored state to the latest step.
+        encoded = np.copy(self._scan.states[0])  # repolint: disable=HOT701
         return check_state_batch("env.encode", encoded, self.state_dim)
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]:
@@ -138,7 +136,9 @@ class FeatureSelectionEnv:
             raise ValueError(f"action must be 0 or 1, got {action}")
         if action == 1:
             self._selected.append(self._position)
+            self._scan.select(0, self._position)
         self._position += 1
+        self._scan.move(self._position, 0)
 
         score = (
             self.reward_fn(self._selected) if self._selected else 0.0

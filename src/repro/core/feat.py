@@ -510,18 +510,21 @@ class FEATTrainer:
         return float(np.mean(scores)) if scores else 0.0
 
     # ------------------------------------------------------------------
-    # Inference (Algorithm 1 lines 22-24)
+    # Greedy scoring during training
     # ------------------------------------------------------------------
     def infer_subset(self, env: FeatureSelectionEnv) -> tuple[int, ...]:
-        """One greedy episode on an (unseen-task) environment → subset."""
+        """One greedy episode on a training environment → subset."""
         return greedy_subset(self.agent, env)
 
 
 def greedy_subset(agent: DuelingDQNAgent, env: FeatureSelectionEnv) -> tuple[int, ...]:
     """Run one greedy episode of ``agent`` on ``env`` and return the subset.
 
-    This is the whole of unseen-task inference (Algorithm 1 lines 22-24);
-    it is a free function so persisted agents can select without a trainer.
+    Training-time greedy scoring: best-policy checkpoints, ``further_train``
+    and the FEAT-family baselines.  Its ``act(greedy=True)`` calls advance
+    the agent's action counter and randomise exact Q ties, and the training
+    fingerprint depends on both.  Unseen-task selection runs the
+    side-effect-free lockstep kernel (:mod:`repro.core.batch`) instead.
     """
     state = env.reset()
     while not env.done:

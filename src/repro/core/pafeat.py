@@ -7,7 +7,8 @@ into the three-phase lifecycle of the paper:
 * :meth:`PAFeat.fit` — generalise feature-selection knowledge across the
   seen tasks of a :class:`~repro.data.tasks.TaskSuite` (Algorithm 1).
 * :meth:`PAFeat.select` — *fast* feature selection for an unseen task: one
-  greedy episode, no training (Algorithm 1 lines 22-24).
+  greedy episode, no training (Algorithm 1 lines 22-24), run by the
+  lockstep kernel of :mod:`repro.core.batch` at B=1.
 * :meth:`PAFeat.further_train` — optional extra on-task training when the
   time budget allows (paper Section IV-D).
 
@@ -24,6 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 from repro.errors import DataValidationError, NotFittedError
 
+from repro.core.batch import batched_greedy_subsets
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.feat import FEATTrainer, UniformTaskSampler
@@ -345,23 +347,19 @@ class PAFeat:
 
         The task's label column (its training rows) is only used to build
         the Pearson task representation — no model training happens here,
-        which is what makes the response "fast".
+        which is what makes the response "fast".  The episode is the
+        lockstep kernel's (:mod:`repro.core.batch`) at B=1, so ``select``
+        is side-effect free — the agent's action counter and RNG are left
+        as they were — and breaks exact Q ties to the lowest action.  A
+        cold policy that deselects everything gets the single
+        most-correlated feature.
         """
         agent = self.inference_agent()
         representation = pearson_representation(task.features, task.labels)
-        env = FeatureSelectionEnv(
-            task.label_index, representation, None, self.config.env,
+        return batched_greedy_subsets(
+            agent, [representation], self.config.env,
             feature_corr=self._feature_corr,
-        )
-        from repro.core.feat import greedy_subset
-
-        subset = greedy_subset(agent, env)
-        if not subset:
-            # Degenerate cold policies can deselect everything; fall back to
-            # the single most-correlated feature so downstream evaluation is
-            # always defined.
-            subset = (int(np.argmax(representation)),)
-        return subset
+        )[0]
 
     def select_all_unseen(
         self,
@@ -374,10 +372,9 @@ class PAFeat:
         Runs the unseen tasks' greedy episodes in lockstep through the
         batched inference kernel (:mod:`repro.core.batch`): one Q-forward
         per feature step for the whole batch instead of one per task per
-        step, with bit-exact parity to per-task :meth:`select`.
+        step, with the same answers as per-task :meth:`select`.
         ``batch_size`` caps how many episodes run per lockstep group
-        (default: all at once); ``batch_size=1`` is the sequential
-        fallback path.
+        (default: all at once).
         """
         agent = self.inference_agent()
         suite = suite if suite is not None else self._suite
@@ -386,10 +383,6 @@ class PAFeat:
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         tasks = list(suite.unseen_tasks)
-        if batch_size == 1:
-            return {task.name: self.select(task) for task in tasks}
-        from repro.core.batch import batched_greedy_subsets
-
         if not tasks:
             return {}
         chunk = len(tasks) if batch_size is None else batch_size

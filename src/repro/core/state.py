@@ -5,7 +5,7 @@ features and the current scanning position" (Section II-B) and embeds the
 task representation — the |Pearson| vector — directly into the state so one
 Q-network serves all tasks.  The encoding used here is::
 
-    [ task_repr (m) | selected mask (m) | scan scalars (7) ]
+    [ task_repr (m) | selected mask (m) | scan scalars (9) ]
 
 The scan scalars expose the decision-critical quantities directly instead
 of a position one-hot:
@@ -30,6 +30,12 @@ task-conditioned threshold policy from a few hundred episodes.  ``EnvState``
 is the *logical* state (which features are selected, where the scan is)
 used by the E-Tree to restore environments; ``encode_state`` maps it to the
 network input.
+
+There is one encoder, the incremental :class:`ScanEncoder`: the
+environment, the lockstep greedy kernel (:mod:`repro.core.batch`) and
+``encode_state`` itself all run on it, and an encoding is bit-identical
+however it was reached (``tests/test_scan_encoder.py`` checks this against
+a frozen copy of the original, non-incremental encoder).
 """
 
 from __future__ import annotations
@@ -39,6 +45,17 @@ from dataclasses import dataclass
 import numpy as np
 
 N_SCAN_SCALARS = 9
+
+# Offsets of the scan scalars after ``[rep (m) | mask (m)]``.
+_PROGRESS = 0  # position / m
+_CURSOR = 1  # |corr| under the cursor
+_FRAC_SELECTED = 2  # len(selected) / m
+_MEAN_SELECTED = 3  # mean |corr| of the selected set
+_MEAN_REMAINING = 4  # mean |corr| of rep[position:]
+_MAX_REMAINING = 5  # max |corr| of rep[position:]
+_BUDGET_LEFT = 6  # remaining budget fraction
+_PERCENTILE = 7  # fraction of features with |corr| <= the cursor's
+_REDUNDANCY = 8  # max feature-feature |corr|, cursor vs selected
 
 
 @dataclass(frozen=True)
@@ -78,6 +95,169 @@ def state_dim(n_features: int) -> int:
     return 2 * n_features + N_SCAN_SCALARS
 
 
+def feature_count(dim: int) -> int:
+    """The feature count whose encoded state has ``dim`` entries."""
+    n_features, remainder = divmod(dim - N_SCAN_SCALARS, 2)
+    if remainder or n_features < 1:
+        raise ValueError(
+            f"state dimension {dim} does not encode a feature-selection state"
+        )
+    return n_features
+
+
+class ScanEncoder:
+    """Encoded states of B scans over one feature space, kept incrementally.
+
+    Row ``i`` of :attr:`states` is the Q-network input of the scan over
+    ``representations[i]``; every row starts at ``EnvState((), 0)``.  Per
+    task, the constructor tabulates for every cursor position the cursor
+    |corr|, the mean and max of the not-yet-scanned suffix and the cursor's
+    percentile, with one extra all-zero column for the terminal cursor.
+    A step then costs one :meth:`move` (copy a table column) plus, for
+    the rows that select, one :meth:`select`.  Each entry is the exact
+    operation ``encode_state`` always used, so the encodings are
+    bit-identical:
+
+    * a mean is ``np.add.reduce(x) / len(x)``, which is what ``np.mean``
+      computes for float64 (the same pairwise sum, the same division);
+      a 2-D ``add.reduce`` over the last axis runs that sum on each row,
+      and the selected values are kept contiguous, in scan order;
+    * max and comparison counts are exact in any order, so suffix maxima
+      come from one reversed ``maximum.accumulate``, percentiles from one
+      broadcast ``<=`` count per task, and the redundancy from a running
+      ``maximum`` over the selected features' correlation columns;
+    * fractions and the budget left are exact small-integer arithmetic,
+      whether numpy or Python does it.
+
+    ``rows`` arguments are anything numpy indexes rows with: one row, an
+    index array, or (for :meth:`move`) a slice.
+    """
+
+    def __init__(
+        self,
+        representations: np.ndarray,
+        max_feature_ratio: float = 1.0,
+        feature_corr: np.ndarray | None = None,
+    ) -> None:
+        reps = np.asarray(representations, dtype=np.float64)
+        if reps.ndim != 2 or reps.shape[1] < 1:
+            raise ValueError(
+                f"representations must be a (B, m) matrix with m >= 1, "
+                f"got shape {reps.shape}"
+            )
+        n_rows, m = reps.shape
+        if feature_corr is not None:
+            feature_corr = np.asarray(feature_corr, dtype=np.float64)
+            if feature_corr.shape != (m, m):
+                raise ValueError(
+                    f"feature_corr must be ({m}, {m}), got {feature_corr.shape}"
+                )
+        self.n_features = m
+        self.budget = max(1, int(np.floor(max_feature_ratio * m)))
+        self._feature_corr = feature_corr
+        #: Selected features per row.
+        self.counts = np.zeros(n_rows, dtype=np.int64)
+        # Each row's selected |corr| values, in scan order.
+        self._chosen = np.zeros((n_rows, m))
+        # Redundancy per row and cursor position p: the max of corr[p, k]
+        # over the selected k.  ``_running`` folds in one column per select
+        # from maximum's identity, -inf; ``_redundancy`` is what the state
+        # shows: 0 until the first select, and at the terminal cursor.
+        self._running = np.full((n_rows, m), -np.inf)
+        self._redundancy = np.zeros((n_rows, m + 1))
+        self._cursor = np.zeros((n_rows, m + 1))
+        self._cursor[:, :m] = reps
+        self._max_remaining = np.zeros((n_rows, m + 1))
+        self._max_remaining[:, :m] = np.maximum.accumulate(reps[:, ::-1], axis=1)[
+            :, ::-1
+        ]
+        self._mean_remaining = np.zeros((n_rows, m + 1))
+        for position in range(m):
+            self._mean_remaining[:, position] = np.add.reduce(
+                reps[:, position:], axis=1
+            ) / (m - position)
+        # mean(rep <= rep[p]) is a count of Trues over m: exact however the
+        # count is taken (NaNs compare False either way).
+        self._percentile = np.zeros((n_rows, m + 1))
+        for row in range(n_rows):
+            counts = (reps[row][None, :] <= reps[row][:, None]).sum(axis=1)
+            self._percentile[row, :m] = counts / m
+        self.states = np.zeros((n_rows, state_dim(m)))
+        self.states[:, :m] = reps
+        self.states[:, 2 * m + _BUDGET_LEFT] = 1.0
+        self.move(0, slice(None))
+
+    def move(self, position: int, rows: "int | slice | np.ndarray") -> None:
+        """Put the cursor of ``rows`` at ``position`` (``m`` = terminal)."""
+        states = self.states
+        scalars = 2 * self.n_features
+        states[rows, scalars + _PROGRESS] = position / self.n_features
+        states[rows, scalars + _CURSOR] = self._cursor[rows, position]
+        states[rows, scalars + _MEAN_REMAINING] = self._mean_remaining[rows, position]
+        states[rows, scalars + _MAX_REMAINING] = self._max_remaining[rows, position]
+        states[rows, scalars + _PERCENTILE] = self._percentile[rows, position]
+        states[rows, scalars + _REDUNDANCY] = self._redundancy[rows, position]
+
+    def select(self, rows: "int | np.ndarray", position: int) -> None:
+        """``rows`` (one row or an index array), with the cursor at
+        ``position``, select that feature.
+
+        Call before moving the cursor on: the redundancy entry at the
+        cursor is written by the next :meth:`move`.
+        """
+        m = self.n_features
+        counts = self.counts[rows] + 1
+        self.counts[rows] = counts
+        self._chosen[rows, counts - 1] = self._cursor[rows, position]
+        self.states[rows, m + position] = 1.0
+        self._write_selection(rows, counts)
+        if self._feature_corr is not None:
+            running = np.maximum(self._running[rows], self._feature_corr[:, position])
+            self._running[rows] = running
+            self._redundancy[rows, :m] = running
+
+    def reset(self, row: int, state: EnvState) -> None:
+        """Encode the logical ``state`` into ``row`` from scratch."""
+        m = self.n_features
+        if state.position > m:
+            raise ValueError(
+                f"position {state.position} out of range for {m} features"
+            )
+        selected = np.asarray(state.selected, dtype=np.int64)
+        count = len(selected)
+        self.counts[row] = count
+        self._chosen[row, :count] = self._cursor[row, selected]
+        self.states[row, m:] = 0.0
+        self.states[row, m + selected] = 1.0
+        self._write_selection(row, count)
+        self._running[row] = -np.inf
+        self._redundancy[row] = 0.0
+        if self._feature_corr is not None and count:
+            self._running[row] = np.maximum.reduce(
+                self._feature_corr[:, selected], axis=1
+            )
+            self._redundancy[row, :m] = self._running[row]
+        self.move(state.position, row)
+
+    def _write_selection(
+        self, rows: "int | np.ndarray", counts: "int | np.ndarray"
+    ) -> None:
+        """The selected fraction, mean |corr| and budget left of ``rows``."""
+        scalars = 2 * self.n_features
+        states = self.states
+        states[rows, scalars + _FRAC_SELECTED] = counts / self.n_features
+        states[rows, scalars + _BUDGET_LEFT] = np.maximum(
+            0.0, (self.budget - counts) / self.budget
+        )
+        for row, count in zip(
+            np.reshape(rows, -1).tolist(), np.reshape(counts, -1).tolist()
+        ):
+            if count:
+                states[row, scalars + _MEAN_SELECTED] = (
+                    np.add.reduce(self._chosen[row, :count]) / count
+                )
+
+
 def encode_state(
     task_representation: np.ndarray,
     state: EnvState,
@@ -90,6 +270,8 @@ def encode_state(
     ``feature_corr`` is the optional m×m |Pearson| matrix between features;
     when provided, the redundancy scalar (max correlation of the cursor
     feature with the selected set) is populated, otherwise it stays 0.
+    A one-off encode: stepping an episode goes through a
+    :class:`ScanEncoder` kept across steps instead.
     """
     task_representation = np.asarray(task_representation, dtype=np.float64).reshape(-1)
     if task_representation.shape[0] != n_features:
@@ -97,35 +279,8 @@ def encode_state(
             f"task representation has {task_representation.shape[0]} entries "
             f"for {n_features} features"
         )
-    if state.position > n_features:
-        raise ValueError(
-            f"position {state.position} out of range for {n_features} features"
-        )
-    # The encoding must be a fresh array: it escapes into replay-buffer
-    # transitions, so reusing a preallocated buffer would alias every
-    # stored state to the latest step.
-    encoded = np.zeros(state_dim(n_features))  # repolint: disable=HOT701
-    encoded[:n_features] = task_representation
-    selected_idx = np.asarray(state.selected, dtype=np.int64)
-    if state.selected:
-        encoded[n_features + selected_idx] = 1.0
-
-    scalars = encoded[2 * n_features :]
-    scalars[0] = state.position / n_features
-    if state.position < n_features:
-        scalars[1] = task_representation[state.position]
-    scalars[2] = len(state.selected) / n_features
-    if state.selected:
-        scalars[3] = float(np.mean(task_representation[selected_idx]))
-    remaining = task_representation[state.position :]
-    if remaining.size:
-        scalars[4] = float(np.mean(remaining))
-        scalars[5] = float(np.max(remaining))
-    budget = max(1, int(np.floor(max_feature_ratio * n_features)))
-    scalars[6] = max(0.0, (budget - len(state.selected)) / budget)
-    if state.position < n_features:
-        cursor_corr = task_representation[state.position]
-        scalars[7] = float(np.mean(task_representation <= cursor_corr))
-        if feature_corr is not None and state.selected:
-            scalars[8] = float(np.max(feature_corr[state.position, selected_idx]))
-    return encoded
+    encoder = ScanEncoder(
+        task_representation[None, :], max_feature_ratio, feature_corr
+    )
+    encoder.reset(0, state)
+    return encoder.states[0]

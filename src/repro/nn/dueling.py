@@ -35,11 +35,13 @@ class DuelingHead(Layer):
         centred = advantage - advantage.mean(axis=1, keepdims=True)
         return value + centred
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        value = self.value_head.infer(x)
-        advantage = self.advantage_head.infer(x)
-        centred = advantage - advantage.mean(axis=1, keepdims=True)
-        return value + centred
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
+        value = self.value_head.infer_batch(x)
+        advantage = self.advantage_head.infer_batch(x)
+        # What ``advantage.mean(axis=1, keepdims=True)`` computes, minus the
+        # wrapper: the same pairwise sum, divided by the same count.
+        mean = np.add.reduce(advantage, axis=1, keepdims=True) / self.n_actions
+        return value + (advantage - mean)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_output = np.atleast_2d(grad_output)

@@ -8,6 +8,7 @@ layers and optimizers stay decoupled.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,11 +39,11 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-class Layer:
+class Layer(ABC):
     """Base class for differentiable layers.
 
-    Subclasses implement :meth:`forward` and :meth:`backward`; parametric
-    layers also override :meth:`parameters`.
+    Subclasses implement :meth:`forward`, :meth:`backward` and
+    :meth:`infer_batch`; parametric layers also override :meth:`parameters`.
     """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -56,10 +57,20 @@ class Layer:
         treat it as mutating.  ``infer`` is the statically-read-only path the
         rollout uses: the PAR601 parallel-safety certificate relies on every
         network evaluation reachable from ``Agent.act`` going through here.
-        Deliberately not defaulting to ``forward`` — a subclass without a
-        pure path must say so.
+
+        The input is normalised to a 2-D float64 batch once, here; the
+        layers then chain through :meth:`infer_batch`, so a forward pays
+        for that normalisation once per call instead of once per layer.
         """
-        raise NotImplementedError
+        return self.infer_batch(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+
+    @abstractmethod
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`infer` on an input that already is a 2-D float64 batch.
+
+        Abstract, and deliberately not defaulting to ``forward``: a layer
+        without a pure path cannot be instantiated.
+        """
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Backpropagate ``grad_output`` (dL/d output) to dL/d input."""
@@ -118,8 +129,7 @@ class Linear(Layer):
             out = out + self.bias.value
         return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input with {self.in_features} features, got {x.shape[1]}"
@@ -157,8 +167,8 @@ class ReLU(Layer):
             self._mask = x > 0.0
         return np.maximum(x, 0.0)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -178,8 +188,8 @@ class Tanh(Layer):
             self._out = out
         return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(np.asarray(x, dtype=np.float64))
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -200,8 +210,8 @@ class Sigmoid(Layer):
             self._out = out
         return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return stable_sigmoid(np.asarray(x, dtype=np.float64))
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
+        return stable_sigmoid(x)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -228,10 +238,10 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
         # Inverted dropout is the identity at inference: no mask is drawn,
         # the shared RNG is untouched and no mask state is (re)written.
-        return np.asarray(x, dtype=np.float64)
+        return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -252,9 +262,9 @@ class Sequential(Layer):
             x = layer.forward(x, training=training)
         return x
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer_batch(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
-            x = layer.infer(x)
+            x = layer.infer_batch(x)
         return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

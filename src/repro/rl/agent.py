@@ -85,12 +85,12 @@ class DuelingDQNAgent:
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         """Greedy actions for a batch of states in one forward pass.
 
-        The batched-inference entry point (serving, lockstep greedy
-        episodes): one ``(B, state_dim)`` forward instead of B scalar
-        :meth:`act` calls.  Deliberately side-effect free — it neither
-        advances the epsilon schedule's action counter nor draws from the
-        exploration RNG, so inference traffic cannot perturb training
-        state.  Exact Q ties break to the lowest action index
+        The inference entry point (``PAFeat.select``, serving, lockstep
+        greedy episodes): one ``(B, state_dim)`` forward instead of B
+        scalar :meth:`act` calls.  Deliberately side-effect free — it
+        neither advances the epsilon schedule's action counter nor draws
+        from the exploration RNG, so inference traffic cannot perturb
+        training state.  Exact Q ties break to the lowest action index
         deterministically (``argmax``), where :meth:`act` randomises;
         the two agree whenever each row's argmax is unique, which holds
         for any network whose Q-values are not exactly equal.

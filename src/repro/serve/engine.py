@@ -1,22 +1,24 @@
 """Batched greedy-inference engine: the serving wrapper over the kernel.
 
-The numerical lockstep kernel lives in :mod:`repro.core.batch` (the layer
-contract places ``serve`` above ``core``, so the math the facade also
-needs sits below both).  This engine adds what serving needs around it:
+The lockstep kernel lives in :mod:`repro.core.batch` (the layer contract
+places ``serve`` above ``core``, and :meth:`repro.core.pafeat.PAFeat.select`
+is the same kernel at B=1).  This engine adds what serving needs around
+it:
 
 * binding to a concrete trained agent + environment config +
   feature-correlation matrix (usually straight from a
   :class:`~repro.serve.registry.ModelRegistry` model via
   :meth:`BatchedGreedyEngine.from_model`);
-* input validation against the agent's state dimension — a representation
-  of the wrong feature count fails fast with a clear message instead of a
-  shape error three layers down;
+* validating the whole request up front with the kernel's own width
+  check (:func:`repro.core.batch.check_representations`), so a
+  representation of the wrong feature count fails before any work, with
+  its index in the request;
 * chunking: arbitrarily large request batches are split into lockstep
   groups of at most ``max_batch_size`` episodes, keeping the
   ``(B, state_dim)`` activations cache-sized.
 
-Results are bit-exact with sequential :meth:`repro.core.pafeat.PAFeat.select`
-per task (see :mod:`repro.core.batch` for the exactness argument).
+A task's subset does not depend on the batch it rides in, so results equal
+per-task :meth:`repro.core.pafeat.PAFeat.select` exactly.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.batch import batched_greedy_subsets
+from repro.core.batch import batched_greedy_subsets, check_representations
 from repro.core.config import EnvConfig
-from repro.core.state import N_SCAN_SCALARS
+from repro.core.state import feature_count
 from repro.io.resilience import Deadline, DeadlineExceeded
 
 if TYPE_CHECKING:
@@ -52,15 +54,9 @@ class BatchedGreedyEngine:
         self.env_config = env_config
         self.feature_corr = feature_corr
         self.max_batch_size = max_batch_size
-        # state_dim = 2 m + N_SCAN_SCALARS, so the agent pins the feature
-        # count every request must match.
-        n_features, remainder = divmod(agent.state_dim - N_SCAN_SCALARS, 2)
-        if remainder or n_features < 1:
-            raise ValueError(
-                f"agent state dimension {agent.state_dim} does not encode a "
-                f"feature-selection state"
-            )
-        self.n_features = n_features
+        # The agent's state dimension pins the feature count every request
+        # must match.
+        self.n_features = feature_count(agent.state_dim)
 
     @classmethod
     def from_model(
@@ -86,16 +82,7 @@ class BatchedGreedyEngine:
         :class:`~repro.io.resilience.DeadlineExceeded` at the next chunk
         boundary instead of monopolising the event loop past its budget.
         """
-        reps = [
-            np.asarray(rep, dtype=np.float64).reshape(-1)
-            for rep in representations
-        ]
-        for index, rep in enumerate(reps):
-            if rep.shape[0] != self.n_features:
-                raise ValueError(
-                    f"representation {index} has {rep.shape[0]} features; "
-                    f"this engine's agent serves {self.n_features}-feature tasks"
-                )
+        reps = check_representations(self.agent, representations)
         results: list[tuple[int, ...]] = []
         for start in range(0, len(reps), self.max_batch_size):
             if deadline is not None and deadline.expired:
