@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-changed lint-concurrency lint-exceptions typecheck test test-perf test-serve test-fault test-chaos test-chaos-tsan test-rollout test-parallel-tsan serve bench-serve bench-resilience bench-rollout bench-obs check
+.PHONY: lint lint-changed lint-concurrency lint-exceptions typecheck test test-perf test-serve test-fault test-chaos test-chaos-tsan test-tsan serve bench-serve bench-resilience bench-obs check
 
 ## Full static-analysis gate: every repolint rule over src/.
 lint:
@@ -60,15 +60,12 @@ test-chaos:
 test-chaos-tsan:
 	REPRO_TSAN=1 $(PYTHON) -m pytest -x -q -m chaos
 
-## Rollout engine only: determinism contracts plus its fault drills.
-test-rollout:
-	$(PYTHON) -m pytest -x -q tests/test_rollout.py tests/test_rollout_faults.py
-
-## The CI parity lane, locally: tier-1 with every fit collecting through
-## the 2-worker rollout engine and the runtime sanitizer armed — the
-## conftest gate fails any test observing a lockset violation.
-test-parallel-tsan:
-	REPRO_ROLLOUT_WORKERS=2 REPRO_TSAN=1 $(PYTHON) -m pytest -x -q -m "not fault and not chaos"
+## The CI tsan lane, locally: tier-1 and the fault drills with the
+## runtime sanitizer armed — the conftest gate fails any test observing a
+## lockset violation.
+test-tsan:
+	REPRO_TSAN=1 $(PYTHON) -m pytest -x -q -m "not fault and not chaos"
+	REPRO_TSAN=1 $(PYTHON) -m pytest -x -q -m fault
 
 ## Run the selection server on a saved model (MODEL=path/to/artifact).
 serve:
@@ -82,14 +79,10 @@ bench-serve:
 bench-resilience:
 	$(PYTHON) benchmarks/bench_resilience.py
 
-## Rollout speedup/parity/tsan gates; writes BENCH_rollout.json.
-bench-rollout:
-	$(PYTHON) benchmarks/bench_rollout.py
-
 ## Telemetry parity + disabled-path overhead gates; writes BENCH_obs.json
 ## and sample telemetry under benchmarks/results/obs_telemetry/.
 bench-obs:
 	$(PYTHON) benchmarks/bench_obs.py
 
 ## Everything CI runs.
-check: lint lint-concurrency lint-exceptions typecheck test test-perf test-fault test-chaos-tsan test-parallel-tsan
+check: lint lint-concurrency lint-exceptions typecheck test test-perf test-fault test-chaos-tsan test-tsan

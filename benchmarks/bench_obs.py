@@ -1,9 +1,9 @@
 """Bench: observability must be free when off and inert when on.
 
-The obs layer (PR 10) is wired through the training hot loop — span
-guards in ``train_iteration``, telemetry guards in ``commit_episode``,
-stage timing in the rollout engine.  Two properties make that acceptable
-and this bench enforces both:
+The obs layer is wired through the training hot loop — span guards and
+phase timers in ``train_iteration``, telemetry guards in
+``commit_episode``.  Two properties make that acceptable and this bench
+enforces both:
 
 * **non-interference (parity)** — telemetry is strictly read-only with
   respect to training state: a fit with ``telemetry=<dir>`` must leave a
@@ -84,7 +84,7 @@ def config() -> PAFeatConfig:
 
 
 def fingerprint(trainer) -> str:
-    """Order-sensitive digest of replay state (same scheme as bench_rollout)."""
+    """Order-sensitive digest of replay state and the agent's action count."""
     digest = hashlib.sha256()
     registry = trainer.registry
     for task_id in registry.task_ids():

@@ -6,10 +6,14 @@ dynamically.  With ``REPRO_TSAN`` set (``1``/``true``/``on``/``yes``) the
 instrumented code paths record every cross-context access to shared serve
 state — which thread touched which attribute, reading or writing, holding
 which locks — and :func:`violations` replays the classic lockset check
-over what *actually happened* during a run (the chaos suite runs once
-with the sanitizer armed and asserts the report is empty).  With the flag
-unset (the default and the production configuration) every probe is a
-single module-level boolean test.
+over what *actually happened* during a run.  The chaos suite runs once
+with the sanitizer armed and asserts the report is empty, and the
+``tsan`` CI lane reruns tier-1 and ``-m fault`` with it armed, where the
+per-test conftest gate fails any test that observed a violation.  The
+training-side locks (reward cache, ITS visit counter, ITE ``record``)
+are ``TrackedLock`` s too, so that lane checks them alongside the serve
+executor threads.  With the flag unset (the default and the production
+configuration) every probe is a single module-level boolean test.
 
 Three hooks feed the recorder:
 
@@ -53,7 +57,7 @@ TSAN_ENV_VAR = "REPRO_TSAN"
 # The recorder is process-global on purpose: it observes every thread in
 # the process, so its state cannot live on any one instance.  PAR602's
 # "no module-level mutation" contract is therefore waived for this file —
-# the recorder itself is lock-protected and never touched by rollouts.
+# the recorder itself is lock-protected and never touched by training.
 # repolint: disable-file=PAR602
 
 _TRUTHY = {"1", "true", "on", "yes"}

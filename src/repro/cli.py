@@ -88,13 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resume from the latest valid checkpoint in --checkpoint-dir",
     )
     train.add_argument(
-        "--rollout-workers",
-        type=int,
-        default=None,
-        help="rollout worker processes for the Buffer Filling Phase "
-        "(default: $REPRO_ROLLOUT_WORKERS, else 1 = serial)",
-    )
-    train.add_argument(
         "--telemetry-dir",
         default=None,
         help="write the training telemetry stream (events.jsonl + "
@@ -247,7 +240,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 keep_last=args.keep_last,
                 resume=args.resume,
                 stop_check=stop_requested if args.checkpoint_dir else None,
-                rollout_workers=args.rollout_workers,
                 telemetry=args.telemetry_dir,
             )
         except TrainingInterrupted as exc:

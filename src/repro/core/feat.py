@@ -17,10 +17,9 @@ uses a random restart policy, RR wraps the per-step reward.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -38,21 +37,6 @@ from repro.rl.transition import Trajectory, Transition
 TaskSampler = Callable[[ReplayRegistry, np.random.Generator], int]
 InitialStateProvider = Callable[[int], EnvState]
 RewardTransform = Callable[[int, float], float]
-
-
-class EpisodeCollector(Protocol):
-    """Structural interface for a pluggable Buffer Filling Phase executor.
-
-    The parallel rollout engine (:mod:`repro.rollout`) satisfies this; the
-    protocol is structural precisely so this module needs no import edge —
-    not even a deferred one — toward the engine package.
-    """
-
-    def fill(
-        self, trainer: "FEATTrainer", n_episodes: int
-    ) -> dict[int, list[Trajectory]]:
-        """Collect ``n_episodes`` episodes into the trainer's buffers."""
-        ...
 
 
 class UniformTaskSampler:
@@ -128,10 +112,6 @@ class FEATTrainer:
         # so it survives checkpoint/resume and spans multiple train() calls.
         self._best_score: float = -np.inf
         self._best_snapshot: dict[str, np.ndarray] | None = None
-        # Optional parallel executor for the Buffer Filling Phase.  When
-        # set, buffer_filling delegates to it; when None, the serial loop
-        # below runs untouched.
-        self.rollout_engine: EpisodeCollector | None = None
         # Observability hooks (wired by PAFeat.fit(telemetry=...)).  All
         # off by default; the telemetry stream is strictly observational —
         # it consumes no RNG and feeds nothing back into training state,
@@ -207,9 +187,9 @@ class FEATTrainer:
         """Sample one episode's ``(task, start, random_policy)`` triple.
 
         This is the only RNG-consuming part of episode set-up (task
-        sampling and ITE state customisation), factored out so the rollout
-        engine's planning stage draws from the very same streams in the
-        very same order as the serial loop.
+        sampling and ITE state customisation).  It is factored out of
+        :meth:`buffer_filling` so an executor that plans a whole phase
+        before running it draws from the same streams in the same order.
         """
         task_id = self.task_sampler(self.registry, self._rng)
         start = (
@@ -226,9 +206,8 @@ class FEATTrainer:
     ) -> None:
         """Fold one finished episode into trainer state (buffer + hooks).
 
-        RNG-free, so serial collection and the rollout engine's merge
-        barrier (which replays commits in plan order) produce identical
-        state from identical trajectories.
+        RNG-free: identical trajectories committed in the same order give
+        identical trainer state, however the episodes were executed.
         """
         self.registry.buffer(task_id).add_trajectory(trajectory)
         if self.episode_end_hook is not None:
@@ -251,15 +230,11 @@ class FEATTrainer:
     def buffer_filling(self, n_episodes: int) -> dict[int, list[Trajectory]]:
         """Buffer Filling Phase (Algorithm 1): N resources → N episodes.
 
-        This is the loop the parallel-safety certificate (PAR601) guards:
-        every function reachable from here either touches no shared state
-        or is a declared sync point.  With a :class:`EpisodeCollector`
-        installed (``PAFeat.fit(rollout_workers=N)``) the N rollout
-        resources *are* real worker processes; otherwise the serial loop
-        below runs, one resource at a time.
+        The N rollout resources run one after another: plan, run and
+        commit each episode.  This is the loop the parallel-safety
+        certificate (PAR601) guards: every function reachable from here
+        either touches no shared state or is a declared sync point.
         """
-        if self.rollout_engine is not None:
-            return self.rollout_engine.fill(self, n_episodes)
         collected: dict[int, list[Trajectory]] = {}
         for _ in range(n_episodes):
             task_id, start, random_policy = self.plan_episode()
@@ -269,16 +244,6 @@ class FEATTrainer:
             self.commit_episode(task_id, trajectory, start)
             collected.setdefault(task_id, []).append(trajectory)
         return collected
-
-    def collect_episodes(self, n_episodes: int) -> dict[int, list[Trajectory]]:
-        """Deprecated alias for :meth:`buffer_filling` (PR 3 rename)."""
-        warnings.warn(
-            "FEATTrainer.collect_episodes is deprecated; use "
-            "buffer_filling instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.buffer_filling(n_episodes)
 
     # ------------------------------------------------------------------
     # Training
@@ -331,7 +296,7 @@ class FEATTrainer:
                 for task, reward in sorted(stats.rewards_per_task.items())
             },
         }
-        cache = {"hits": 0, "misses": 0, "merged": 0, "entries": 0}
+        cache = {"hits": 0, "misses": 0, "entries": 0}
         seen_cache = False
         for env in self.envs.values():
             stats_fn = getattr(env.reward_fn, "stats", None)

@@ -31,8 +31,8 @@ class IntraTaskExplorer:
         self.invocations = 0
         self.customised_starts = 0
         # The "E-Tree update barrier" sync point from the PAR601 certificate
-        # (ARCHITECTURE §7.2): the rollout engine folds finished episodes
-        # back at the merge barrier, and every tree mutation goes through
+        # (ARCHITECTURE §7.2): finished episodes are recorded one at a time
+        # when they are committed, and every tree mutation goes through
         # this lock so concurrent recording is a sanitizer violation rather
         # than silent corruption.
         self._record_lock = tsan.TrackedLock("ite.record")

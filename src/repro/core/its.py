@@ -105,9 +105,9 @@ class InterTaskScheduler:
         self.progress_history: deque[list[TaskProgress]] = deque(
             maxlen=PROGRESS_HISTORY_WINDOW
         )
-        # Per-task rollout allocation tally — the "atomic ITS visit counter"
-        # sync point from the PAR601 certificate (ARCHITECTURE §7.2).  The
-        # coordinator plans every episode serially, but the counter is also
+        # Per-task episode allocation tally — the "atomic ITS visit
+        # counter" sync point from the PAR601 certificate (ARCHITECTURE
+        # §7.2).  Episodes are planned serially, but the counter is also
         # readable from telemetry threads, so updates go through a
         # TrackedLock and feed the runtime sanitizer.
         self.visit_counts: dict[int, int] = {t: 0 for t in self.task_ids}
@@ -158,7 +158,7 @@ class InterTaskScheduler:
         return task_id
 
     def record_visit(self, task_id: int) -> None:
-        """Atomically count one planned rollout episode for ``task_id``."""
+        """Atomically count one planned episode for ``task_id``."""
         with self._visit_lock:
             tsan.note(self, "visit_counts", write=True)
             self.visit_counts[task_id] = self.visit_counts.get(task_id, 0) + 1

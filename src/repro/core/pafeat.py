@@ -39,7 +39,6 @@ from repro.rl.reward import RewardFunction, build_task_reward
 
 if TYPE_CHECKING:
     from repro.rl.agent import DuelingDQNAgent
-    from repro.rollout.engine import ParallelRolloutEngine
 
 
 @dataclass
@@ -67,7 +66,6 @@ class PAFeat:
         self._n_features: int | None = None
         self._feature_corr: "np.ndarray | None" = None
         self._loaded_agent = None  # populated by repro.io.load_model
-        self.rollout_engine: "ParallelRolloutEngine | None" = None
 
     # ------------------------------------------------------------------
     # Training on seen tasks
@@ -82,18 +80,16 @@ class PAFeat:
         keep_last: int = 3,
         resume: bool = False,
         stop_check: "Callable[[], bool] | None" = None,
-        rollout_workers: int | None = None,
+        rollout_workers: int = 1,
         telemetry: "str | Path | TelemetryWriter | None" = None,
     ) -> "PAFeat":
         """Generalise knowledge from the suite's seen tasks (Algorithm 1).
 
-        ``rollout_workers`` realises the paper's N parallel rollout
-        resources: with ``N >= 2`` the Buffer Filling Phase runs across a
-        process pool (:mod:`repro.rollout`, ARCHITECTURE §10), with results
-        merged deterministically — identical for any worker count — and
-        graceful degradation to serial collection on worker failure.  The
-        default consults the ``REPRO_ROLLOUT_WORKERS`` environment
-        variable, else stays serial (bit-exact with previous releases).
+        Argument checks run before fit touches the model, so a rejected
+        call leaves an already-fitted model as it was.
+        ``rollout_workers`` accepts only ``1``: the Buffer Filling Phase
+        runs its episodes serially (ARCHITECTURE §10).  The keyword is
+        kept for existing callers.
 
         Crash safety: with ``checkpoint_dir`` set, the complete training
         state (networks, optimizer, replay buffers, ITS/ITE statistics,
@@ -121,12 +117,30 @@ class PAFeat:
         """
         if not suite.seen_tasks:
             raise DataValidationError("suite has no seen tasks to learn from")
+        config = self.config
+        total = n_iterations if n_iterations is not None else config.n_iterations
+        if total < 1:
+            raise ValueError(f"n_iterations must be >= 1, got {total}")
+        if rollout_workers != 1:
+            raise ValueError(
+                f"rollout_workers must be 1 (episodes run serially), "
+                f"got {rollout_workers}"
+            )
+        if resume and checkpoint_dir is None:
+            raise ValueError("resume=True requires checkpoint_dir")
+        manager = None
+        if checkpoint_dir is not None:
+            from repro.io.checkpoint import CheckpointManager
+
+            # Built before any state changes: the constructor validates
+            # keep_last.
+            manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
+
         self._suite = suite
         self._n_features = suite.n_features
         # All tasks share one feature space, so the feature-feature |Pearson|
         # matrix (the redundancy signal in the state encoding) is computed once.
         self._feature_corr = feature_redundancy_matrix(suite.table.features)
-        config = self.config
 
         envs: dict[int, FeatureSelectionEnv] = {}
         all_features_scores: dict[int, float] = {}
@@ -181,27 +195,9 @@ class PAFeat:
             **trainer_kwargs,
         )
 
-        # Parallel rollout: built after the trainer, seeded straight from
-        # config.seed (NOT from self._seed_sequence — consuming a spawn
-        # here would shift every downstream stream and break the serial
-        # bit-exactness contract).  Deferred import: core and rollout share
-        # a layer rank, and this keeps the import graph acyclic.
-        from repro.rollout.engine import resolve_worker_count
-
-        workers = resolve_worker_count(rollout_workers)
-        engine = None
-        if workers > 1:
-            from repro.rollout.engine import ParallelRolloutEngine
-
-            engine = ParallelRolloutEngine(workers, seed=config.seed)
-            self.trainer.rollout_engine = engine
-        self.rollout_engine = engine
-
-        total = n_iterations if n_iterations is not None else config.n_iterations
-
         # Observability wiring: an owned writer/tracer pair for a directory
         # argument, or the caller's writer as-is.  Wired after the trainer
-        # and engine exist; torn down (and detached) in the finally block.
+        # exists; torn down (and detached) in the finally block.
         writer: "TelemetryWriter | None" = None
         tracer = None
         owns_telemetry = False
@@ -221,10 +217,6 @@ class PAFeat:
             self.trainer.profiler = profiler
             if tracer is not None:
                 self.trainer.tracer = tracer
-            if engine is not None:
-                engine.profiler = profiler
-                if tracer is not None:
-                    engine.tracer = tracer
             if self.scheduler is not None:
                 scheduler = self.scheduler
 
@@ -258,18 +250,10 @@ class PAFeat:
                 seed=config.seed,
                 n_tasks=len(envs),
                 iterations=total,
-                rollout_workers=workers,
             )
 
-        manager = None
-        if checkpoint_dir is not None:
-            from repro.io.checkpoint import CheckpointManager
-
-            manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
         start_iteration = 0
-        if resume:
-            if manager is None:
-                raise ValueError("resume=True requires checkpoint_dir")
+        if manager is not None and resume:
             loaded = manager.latest_valid()
             if loaded is not None:
                 self._restore_training_state(loaded.meta, loaded.arrays)
@@ -318,12 +302,6 @@ class PAFeat:
                     end["best_score"] = round(float(best), 6)
                 writer.emit("run_end", **end)
         finally:
-            # Post-fit collection (further_train, manual buffer_filling)
-            # reverts to the serial loop; the closed engine stays on the
-            # model for stats/telemetry inspection.
-            if engine is not None:
-                engine.close()
-                self.trainer.rollout_engine = None
             if writer is not None:
                 from repro.obs.trace import NULL_TRACER
 
@@ -502,8 +480,6 @@ class PAFeat:
                 arrays[f"explorer/{name}"] = value
         if self.scheduler is not None:
             meta["scheduler"] = self.scheduler.capture_state()
-        if self.rollout_engine is not None:
-            meta["rollout"] = self.rollout_engine.capture_state()
         return meta, arrays
 
     def _restore_training_state(
@@ -546,11 +522,8 @@ class PAFeat:
                     "checkpoint contains ITS state but use_its is disabled"
                 )
             self.scheduler.restore_state(meta["scheduler"])
-        # Rollout-engine state (the global episode counter that keys the
-        # per-episode RNG shards) only matters when the resumed run also
-        # collects in parallel; a serial resume ignores it by design.
-        if "rollout" in meta and self.rollout_engine is not None:
-            self.rollout_engine.restore_state(meta["rollout"])
+        # A "rollout" entry, written by older releases' process-pool fits,
+        # is ignored: it only keyed the pool's per-episode RNG streams.
 
     # ------------------------------------------------------------------
     # Internals

@@ -26,8 +26,6 @@ is still a ``ValueError``), so existing ``except RuntimeError`` /
     ├── TrainingInterrupted (+ RuntimeError)  stop request mid-fit
     ├── NotFittedError (+ RuntimeError)       inference before fit()/load
     ├── LifecycleError (+ RuntimeError)       protocol-order misuse
-    ├── RolloutError (+ RuntimeError)         parallel rollout engine
-    │   └── WorkerCrashError                  rollout worker died mid-phase
     ├── ServeError (+ RuntimeError)           serving stack
     │   ├── repro.serve.batcher.{BatcherClosed, BatcherStalled, QueueFull}
     │   ├── repro.serve.registry.RegistryError
@@ -54,10 +52,8 @@ __all__ = [
     "NotFittedError",
     "ReproError",
     "ResilienceError",
-    "RolloutError",
     "ServeError",
     "TrainingInterrupted",
-    "WorkerCrashError",
 ]
 
 
@@ -120,26 +116,6 @@ class LifecycleError(ReproError, RuntimeError):
     starting an already-started server — state-machine misuse, as opposed
     to bad data (:class:`DataValidationError`) or bad arguments
     (``ValueError``).
-    """
-
-
-class RolloutError(ReproError, RuntimeError):
-    """Base class for parallel rollout-engine failures.
-
-    Raised for protocol misuse (filling through a closed engine) and for
-    payload validation failures (a worker returned a trajectory that does
-    not match its :class:`~repro.rollout.plan.EpisodePlan`).  The engine
-    itself converts these into graceful degradation — training falls back
-    to plan-order serial execution rather than dying mid-fit.
-    """
-
-
-class WorkerCrashError(RolloutError):
-    """A rollout worker process died or raised mid-phase.
-
-    Carries no partial state: the engine re-executes every episode the
-    crashed worker owned from its planned RNG shard, so the filled buffer
-    is identical to an uncrashed run.
     """
 
 

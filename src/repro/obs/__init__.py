@@ -1,15 +1,13 @@
 """Unified observability: metrics registry, trace spans, telemetry, logs.
 
 The obs layer is the one place the repro runtime is *watched* from —
-shared by training (:meth:`repro.core.pafeat.PAFeat.fit`), the parallel
-rollout engine (:mod:`repro.rollout`) and the serving stack
-(:mod:`repro.serve`):
+shared by training (:meth:`repro.core.pafeat.PAFeat.fit`) and the
+serving stack (:mod:`repro.serve`):
 
 * :mod:`repro.obs.registry` — thread-safe, label-aware ``Counter`` /
   ``Gauge`` / ``Histogram`` with Prometheus text exposition; one
   :class:`MetricsRegistry` backs the server's ``/metrics`` page.
-* :mod:`repro.obs.trace` — deterministic span/trace API writing JSONL,
-  with cross-process span merge for rollout workers.
+* :mod:`repro.obs.trace` — deterministic span/trace API writing JSONL.
 * :mod:`repro.obs.telemetry` — the per-episode/per-iteration training
   event stream plus the ``repro obs summarize`` report renderer.
 * :mod:`repro.obs.log` — structured (JSON-capable) logging with

@@ -1,4 +1,4 @@
-"""Structured logging for the runtime components (serve, rollout, io).
+"""Structured logging for the runtime components (serve, training, io).
 
 Every component logs through a :class:`StructuredLogger` obtained from
 :func:`get_logger`.  The logger wraps a stdlib ``logging.Logger`` named

@@ -1,8 +1,8 @@
 """Phase profiling: timer context managers feeding phase histograms.
 
-The hot paths identified by BENCH_rollout's stage fractions (plan /
-execute / merge, plus the trainer's update phase) are timed through a
-:class:`PhaseProfiler`: cumulative per-phase totals always, and — when a
+The trainer's two phases per iteration (``train.fill`` and
+``train.update``) are timed through a :class:`PhaseProfiler`:
+cumulative per-phase totals always, and — when a
 :class:`~repro.obs.registry.MetricsRegistry` is attached — a
 ``repro_phase_seconds`` histogram labelled by phase that the benchmarks
 consume.  All clock reads go through the injectable obs clock, so the
@@ -21,7 +21,7 @@ from repro.obs.registry import Histogram, MetricsRegistry
 
 __all__ = ["PHASE_BUCKETS", "PhaseProfiler"]
 
-#: Histogram buckets (seconds) sized for rollout/update phase durations.
+#: Histogram buckets (seconds) sized for fill/update phase durations.
 PHASE_BUCKETS: tuple[float, ...] = (
     0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0,
 )

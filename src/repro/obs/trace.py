@@ -14,12 +14,6 @@ A :class:`Tracer` writes one JSON object per finished span to a sink
 * **Near-zero cost when disabled.**  :data:`NULL_TRACER` hands out one
   shared no-op span; a disabled ``tracer.span(...)`` is an attribute
   check and a constant return, cheap enough to leave on hot paths.
-
-Cross-process spans: workers cannot write to the coordinator's sink, so
-they *measure* (two clock reads) and ship durations home inside
-:class:`~repro.rollout.plan.EpisodeResult`; the coordinator replays them
-into the trace with :meth:`Tracer.emit` in plan order, keeping the trace
-as deterministic as the merge barrier itself.
 """
 
 from __future__ import annotations
@@ -124,38 +118,6 @@ class Tracer:
             span_id = self._next_id
             self._next_id += 1
         return Span(self, span_id, parent_id or None, name, attrs)
-
-    def emit(
-        self,
-        name: str,
-        duration_s: float,
-        parent: "Span | _NullSpan | int | None" = None,
-        **attrs: Any,
-    ) -> int:
-        """Record a span measured elsewhere (e.g. in a rollout worker).
-
-        The span has no start offset — only a duration — because the
-        measuring process's clock is not comparable to this one's.
-        Returns the minted span id (0 when disabled).
-        """
-        if not self.enabled:
-            return 0
-        parent_id = parent.span_id if isinstance(parent, (Span, _NullSpan)) else parent
-        with self._lock:
-            span_id = self._next_id
-            self._next_id += 1
-        record = {
-            "trace": self.run_id,
-            "span": span_id,
-            "parent": parent_id or None,
-            "name": name,
-            "start_s": None,
-            "duration_s": round(float(duration_s), 9),
-        }
-        if attrs:
-            record["attrs"] = attrs
-        self._write(record)
-        return span_id
 
     def _record(self, span: Span, start: float, duration: float) -> None:
         if not self.enabled:

@@ -36,10 +36,10 @@ class ReplayBuffer:
     def add_trajectory(self, trajectory: Trajectory) -> None:
         """Store a whole episode: transitions into the ring, tail for ITS.
 
-        Buffer mutation is single-writer by contract: serial collection or
-        the rollout engine's merge barrier (``TrackedLock("rollout.merge")``,
-        ARCHITECTURE §10).  The sanitizer note lets the runtime lockset
-        check catch any concurrent writer that bypasses the barrier.
+        Buffer mutation is single-writer by contract: the trainer's
+        Buffer Filling Phase commits one episode at a time (ARCHITECTURE
+        §10).  The sanitizer note lets the runtime lockset check catch
+        any concurrent writer.
         """
         tsan.note(self, "_storage", write=True)
         for transition in trajectory.transitions:

@@ -10,7 +10,7 @@ runs; hit statistics are exposed for the cache-ablation benchmark.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -77,17 +77,11 @@ class RewardFunction:
         self._cache: OrderedDict[tuple[int, ...], float] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.merged = 0
         # The LRU cache is a documented PAR601 sync point (ARCHITECTURE
-        # §7.2): the moment rollout workers share an instance, unguarded
-        # OrderedDict mutation is a data race.  The TrackedLock makes the
-        # guard real and feeds the runtime sanitizer's held-lock sets so
-        # chaos/parity drills verify it dynamically.
+        # §7.2): lookups reorder and inserts evict, so every cache access
+        # holds this lock.  TrackedLock feeds the runtime sanitizer's
+        # held-lock sets, so REPRO_TSAN=1 runs check the guard too.
         self._lock = tsan.TrackedLock("reward.cache")
-        # Entries inserted since the last drain — the per-worker delta the
-        # rollout engine merges back into the coordinator's cache at
-        # episode boundaries.
-        self._fresh: dict[tuple[int, ...], float] = {}
 
     @property
     def all_features_score(self) -> float:
@@ -117,60 +111,9 @@ class RewardFunction:
             with self._lock:
                 tsan.note(self, "_cache", write=True)
                 self._cache[key] = score
-                self._fresh[key] = score
                 while len(self._cache) > self.cache_size:
                     self._cache.popitem(last=False)
-                # Serial runs never drain, so the delta dict needs its own
-                # bound; dropping the oldest entry only costs a potential
-                # recomputation on the other side of a future merge.
-                while len(self._fresh) > self.cache_size:
-                    del self._fresh[next(iter(self._fresh))]
         return score
-
-    def drain_fresh_entries(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        """Entries inserted since the last drain, oldest first; then forget.
-
-        Rollout workers call this at episode boundaries and ship the delta
-        home with the trajectory; the coordinator folds it into its own
-        cache via :meth:`merge_cache` so scores computed in a worker are
-        never recomputed on the coordinator (or by later phases' workers
-        after the next broadcast warms them).
-        """
-        with self._lock:
-            entries = tuple(self._fresh.items())
-            self._fresh.clear()
-        return entries
-
-    def merge_cache(
-        self, entries: Iterable[tuple[tuple[int, ...], float]]
-    ) -> int:
-        """Fold another instance's cache delta into this one; returns inserts.
-
-        Idempotent by construction: an entry already present only refreshes
-        its LRU position (every replica computes identical scores for a
-        key, so last-writer-wins and first-writer-wins agree).  The LRU
-        bound is enforced after the merge, exactly as for organic inserts.
-        """
-        inserted = 0
-        if self.cache_size <= 0:
-            return inserted
-        with self._lock:
-            tsan.note(self, "_cache", write=True)
-            for key, score in entries:
-                frozen = tuple(int(i) for i in key)
-                if frozen not in self._cache:
-                    inserted += 1
-                self._cache[frozen] = float(score)
-                self._cache.move_to_end(frozen)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-            self.merged += inserted
-        return inserted
-
-    def cache_snapshot(self) -> tuple[tuple[tuple[int, ...], float], ...]:
-        """The full cache contents, LRU-oldest first (tests/diagnostics)."""
-        with self._lock:
-            return tuple(self._cache.items())
 
     def hit_rate(self) -> float:
         """Fraction of calls served from the cache."""
@@ -178,39 +121,16 @@ class RewardFunction:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, int]:
-        """Cache counters for telemetry: hits, misses, merges, occupancy."""
+        """Cache counters for telemetry: hits, misses, occupancy."""
         with self._lock:
             return {
                 "hits": int(self.hits),
                 "misses": int(self.misses),
-                "merged": int(self.merged),
                 "entries": len(self._cache),
             }
 
     def clear_cache(self) -> None:
         with self._lock:
             self._cache.clear()
-            self._fresh.clear()
             self.hits = 0
             self.misses = 0
-            self.merged = 0
-
-    # ------------------------------------------------------------------
-    # Pickling (rollout workers receive env replicas holding this object)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict[str, Any]:
-        """Drop the lock (not picklable); the replica gets a fresh one.
-
-        The fresh-entry delta is dropped too: it records what *this*
-        process computed since the last drain, and a replica that
-        inherited it would ship those entries back as its own — harmless
-        (merges are idempotent) but wasteful across every broadcast.
-        """
-        state = dict(self.__dict__)
-        del state["_lock"]
-        state["_fresh"] = {}
-        return state
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = tsan.TrackedLock("reward.cache")

@@ -14,17 +14,10 @@ import numpy as np
 
 __all__ = [
     "derive_seed",
-    "rollout_shard",
     "spawn_generators",
     "task_rng",
     "task_seed_sequence",
 ]
-
-#: Stream tag separating rollout-shard sequences from task sequences minted
-#: by :func:`task_seed_sequence` (which uses the raw ``(seed, components)``
-#: key).  Without it ``rollout_shard(seed, k)`` and ``task_seed_sequence(
-#: seed, k)`` would alias the same stream.
-_ROLLOUT_STREAM = 0x726F6C6C  # "roll"
 
 
 def task_seed_sequence(seed: int, *components: int) -> np.random.SeedSequence:
@@ -49,22 +42,6 @@ def spawn_generators(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return [np.random.default_rng(child) for child in sequence.spawn(n)]
-
-
-def rollout_shard(seed: int, episode_index: int) -> np.random.SeedSequence:
-    """The RNG shard for one planned rollout episode.
-
-    The parallel rollout engine (:mod:`repro.rollout`) gives every episode
-    its own seeded stream keyed on ``(seed, episode_index)``, where the
-    index counts planned episodes globally across the run.  Keying on the
-    plan rather than the worker makes episode randomness independent of
-    how episodes land on workers — the engine's results are identical for
-    any worker count, and a checkpoint only needs the episode counter to
-    resume the stream.
-    """
-    if episode_index < 0:
-        raise ValueError(f"episode_index must be >= 0, got {episode_index}")
-    return np.random.SeedSequence([int(seed), _ROLLOUT_STREAM, int(episode_index)])
 
 
 def derive_seed(sequence: np.random.SeedSequence) -> int:

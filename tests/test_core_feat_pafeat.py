@@ -10,6 +10,12 @@ from repro.core.state import EnvState
 from tests.conftest import fast_config
 
 
+def _assert_same_weights(expected, actual):
+    assert set(expected) == set(actual)
+    for name in expected:
+        np.testing.assert_array_equal(expected[name], actual[name])
+
+
 class TestUniformTaskSampler:
     def test_covers_all_tasks(self, rng):
         sampler = UniformTaskSampler([3, 5, 9])
@@ -119,6 +125,46 @@ class TestPAFeatFit:
         b = PAFeat(fast_config(n_iterations=8)).fit(train)
         task = train.unseen_tasks[0]
         assert a.select(task) == b.select(task)
+        _assert_same_weights(
+            a.trainer.agent.save_policy(), b.trainer.agent.save_policy()
+        )
+
+
+class TestRejectedFit:
+    """A rejected ``fit`` call leaves an already-fitted model as it was."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tiny_split):
+        train, _ = tiny_split
+        return PAFeat(fast_config(n_iterations=6)).fit(train)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rollout_workers": 0},
+            {"rollout_workers": 2},
+            {"resume": True},
+            {"keep_last": 0, "checkpoint_dir": True},
+            {"n_iterations": 0},
+            {"n_iterations": -3},
+        ],
+        ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()),
+    )
+    def test_bad_arguments_leave_the_model_untouched(
+        self, fitted, tiny_split, tmp_path, kwargs
+    ):
+        train, _ = tiny_split
+        trainer = fitted.trainer
+        weights = trainer.agent.save_policy()
+        task = train.unseen_tasks[0]
+        subset = fitted.select(task)
+        if kwargs.get("checkpoint_dir"):  # True stands for a fresh directory
+            kwargs = {**kwargs, "checkpoint_dir": tmp_path / "ckpts"}
+        with pytest.raises(ValueError):
+            fitted.fit(train, **kwargs)
+        assert fitted.trainer is trainer
+        _assert_same_weights(weights, trainer.agent.save_policy())
+        assert fitted.select(task) == subset
 
 
 class TestPAFeatSelect:

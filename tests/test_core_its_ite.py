@@ -114,6 +114,45 @@ class TestInterTaskScheduler:
             InterTaskScheduler([], {}, 4, ITSConfig())
 
 
+class TestITSVisitCounter:
+    def _scheduler(self):
+        return InterTaskScheduler(
+            [1, 2, 3],
+            {1: 0.5, 2: 0.5, 3: 0.5},
+            n_features=12,
+            config=ITSConfig(),
+        )
+
+    def test_record_visit_tallies_atomically(self):
+        its = self._scheduler()
+        for task_id in (1, 2, 2, 3, 2):
+            its.record_visit(task_id)
+        assert its.visits() == {1: 1, 2: 3, 3: 1}
+
+    def test_visits_returns_a_copy(self):
+        its = self._scheduler()
+        its.record_visit(1)
+        snapshot = its.visits()
+        snapshot[1] = 99
+        assert its.visits()[1] == 1
+
+    def test_visits_survive_capture_restore(self):
+        its = self._scheduler()
+        for _ in range(6):
+            its.record_visit(2)
+        fresh = self._scheduler()
+        fresh.restore_state(its.capture_state())
+        assert fresh.visits() == {1: 0, 2: 6, 3: 0}
+
+    def test_sample_task_records_visits(self, fitted_tiny_model, tiny_split):
+        train, _ = tiny_split
+        visits = fitted_tiny_model.scheduler.visits()
+        episodes = sum(s.episodes for s in fitted_tiny_model.trainer.history)
+        # One visit per planned episode, keyed by the seen tasks.
+        assert sum(visits.values()) == episodes > 0
+        assert set(visits) == {task.label_index for task in train.seen_tasks}
+
+
 class TestIntraTaskExplorer:
     def make_explorer(self, invoke_probability=1.0, use_pe=True):
         config = ITEConfig(

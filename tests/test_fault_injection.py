@@ -151,6 +151,45 @@ class TestResumeEquivalence:
         )
         _assert_same_weights(straight_run[0], model.trainer.agent.save_policy())
 
+    def test_resume_ignores_a_pooled_fit_rollout_entry(
+        self, config, train_tasks, straight_run, tmp_path
+    ):
+        # Older releases could fill buffers through a process pool, whose
+        # checkpoints carry a "rollout" meta entry; a resume ignores it.
+        directory = tmp_path / "ckpts"
+        with pytest.raises(SimulatedCrash):
+            PAFeat(config).fit(
+                train_tasks,
+                checkpoint_dir=directory,
+                checkpoint_every=CHECKPOINT_EVERY,
+                stop_check=CrashAt(7),
+            )
+        manager = CheckpointManager(directory)
+        loaded = manager.latest_valid()
+        assert loaded is not None and loaded.iteration == CHECKPOINT_EVERY
+        meta = dict(loaded.meta)
+        meta["rollout"] = {
+            "seed": config.seed,
+            "n_workers": 2,
+            "episodes_planned": CHECKPOINT_EVERY * config.episodes_per_iteration,
+            "degraded": False,
+            "degrade_reason": None,
+        }
+        manager.save(loaded.iteration, meta, loaded.arrays)
+        assert "rollout" in manager.latest_valid().meta
+
+        resumed = PAFeat(config).fit(
+            train_tasks,
+            checkpoint_dir=directory,
+            checkpoint_every=CHECKPOINT_EVERY,
+            resume=True,
+        )
+        expected_weights, expected_subsets = straight_run
+        _assert_same_weights(expected_weights, resumed.trainer.agent.save_policy())
+        assert {
+            task.name: resumed.select(task) for task in train_tasks.unseen_tasks
+        } == expected_subsets
+
     def test_resume_requires_checkpoint_dir(self, config, train_tasks):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             PAFeat(config).fit(train_tasks, resume=True)

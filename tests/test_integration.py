@@ -34,13 +34,8 @@ def easy_split():
 @pytest.fixture(scope="module")
 def easy_model(easy_split):
     train, _ = easy_split
-    # Pinned to serial collection: the recall thresholds below are
-    # calibrated on the serial training trajectory, and parallel rollout
-    # follows a different (equally valid) one by design — ARCHITECTURE
-    # §10.3.  Without the pin the CI parity lane (REPRO_ROLLOUT_WORKERS=2)
-    # would assert a seed-sensitive behavioral bar against the wrong run.
     config = fast_config(n_iterations=150, episodes_per_iteration=4)
-    return PAFeat(config).fit(train, rollout_workers=1)
+    return PAFeat(config).fit(train)
 
 
 class TestLearningSignal:

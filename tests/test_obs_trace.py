@@ -1,15 +1,11 @@
-"""Trace spans: deterministic ids, fake clocks, null-tracer cost, rollout
-span propagation across the worker pool."""
+"""Trace spans: deterministic ids, fake clocks, null-tracer cost."""
 
 from __future__ import annotations
 
 import io
 import json
 
-from repro.core.pafeat import PAFeat
 from repro.obs.trace import NULL_TRACER, Tracer, read_trace
-from repro.rollout import ParallelRolloutEngine
-from tests.conftest import fast_config
 
 
 def _records(sink: io.StringIO) -> list[dict]:
@@ -58,19 +54,6 @@ class TestSpans:
                 pass
         assert [r["span"] for r in _records(sink)] == [1, 2, 3]
 
-    def test_emit_records_duration_without_start(self):
-        sink = io.StringIO()
-        tracer = Tracer(sink, clock=FakeClock())
-        with tracer.span("fill") as fill:
-            span_id = tracer.emit("episode", 0.25, parent=fill, episode=7)
-        assert span_id == 2  # the open fill span took id 1
-        records = {r["name"]: r for r in _records(sink)}
-        episode = records["episode"]
-        assert episode["start_s"] is None
-        assert episode["duration_s"] == 0.25
-        assert episode["parent"] == records["fill"]["span"]
-        assert episode["attrs"] == {"episode": 7}
-
     def test_read_trace_round_trips(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         with Tracer(path, run_id="rt", clock=FakeClock()) as tracer:
@@ -81,10 +64,13 @@ class TestSpans:
         assert records[0]["name"] == "a"
 
     def test_close_disables(self, tmp_path):
-        tracer = Tracer(tmp_path / "t.jsonl", clock=FakeClock())
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer(path, clock=FakeClock())
         tracer.close()
         assert tracer.enabled is False
-        assert tracer.emit("late", 1.0) == 0
+        with tracer.span("late") as span:
+            assert span.span_id == 0
+        assert read_trace(path) == []
 
 
 class TestNullTracer:
@@ -95,63 +81,8 @@ class TestNullTracer:
         with first as span:
             assert span.span_id == 0
 
-    def test_disabled_emit_returns_zero(self):
-        assert NULL_TRACER.emit("x", 1.0) == 0
-
     def test_disabled_tracer_writes_nothing(self, tmp_path):
         tracer = Tracer(None)
         with tracer.span("s"):
             pass
         assert tracer.enabled is False
-
-
-class TestRolloutSpanPropagation:
-    def test_worker_timings_merge_in_plan_order(self, tiny_split):
-        train, _ = tiny_split
-        model = PAFeat(fast_config(n_iterations=2)).fit(train)
-        trainer = model.trainer
-        engine = ParallelRolloutEngine(2, seed=0)
-        sink = io.StringIO()
-        engine.tracer = Tracer(sink, run_id="rollout-test")
-        trainer.rollout_engine = engine
-        try:
-            trainer.buffer_filling(6)
-        finally:
-            trainer.rollout_engine = None
-        records = _records(sink)
-        by_name: dict[str, list[dict]] = {}
-        for record in records:
-            by_name.setdefault(record["name"], []).append(record)
-
-        (fill,) = by_name["rollout.fill"]
-        assert fill["attrs"]["episodes"] == 6
-        assert fill["attrs"]["workers"] == 2
-
-        # Stage spans are measured on the coordinator and parented to fill.
-        for stage in ("rollout.plan", "rollout.execute", "rollout.merge"):
-            (span,) = by_name[stage]
-            assert span["parent"] == fill["span"]
-
-        # Worker-measured episode durations arrive via emit() in plan
-        # order — the merge barrier's ordering is visible in the trace.
-        episodes = by_name["rollout.episode"]
-        assert [e["attrs"]["episode"] for e in episodes] == list(range(6))
-        for episode in episodes:
-            assert episode["parent"] == fill["span"]
-            assert episode["start_s"] is None
-            assert episode["duration_s"] >= 0.0
-            assert episode["attrs"]["steps"] >= 1
-
-    def test_untraced_fill_leaves_elapsed_zero(self, tiny_split):
-        train, _ = tiny_split
-        model = PAFeat(fast_config(n_iterations=2)).fit(train)
-        trainer = model.trainer
-        engine = ParallelRolloutEngine(2, seed=0)
-        trainer.rollout_engine = engine
-        try:
-            trainer.buffer_filling(4)
-        finally:
-            trainer.rollout_engine = None
-        # The tracer defaults to NULL_TRACER: plans must not request
-        # wall-timing, so the disabled path costs no clock reads.
-        assert engine.tracer is NULL_TRACER
