@@ -1,9 +1,9 @@
 """Bench: observability must be free when off and inert when on.
 
-The obs layer is wired through the training hot loop — span guards and
-phase timers in ``train_iteration``, telemetry guards in
-``commit_episode``.  Two properties make that acceptable and this bench
-enforces both:
+The obs layer is wired through the training hot loop — span guards in
+``train_iteration`` (the spans are also the phase timers), telemetry
+guards in ``commit_episode``.  Two properties make that acceptable and
+this bench enforces both:
 
 * **non-interference (parity)** — telemetry is strictly read-only with
   respect to training state: a fit with ``telemetry=<dir>`` must leave a
@@ -21,7 +21,9 @@ The telemetry-on run's output is kept at
 ``benchmarks/results/obs_telemetry/`` (events.jsonl + trace.jsonl) — CI
 uploads it as the sample-telemetry artifact — and the bench additionally
 asserts it is well-formed: run_start/run_end present, one iteration
-event per training iteration, and a non-empty trace.
+event per training iteration, a non-empty trace, and a last iteration
+whose phase fractions match the fill/update shares recomputed from that
+trace (the phases are a view of the spans).
 
 Writes ``BENCH_obs.json`` at the repo root; exits 1 on gate failure::
 
@@ -64,11 +66,15 @@ SEED = 0
 ITERATIONS = 3
 EPISODES_PER_ITERATION = 8
 TIMING_EPISODES = 32
-#: Disabled-path operations charged per episode.  Reality is ~4 guards per
-#: episode plus ~6 null spans per *iteration*; 32 is an order of magnitude
-#: of headroom so the gate stays meaningful if instrumentation grows.
+#: Disabled-path operations charged per episode.  Reality is one guard per
+#: episode plus 3 null spans and one guard per *iteration*; 32 is an order
+#: of magnitude of headroom so the gate stays meaningful if instrumentation
+#: grows.
 DISABLED_OPS_PER_EPISODE = 32
 OVERHEAD_GATE = 0.02
+#: Absolute tolerance between telemetry phase fractions (rounded to 6
+#: places) and the shares recomputed from the trace (9-place durations).
+PHASES_TOLERANCE = 1e-5
 SAMPLE_DIR = REPO_ROOT / "benchmarks" / "results" / "obs_telemetry"
 
 
@@ -155,6 +161,20 @@ def check_sample_telemetry(failures: list[str]) -> dict:
     for expected in ("train.iteration", "train.fill", "train.update"):
         if expected not in span_names:
             failures.append(f"trace missing '{expected}' spans")
+    seconds = {
+        phase: sum(span["duration_s"] for span in spans if span["name"] == phase)
+        for phase in ("train.fill", "train.update")
+    }
+    spent = sum(seconds.values())
+    iterations = [event for event in events if event.get("type") == "iteration"]
+    phases = iterations[-1].get("phases", {}) if iterations else {}
+    for phase, phase_seconds in seconds.items():
+        expected_fraction = phase_seconds / spent if spent > 0.0 else 0.0
+        if abs(phases.get(phase, -1.0) - expected_fraction) > PHASES_TOLERANCE:
+            failures.append(
+                f"last iteration's phases[{phase!r}] = {phases.get(phase)} is "
+                f"not the trace's share {expected_fraction:.6f}"
+            )
     return {
         "events": len(events),
         "spans": len(spans),

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +39,7 @@ from repro.core.pafeat import PAFeat
 from repro.data.catalog import DATASETS, dataset_names
 from repro.experiments.runner import load_suite, make_config
 from repro.io.lifecycle import GracefulShutdown
+from repro.obs.clock import monotonic
 
 #: Exit code for a run stopped by SIGINT/SIGTERM (after the checkpoint flush).
 EXIT_INTERRUPTED = 130
@@ -230,7 +230,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         config = replace(config, n_iterations=args.iterations)
     print(f"training on {train.n_seen} seen tasks of {suite.name} "
           f"({config.n_iterations} iterations)...")
-    start = time.perf_counter()
+    start = monotonic()
     with _graceful_shutdown() as stop_requested:
         try:
             model = PAFeat(config).fit(
@@ -254,7 +254,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_INTERRUPTED
-    print(f"trained in {time.perf_counter() - start:.1f}s")
+    print(f"trained in {monotonic() - start:.1f}s")
     directory = save_model(model, args.output)
     print(f"model saved to {directory}")
     if args.telemetry_dir:
@@ -285,9 +285,9 @@ def _cmd_select(args: argparse.Namespace) -> int:
     train, test = suite.split_rows(0.7, np.random.default_rng(args.seed))
     test_by_index = {task.label_index: task for task in test.unseen_tasks}
     for task in train.unseen_tasks:
-        start = time.perf_counter()
+        start = monotonic()
         subset = model.select(task)
-        latency_ms = (time.perf_counter() - start) * 1000.0
+        latency_ms = (monotonic() - start) * 1000.0
         line = f"{task.name}: {len(subset)} features {subset} [{latency_ms:.1f} ms]"
         if args.evaluate:
             from repro.eval.svm import evaluate_subset_with_svm

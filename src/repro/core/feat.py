@@ -17,7 +17,6 @@ uses a random restart policy, RR wraps the per-step reward.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -26,7 +25,6 @@ import numpy as np
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.state import EnvState
-from repro.obs.profile import PhaseProfiler
 from repro.obs.telemetry import TelemetryWriter
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rl.agent import DuelingDQNAgent
@@ -119,7 +117,6 @@ class FEATTrainer:
         # benchmarks/bench_obs.py holds the contract).
         self.telemetry: TelemetryWriter | None = None
         self.tracer: Tracer = NULL_TRACER
-        self.profiler: PhaseProfiler | None = None
         #: Optional per-episode enrichment hook: ``probe(task_id)`` returns
         #: extra event fields (e.g. the task's progress quantile from ITS).
         #: Must be read-only on trainer/scheduler state.
@@ -250,18 +247,13 @@ class FEATTrainer:
     # ------------------------------------------------------------------
     def train_iteration(self, iteration: int) -> IterationStats:
         """One outer iteration: fill buffers, then K update rounds."""
-        profiler = self.profiler
         with self.tracer.span("train.iteration", iteration=iteration) as span:
-            with self.tracer.span("train.fill", parent=span), (
-                profiler.phase("train.fill") if profiler else nullcontext()
-            ):
+            with self.tracer.span("train.fill", parent=span):
                 collected = self.buffer_filling(
                     self.config.episodes_per_iteration
                 )
             losses: list[float] = []
-            with self.tracer.span("train.update", parent=span), (
-                profiler.phase("train.update") if profiler else nullcontext()
-            ):
+            with self.tracer.span("train.update", parent=span):
                 for _ in range(self.config.updates_per_iteration):
                     for task_id in self.registry.non_empty_task_ids():
                         buffer = self.registry.buffer(task_id)
@@ -320,13 +312,18 @@ class FEATTrainer:
                 str(task): int(count)
                 for task, count in sorted(visits_fn().items())
             }
-        if self.profiler is not None:
-            fractions = self.profiler.fractions()
-            if fractions:
-                payload["phases"] = {
-                    phase: round(fraction, 6)
-                    for phase, fraction in sorted(fractions.items())
-                }
+        # Phase fractions are a view of the trace: each phase's share of
+        # the fill + update span seconds so far.
+        totals = self.tracer.totals()
+        phase_seconds = {
+            phase: totals.get(phase, 0.0)
+            for phase in ("train.fill", "train.update")
+        }
+        spent = sum(phase_seconds.values())
+        payload["phases"] = {
+            phase: round(seconds / spent, 6) if spent > 0.0 else 0.0
+            for phase, seconds in phase_seconds.items()
+        }
         return payload
 
     def train(

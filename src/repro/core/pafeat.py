@@ -35,6 +35,7 @@ from repro.data.stats import feature_redundancy_matrix, pearson_representation
 from repro.data.tasks import Task, TaskSuite
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.obs.telemetry import TelemetryWriter
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rl.reward import RewardFunction, build_task_reward
 
 if TYPE_CHECKING:
@@ -111,9 +112,11 @@ class PAFeat:
         events to ``events.jsonl`` plus a span trace to ``trace.jsonl``
         there (``repro obs summarize <dir>`` renders the run report), or
         pass a :class:`~repro.obs.telemetry.TelemetryWriter` to share a
-        sink the caller owns.  Telemetry is strictly observational: it
-        consumes no RNG and the trained model is bit-identical with it on
-        or off.
+        sink the caller owns; fit then writes ``trace.jsonl`` beside its
+        events, under the writer's run id, and leaves the writer open.
+        The iteration events' phase fractions are computed from the
+        trace's spans.  Telemetry is strictly observational: it consumes
+        no RNG and the trained model is bit-identical with it on or off.
         """
         if not suite.seen_tasks:
             raise DataValidationError("suite has no seen tasks to learn from")
@@ -195,63 +198,6 @@ class PAFeat:
             **trainer_kwargs,
         )
 
-        # Observability wiring: an owned writer/tracer pair for a directory
-        # argument, or the caller's writer as-is.  Wired after the trainer
-        # exists; torn down (and detached) in the finally block.
-        writer: "TelemetryWriter | None" = None
-        tracer = None
-        owns_telemetry = False
-        if telemetry is not None:
-            from repro.obs.profile import PhaseProfiler
-            from repro.obs.trace import Tracer
-
-            run_id = f"fit-seed{config.seed}"
-            if isinstance(telemetry, TelemetryWriter):
-                writer = telemetry
-            else:
-                writer = TelemetryWriter(telemetry, run_id=run_id)
-                tracer = Tracer(Path(telemetry) / "trace.jsonl", run_id=run_id)
-                owns_telemetry = True
-            profiler = PhaseProfiler()
-            self.trainer.telemetry = writer
-            self.trainer.profiler = profiler
-            if tracer is not None:
-                self.trainer.tracer = tracer
-            if self.scheduler is not None:
-                scheduler = self.scheduler
-
-                def telemetry_probe(task_id: int) -> dict:
-                    # Read-only: ranks the task's last ITS distance ratio
-                    # among all seen tasks (the "progress quantile").
-                    progress = scheduler.last_progress
-                    if not progress:
-                        return {}
-                    mine = next(
-                        (
-                            p.distance_ratio
-                            for p in progress
-                            if p.task_id == task_id
-                        ),
-                        None,
-                    )
-                    if mine is None:
-                        return {}
-                    rank = sum(
-                        1 for p in progress if p.distance_ratio <= mine
-                    )
-                    return {
-                        "progress": round(float(mine), 6),
-                        "progress_q": round(rank / len(progress), 6),
-                    }
-
-                self.trainer.telemetry_probe = telemetry_probe
-            writer.emit(
-                "run_start",
-                seed=config.seed,
-                n_tasks=len(envs),
-                iterations=total,
-            )
-
         start_iteration = 0
         if manager is not None and resume:
             loaded = manager.latest_valid()
@@ -281,7 +227,34 @@ class PAFeat:
                 if stopping:
                     raise TrainingInterrupted(global_iteration, path)
 
+        # Observability wiring (ARCHITECTURE §11.4): the caller's writer or
+        # an owned one for a directory, a span trace beside its events, and
+        # the progress probe.  Attached after the set-up and the restore,
+        # whose failures would otherwise leave them attached with files
+        # open, and inside the try, whose finally detaches and closes them.
+        writer: "TelemetryWriter | None" = None
+        tracer = NULL_TRACER
         try:
+            if telemetry is not None:
+                if isinstance(telemetry, TelemetryWriter):
+                    writer = telemetry
+                else:
+                    writer = TelemetryWriter(
+                        telemetry, run_id=f"fit-seed{config.seed}"
+                    )
+                tracer = Tracer(
+                    writer.directory / "trace.jsonl", run_id=writer.run_id
+                )
+                self.trainer.telemetry = writer
+                self.trainer.tracer = tracer
+                if self.scheduler is not None:
+                    self.trainer.telemetry_probe = self._progress_probe
+                writer.emit(
+                    "run_start",
+                    seed=config.seed,
+                    n_tasks=len(envs),
+                    iterations=total,
+                )
             remaining = total - start_iteration
             if remaining > 0:
                 self.trainer.train(remaining, iteration_hook=iteration_hook)
@@ -303,18 +276,14 @@ class PAFeat:
                 writer.emit("run_end", **end)
         finally:
             if writer is not None:
-                from repro.obs.trace import NULL_TRACER
-
                 # Detach the hooks so post-fit training helpers never
                 # write to a sink the caller may have closed.
                 self.trainer.telemetry = None
                 self.trainer.tracer = NULL_TRACER
-                self.trainer.profiler = None
                 self.trainer.telemetry_probe = None
-                if owns_telemetry:
+                tracer.close()
+                if writer is not telemetry:
                     writer.close()
-                if tracer is not None:
-                    tracer.close()
         return self
 
     # ------------------------------------------------------------------
@@ -528,6 +497,26 @@ class PAFeat:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _progress_probe(self, task_id: int) -> dict:
+        """Per-episode telemetry: the task's last ITS distance ratio.
+
+        Read-only: also ranks that ratio among all seen tasks (the
+        "progress quantile").
+        """
+        if self.scheduler is None:
+            return {}
+        progress = self.scheduler.last_progress
+        mine = next(
+            (p.distance_ratio for p in progress if p.task_id == task_id), None
+        )
+        if mine is None:
+            return {}
+        rank = sum(1 for p in progress if p.distance_ratio <= mine)
+        return {
+            "progress": round(float(mine), 6),
+            "progress_q": round(rank / len(progress), 6),
+        }
+
     def _extra_trainer_kwargs(self) -> dict:
         """Hook for FEAT-based baseline subclasses to override trainer hooks."""
         return {}

@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from repro.core.config import ITEConfig
 from repro.core.pafeat import PAFeat
 from repro.data.stats import mutual_information_scores, pearson_representation
 from repro.data.tasks import Task
+from repro.obs.clock import monotonic
 from repro.rl.reward import RewardFunction
 from repro.experiments.runner import (
     evaluate_selection,
@@ -50,9 +50,9 @@ def reward_cache_study(
     train, _ = suite.split_rows(0.7, np.random.default_rng(seed))
 
     cached_model = PAFeat(make_config(scale, seed=seed))
-    start = time.perf_counter()
+    start = monotonic()
     cached_model.fit(train)
-    cached_seconds = time.perf_counter() - start
+    cached_seconds = monotonic() - start
     hit_rates = [fn.hit_rate() for fn in cached_model.reward_fns.values()]
 
     uncached_model = PAFeat(make_config(scale, seed=seed))
@@ -65,9 +65,9 @@ def reward_cache_study(
         return reward_fn
 
     uncached_model._build_reward = build_uncached  # type: ignore[method-assign]
-    start = time.perf_counter()
+    start = monotonic()
     uncached_model.fit(train)
-    uncached_seconds = time.perf_counter() - start
+    uncached_seconds = monotonic() - start
 
     return CacheStudyResult(
         hit_rate=float(np.mean(hit_rates)) if hit_rates else 0.0,

@@ -8,11 +8,11 @@ measured numbers come from this path (at the ``mini`` scale).
 from __future__ import annotations
 
 import argparse
-import time
 from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.experiments import fig5, fig6, fig7, fig8, fig9, table1, table2, table3
+from repro.obs.clock import monotonic
 
 
 def _artefacts(
@@ -37,9 +37,9 @@ def build_report(
     """Run all artefacts and return (and optionally write) the report."""
     sections = [f"# PA-FEAT reproduction report (scale: {scale})", ""]
     for name, runner in _artefacts(scale, datasets):
-        start = time.perf_counter()
+        start = monotonic()
         rendered = runner()
-        elapsed = time.perf_counter() - start
+        elapsed = monotonic() - start
         sections.append(f"## {name}  *({elapsed:.1f}s)*")
         sections.append("")
         sections.append("```")

@@ -18,7 +18,6 @@ suite's unseen tasks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -43,6 +42,7 @@ from repro.core.pafeat import PAFeat
 from repro.data.catalog import load_dataset, load_mini_dataset
 from repro.data.tasks import Task, TaskSuite
 from repro.eval.svm import evaluate_subset_with_svm
+from repro.obs.clock import monotonic
 
 ExperimentScale = str  # "smoke" | "mini" | "full"
 
@@ -234,9 +234,9 @@ def run_method(
     if name in FEAT_METHODS or name in ABLATION_VARIANTS:
         return _run_feat_method(name, train_suite, test_suite, scale, mfr, seed)
     selector = _build_simple_selector(name, mfr, scale, seed)
-    start = time.perf_counter()
+    start = monotonic()
     selector.prepare(train_suite)
-    prepare_seconds = time.perf_counter() - start
+    prepare_seconds = monotonic() - start
     return _select_and_score(
         name, selector.select, train_suite, test_suite, seed,
         prepare_seconds=prepare_seconds, iteration_seconds=0.0,
@@ -260,9 +260,9 @@ def _run_feat_method(
     else:
         config = make_config(scale, mfr=mfr, seed=seed)
         model = FEAT_METHODS[name](config)
-    start = time.perf_counter()
+    start = monotonic()
     model.fit(train_suite)
-    prepare_seconds = time.perf_counter() - start
+    prepare_seconds = monotonic() - start
     n_iterations = len(model.trainer.history) if model.trainer else 1
     return _select_and_score(
         name, model.select, train_suite, test_suite, seed,
@@ -287,9 +287,9 @@ def _select_and_score(
     subsets: dict[str, tuple[int, ...]] = {}
     select_times: list[float] = []
     for task in train_suite.unseen_tasks:
-        start = time.perf_counter()
+        start = monotonic()
         subset = select(task)
-        select_times.append(time.perf_counter() - start)
+        select_times.append(monotonic() - start)
         subsets[task.name] = subset
         per_task[task.name] = evaluate_selection(
             subset, task, test_by_index[task.label_index], seed=seed

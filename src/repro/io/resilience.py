@@ -23,9 +23,9 @@ contract) so every layer can use them without bending the architecture:
 
 Everything is synchronous, allocation-light and dependency-free beyond
 numpy; async callers use :meth:`Deadline.remaining` as their
-``asyncio.wait_for`` timeout.  All clocks default to
-:func:`time.monotonic` and are injectable so tests drive every state
-transition deterministically.
+``asyncio.wait_for`` timeout.  All clocks default to the obs clock
+boundary, :func:`repro.obs.clock.monotonic`, and are injectable so tests
+drive every state transition deterministically.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import numpy as np
 # Canonical home is repro.errors (the typed taxonomy); re-exported here
 # because the serve stack has always imported it from this module.
 from repro.errors import ResilienceError as ResilienceError
+from repro.obs.clock import monotonic
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -85,7 +86,7 @@ class Deadline:
     __slots__ = ("budget_s", "_clock", "_expires_at")
 
     def __init__(
-        self, budget_s: float, clock: Callable[[], float] = time.monotonic
+        self, budget_s: float, clock: Callable[[], float] = monotonic
     ) -> None:
         if budget_s < 0:
             raise ValueError(f"budget_s must be >= 0, got {budget_s}")
@@ -95,7 +96,7 @@ class Deadline:
 
     @classmethod
     def after_ms(
-        cls, budget_ms: float, clock: Callable[[], float] = time.monotonic
+        cls, budget_ms: float, clock: Callable[[], float] = monotonic
     ) -> "Deadline":
         """A deadline ``budget_ms`` milliseconds from now."""
         return cls(budget_ms / 1000.0, clock=clock)
@@ -232,7 +233,7 @@ class CircuitBreaker:
         failure_threshold: int = 5,
         reset_timeout_s: float = 30.0,
         half_open_probes: int = 1,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Callable[[], float] = monotonic,
         on_state_change: Callable[[str, str], None] | None = None,
     ) -> None:
         if failure_threshold < 1:
@@ -342,7 +343,7 @@ class TokenBucket:
         capacity: float,
         refill_per_s: float,
         *,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Callable[[], float] = monotonic,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")

@@ -5,15 +5,16 @@ shared by training (:meth:`repro.core.pafeat.PAFeat.fit`) and the
 serving stack (:mod:`repro.serve`):
 
 * :mod:`repro.obs.registry` — thread-safe, label-aware ``Counter`` /
-  ``Gauge`` / ``Histogram`` with Prometheus text exposition; one
-  :class:`MetricsRegistry` backs the server's ``/metrics`` page.
-* :mod:`repro.obs.trace` — deterministic span/trace API writing JSONL.
+  ``Gauge`` with Prometheus text exposition; one
+  :class:`MetricsRegistry` backs the server's ``/metrics`` page, which
+  serving's latency histogram joins through a collector.
+* :mod:`repro.obs.trace` — deterministic span/trace API writing JSONL;
+  spans are the one timing source, and ``Tracer.totals`` sums them per
+  name for the telemetry phase fractions.
 * :mod:`repro.obs.telemetry` — the per-episode/per-iteration training
   event stream plus the ``repro obs summarize`` report renderer.
 * :mod:`repro.obs.log` — structured (JSON-capable) logging with
   component and run-id context.
-* :mod:`repro.obs.profile` — phase timers feeding the benchmark-facing
-  phase histograms.
 * :mod:`repro.obs.clock` — the single sanctioned monotonic-clock
   boundary (repolint OBS1102); everything above takes an injectable
   clock for deterministic tests.
@@ -30,11 +31,9 @@ from repro.obs.log import (
     configure_json,
     get_logger,
 )
-from repro.obs.profile import PhaseProfiler
 from repro.obs.registry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     escape_label_value,
 )
@@ -50,11 +49,9 @@ __all__ = [
     "Clock",
     "Counter",
     "Gauge",
-    "Histogram",
     "JsonFormatter",
     "MetricsRegistry",
     "NULL_TRACER",
-    "PhaseProfiler",
     "Span",
     "StructuredLogger",
     "TelemetryWriter",

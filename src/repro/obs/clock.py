@@ -1,12 +1,13 @@
 """The observability layer's sanctioned clock boundary.
 
 Determinism discipline (repolint RNG104 and its OBS1102 monotonic twin)
-bans ad-hoc clock reads inside the deterministic packages: a timestamp
-that leaks into control flow breaks bit-exact replay.  Timing for metrics,
-traces and profiles is still wanted, so this module is the *single*
-sanctioned place such reads happen.  Every obs primitive takes a
-``clock`` callable defaulting to :func:`monotonic`, which makes two
-things true at once:
+bans ad-hoc clock reads: a timestamp that leaks into control flow breaks
+bit-exact replay.  Timing for metrics, traces, resilience deadlines and
+the experiments' Table II timings is still wanted, so this module is the
+*single* sanctioned place such reads happen; OBS1102 holds every other
+module of ``repro`` to it.  Every obs primitive takes a ``clock``
+callable defaulting to :func:`monotonic`, which makes two things true at
+once:
 
 * production code reads time in exactly one module, easy to audit; and
 * tests and benchmarks inject a fake clock and get fully deterministic

@@ -1,10 +1,10 @@
 """Thread-safe, label-aware metrics with Prometheus text exposition.
 
 One :class:`MetricsRegistry` per process (or per server) owns every
-:class:`Counter`, :class:`Gauge` and :class:`Histogram`; ``render()``
-emits the whole registry as Prometheus text-format 0.0.4 so ``/metrics``
-can serve a single unified page for the serve stack, the model registry
-and anything else that registers.
+:class:`Counter` and :class:`Gauge`; ``render()`` emits the whole
+registry as Prometheus text-format 0.0.4 so ``/metrics`` can serve a
+single unified page for the serve stack, the model registry and anything
+else that registers.
 
 Design points:
 
@@ -20,8 +20,9 @@ Design points:
 * **Collectors.**  ``register_collector`` accepts a callable returning
   extra exposition lines at scrape time — how provider-backed values
   (circuit-breaker state, cache hit rate) and the dual-view
-  :class:`~repro.serve.metrics.LatencyHistogram` join the unified page
-  without copying state on every observation.
+  :class:`~repro.serve.metrics.LatencyHistogram`, the package's one
+  histogram, join the unified page without copying state on every
+  observation.
 """
 
 from __future__ import annotations
@@ -35,18 +36,12 @@ from repro.analysis import tsan
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "escape_label_value",
 ]
 
 _NAME_PATTERN = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_PATTERN = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default histogram buckets (seconds): micro to minutes, log-ish spaced.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, math.inf,
-)
 
 
 def escape_label_value(value: str) -> str:
@@ -59,10 +54,6 @@ def _format_value(value: float) -> str:
     if value == int(value) and math.isfinite(value):
         return str(int(value))
     return repr(value)
-
-
-def _bucket_label(bound: float) -> str:
-    return "+Inf" if math.isinf(bound) else f"{bound:g}"
 
 
 class _Metric:
@@ -178,126 +169,6 @@ class Gauge(_Metric):
                 self._series[key] = float(value)
 
 
-class _HistogramSeries:
-    __slots__ = ("counts", "total", "sum")
-
-    def __init__(self, n_buckets: int) -> None:
-        self.counts = [0] * n_buckets
-        self.total = 0
-        self.sum = 0.0
-
-
-class Histogram(_Metric):
-    """Cumulative-bucket histogram (Prometheus ``le`` convention)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Sequence[str],
-        lock: tsan.TrackedLock,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help_text, labelnames, lock)
-        if not buckets:
-            raise ValueError("need at least one bucket boundary")
-        if list(buckets) != sorted(buckets):
-            raise ValueError("bucket boundaries must be ascending")
-        bounds = tuple(float(b) for b in buckets)
-        if not math.isinf(bounds[-1]):
-            bounds = bounds + (math.inf,)
-        self.buckets = bounds
-        self._histograms: dict[tuple[str, ...], _HistogramSeries] = {}
-
-    def observe(self, value: float, **labels: object) -> None:
-        key = self._key(labels)
-        value = float(value)
-        with self._lock:
-            tsan.note(self, "_histograms", write=True)
-            series = self._histograms.get(key)
-            if series is None:
-                series = self._histograms[key] = _HistogramSeries(
-                    len(self.buckets)
-                )
-            series.total += 1
-            series.sum += value
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series.counts[index] += 1
-                    break
-
-    def count(self, **labels: object) -> int:
-        key = self._key(labels)
-        with self._lock:
-            series = self._histograms.get(key)
-            return 0 if series is None else series.total
-
-    def sum_value(self, **labels: object) -> float:
-        key = self._key(labels)
-        with self._lock:
-            series = self._histograms.get(key)
-            return 0.0 if series is None else series.sum
-
-    def series(self) -> dict[tuple[str, ...], float]:
-        """Per-label observation counts (the histogram ``_count`` view)."""
-        with self._lock:
-            return {
-                key: float(series.total)
-                for key, series in self._histograms.items()
-            }
-
-    def snapshot(self, **labels: object) -> dict[str, object]:
-        key = self._key(labels)
-        with self._lock:
-            series = self._histograms.get(key)
-            counts = [0] * len(self.buckets) if series is None else list(series.counts)
-            total = 0 if series is None else series.total
-            total_sum = 0.0 if series is None else series.sum
-        return {
-            "count": total,
-            "sum": total_sum,
-            "buckets": {
-                _bucket_label(bound): count
-                for bound, count in zip(self.buckets, counts)
-            },
-        }
-
-    def render(self) -> list[str]:
-        lines = []
-        if self.help_text:
-            lines.append(f"# HELP {self.name} {self.help_text}")
-        lines.append(f"# TYPE {self.name} {self.kind}")
-        with self._lock:
-            items = sorted(
-                (key, list(series.counts), series.total, series.sum)
-                for key, series in self._histograms.items()
-            )
-        for key, counts, total, total_sum in items:
-            cumulative = 0
-            for bound, count in zip(self.buckets, counts):
-                cumulative += count
-                label_parts = [
-                    f'{name}="{escape_label_value(text)}"'
-                    for name, text in zip(self.labelnames, key)
-                ]
-                label_parts.append(f'le="{_bucket_label(bound)}"')
-                lines.append(
-                    f"{self.name}_bucket{{{','.join(label_parts)}}} {cumulative}"
-                )
-            suffix = ""
-            if key:
-                labels = ",".join(
-                    f'{name}="{escape_label_value(text)}"'
-                    for name, text in zip(self.labelnames, key)
-                )
-                suffix = f"{{{labels}}}"
-            lines.append(f"{self.name}_sum{suffix} {_format_value(total_sum)}")
-            lines.append(f"{self.name}_count{suffix} {total}")
-        return lines
-
-
 class MetricsRegistry:
     """Owns metrics and collectors; renders one unified exposition page."""
 
@@ -348,28 +219,6 @@ class MetricsRegistry:
             ),
         )
         assert isinstance(metric, Gauge)
-        self._check_labels(metric, labelnames)
-        return metric
-
-    def histogram(
-        self,
-        name: str,
-        help_text: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        metric = self._get_or_create(
-            Histogram,
-            name,
-            lambda: Histogram(
-                name,
-                help_text,
-                labelnames,
-                tsan.TrackedLock(f"obs.{name}"),
-                buckets=buckets,
-            ),
-        )
-        assert isinstance(metric, Histogram)
         self._check_labels(metric, labelnames)
         return metric
 

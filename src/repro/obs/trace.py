@@ -14,6 +14,11 @@ A :class:`Tracer` writes one JSON object per finished span to a sink
 * **Near-zero cost when disabled.**  :data:`NULL_TRACER` hands out one
   shared no-op span; a disabled ``tracer.span(...)`` is an attribute
   check and a constant return, cheap enough to leave on hot paths.
+
+Spans are the one timing source for training: besides writing each
+finished span, the tracer keeps cumulative seconds per span name, and
+:meth:`Tracer.totals` is what the telemetry phase fractions are computed
+from.
 """
 
 from __future__ import annotations
@@ -89,6 +94,7 @@ class Tracer:
         self.enabled = sink is not None
         self._lock = tsan.TrackedLock("obs.trace")
         self._next_id = 1
+        self._totals: dict[str, float] = {}
         self._owns_sink = False
         self._sink: IO[str] | None = None
         if isinstance(sink, (str, Path)):
@@ -132,16 +138,18 @@ class Tracer:
         }
         if span.attrs:
             record["attrs"] = span.attrs
-        self._write(record)
-
-    def _write(self, record: dict[str, Any]) -> None:
-        sink = self._sink
-        if sink is None:
-            return
         line = json.dumps(record, sort_keys=True)
         with self._lock:
-            tsan.note(self, "_sink", write=True)
-            sink.write(line + "\n")
+            tsan.note(self, "_totals", write=True)
+            self._totals[span.name] = self._totals.get(span.name, 0.0) + duration
+            if self._sink is not None:
+                tsan.note(self, "_sink", write=True)
+                self._sink.write(line + "\n")
+
+    def totals(self) -> dict[str, float]:
+        """Cumulative seconds of every finished span, keyed by span name."""
+        with self._lock:
+            return dict(self._totals)
 
     def flush(self) -> None:
         if self._sink is not None:

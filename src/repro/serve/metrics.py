@@ -7,7 +7,7 @@ but the numbers now live in a :class:`repro.obs.registry.MetricsRegistry`
 stack — so ``/metrics`` serves **one** registry: request/batch/queue
 counters, admission-control and resilience counters, provider-backed
 gauges (circuit-breaker state, representation-cache hit rate) and
-anything else components register (e.g. phase histograms).
+anything else components register.
 
 Two complementary latency views survive the refactor unchanged:
 

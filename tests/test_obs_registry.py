@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.obs.profile import PhaseProfiler
-from repro.obs.registry import DEFAULT_BUCKETS, MetricsRegistry, escape_label_value
+from repro.obs.registry import MetricsRegistry, escape_label_value
 
 
 class TestCounter:
@@ -55,42 +52,6 @@ class TestGauge:
         assert gauge.value() == 4.0
         gauge.set_max(9.0)
         assert gauge.value() == 9.0
-
-
-class TestHistogram:
-    def test_buckets_are_cumulative_in_render(self):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("lat", buckets=(1.0, 10.0))
-        for value in (0.5, 5.0, 50.0):
-            histogram.observe(value)
-        text = registry.render()
-        assert 'lat_bucket{le="1"} 1' in text
-        assert 'lat_bucket{le="10"} 2' in text
-        assert 'lat_bucket{le="+Inf"} 3' in text
-        assert "lat_sum 55.5" in text
-        assert "lat_count 3" in text
-
-    def test_infinite_bucket_appended_when_missing(self):
-        histogram = MetricsRegistry().histogram("h", buckets=(1.0,))
-        assert histogram.buckets == (1.0, math.inf)
-
-    def test_overflow_lands_in_inf_bucket(self):
-        histogram = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
-        histogram.observe(1e9)
-        snapshot = histogram.snapshot()
-        assert snapshot["buckets"]["+Inf"] == 1
-        assert snapshot["buckets"]["1"] == 0
-        assert histogram.count() == 1
-
-    def test_validation(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="ascending"):
-            registry.histogram("bad", buckets=(2.0, 1.0))
-        with pytest.raises(ValueError, match="at least one"):
-            registry.histogram("empty", buckets=())
-
-    def test_default_buckets_end_at_inf(self):
-        assert math.isinf(DEFAULT_BUCKETS[-1])
 
 
 class TestLabelEscaping:
@@ -160,32 +121,3 @@ class TestRegistry:
         snapshot = registry.snapshot()
         assert snapshot["plain"] == {"kind": "counter", "value": 2.0}
         assert snapshot["g"] == {"kind": "gauge", "value": {"x": 1.5}}
-
-
-class TestPhaseProfiler:
-    def test_phase_context_uses_injected_clock(self):
-        ticks = iter([10.0, 12.5])
-        profiler = PhaseProfiler(clock=lambda: next(ticks))
-        with profiler.phase("merge"):
-            pass
-        assert profiler.totals() == {"merge": 2.5}
-        assert profiler.counts() == {"merge": 1}
-
-    def test_fractions_sum_to_one(self):
-        profiler = PhaseProfiler(clock=lambda: 0.0)
-        profiler.observe("a", 3.0)
-        profiler.observe("b", 1.0)
-        fractions = profiler.fractions()
-        assert fractions == {"a": 0.75, "b": 0.25}
-        assert sum(fractions.values()) == pytest.approx(1.0)
-
-    def test_empty_profiler_fractions(self):
-        assert PhaseProfiler(clock=lambda: 0.0).fractions() == {}
-
-    def test_registry_export(self):
-        registry = MetricsRegistry()
-        profiler = PhaseProfiler(registry=registry, clock=lambda: 0.0)
-        profiler.observe("plan", 0.02)
-        text = registry.render()
-        assert 'repro_phase_seconds_bucket{phase="plan",le="0.05"} 1' in text
-        assert 'repro_phase_seconds_count{phase="plan"} 1' in text

@@ -2,16 +2,26 @@
 
 from __future__ import annotations
 
+import gc
+import io
 import json
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
 
 from repro.core.pafeat import PAFeat
+from repro.data.synthetic import generate_suite
+from repro.io.checkpoint import CheckpointError
 from repro.obs.telemetry import (
     TelemetryWriter,
     read_events,
     render_run_report,
     summarize_events,
 )
-from tests.conftest import fast_config
+from repro.obs.trace import NULL_TRACER, Tracer, read_trace
+from tests.conftest import TINY_SPEC, fast_config
 
 
 class FakeClock:
@@ -102,6 +112,61 @@ class TestFitIntegration:
         events = read_events(tmp_path)
         assert events[-1]["type"] == "custom"
         assert all(e["run"] == "mine" for e in events)
+
+    def test_caller_writer_gets_a_trace_whose_view_is_the_phases(
+        self, tmp_path, tiny_split
+    ):
+        train, _ = tiny_split
+        with TelemetryWriter(tmp_path, run_id="mine") as writer:
+            PAFeat(fast_config(n_iterations=2)).fit(train, telemetry=writer)
+        spans = read_trace(tmp_path / "trace.jsonl")
+        assert spans
+        assert all(span["trace"] == "mine" for span in spans)
+        seconds = {
+            phase: sum(s["duration_s"] for s in spans if s["name"] == phase)
+            for phase in ("train.fill", "train.update")
+        }
+        last = [e for e in read_events(tmp_path) if e["type"] == "iteration"][-1]
+        expected = seconds["train.fill"] / sum(seconds.values())
+        assert last["phases"]["train.fill"] == pytest.approx(expected, abs=1e-5)
+
+    def test_phases_are_the_fill_and_update_span_shares(self, tmp_path, tiny_split):
+        train, _ = tiny_split
+        trainer = PAFeat(fast_config(n_iterations=1)).fit(train).trainer
+        # Every tracer clock read advances 0.5 s, so each phase span lasts
+        # exactly one tick.
+        trainer.tracer = Tracer(io.StringIO(), clock=FakeClock())
+        trainer.telemetry = TelemetryWriter(tmp_path, clock=FakeClock())
+        trainer.train_iteration(1)
+        trainer.telemetry.close()
+        (iteration,) = [
+            e for e in read_events(tmp_path) if e["type"] == "iteration"
+        ]
+        assert iteration["phases"] == {"train.fill": 0.5, "train.update": 0.5}
+
+    def test_failed_resume_leaves_no_telemetry_attached(self, tmp_path, tiny_split):
+        train, _ = tiny_split
+        checkpoints = tmp_path / "ckpt"
+        config = fast_config(n_iterations=2, checkpoint_every=1)
+        PAFeat(config).fit(train, checkpoint_dir=checkpoints)
+        twin = generate_suite(replace(TINY_SPEC, n_features=14))
+        twin_train, _ = twin.split_rows(0.7, np.random.default_rng(0))
+        model = PAFeat(config)
+        with pytest.raises(CheckpointError, match="12-feature suite"):
+            model.fit(
+                twin_train,
+                checkpoint_dir=checkpoints,
+                resume=True,
+                telemetry=tmp_path / "telemetry",
+            )
+        trainer = model.trainer
+        assert trainer.telemetry is None
+        assert trainer.tracer is NULL_TRACER
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del model, trainer
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestSummaries:

@@ -63,6 +63,15 @@ class TestSpans:
         assert len(records) == 1
         assert records[0]["name"] == "a"
 
+    def test_totals_sum_durations_per_name(self):
+        tracer = Tracer(io.StringIO(), clock=FakeClock())
+        with tracer.span("outer") as outer:
+            for _ in range(2):
+                with tracer.span("inner", parent=outer):
+                    pass
+        # Outer enters at 102 and exits at 107; each inner span lasts 1.0.
+        assert tracer.totals() == {"inner": 2.0, "outer": 5.0}
+
     def test_close_disables(self, tmp_path):
         path = tmp_path / "t.jsonl"
         tracer = Tracer(path, clock=FakeClock())
@@ -86,3 +95,8 @@ class TestNullTracer:
         with tracer.span("s"):
             pass
         assert tracer.enabled is False
+
+    def test_null_tracer_has_no_totals(self):
+        with NULL_TRACER.span("s"):
+            pass
+        assert NULL_TRACER.totals() == {}

@@ -154,7 +154,7 @@ def test_repo_config_declares_the_obs_contract():
     config = load_config(REPO_ROOT)
     assert "repro.cli" in config.obs_allow_print
     assert config.clock_boundary == "repro.obs.clock"
-    assert any(p == "repro.serve" for p in config.clock_packages)
+    assert config.clock_packages == ("repro",)
 
 
 def test_repo_is_clean_under_obs_rules():
