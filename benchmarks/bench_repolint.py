@@ -1,23 +1,15 @@
-"""Bench: static-analysis wall-time and rollout throughput.
+"""Bench: static-analysis wall time.
 
-Two numbers guard the two costs this PR's whole-program analysis adds:
-
-* **lint wall-time** — the full-tree ``repolint`` pass (per-file rules plus
-  the import-graph / call-graph / effect passes) must stay fast enough to
-  run pre-commit and in CI on every push;
-* **rollout episodes/sec** — the refactors the certificate demanded
-  (``infer()`` inference path, allocation-free E-Tree descent, typed
-  ``env`` binding) touch the hottest loop in the codebase, so throughput
-  is recorded to catch regressions.
+The full-tree ``repolint`` pass (per-file rules plus the import-graph,
+call-graph, concurrency and exception passes) must stay fast enough to run
+pre-commit and in CI on every push.
 
 The ``lint_cache`` section measures the two caching layers on top of the
 cold pass: the shared parse-once :class:`SourceCache` (every rule and the
 program passes reuse one AST per file) and the SHA-keyed
 :class:`ResultCache` warm re-run, with the speedup relative to the cold
-wall time.  ``lint_parallel`` measures the ``--jobs`` process pool at the
-CLI's default fan-out against the serial per-file loop (the program pass
-is single-process either way, so the achievable speedup is bounded by the
-per-file share of the wall time).
+wall time.  ``report`` times the package parse and the analysis artifact
+that ``python -m tools.repolint report`` writes.
 
 Writes ``BENCH_static.json`` at the repo root::
 
@@ -31,8 +23,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
     if entry not in sys.path:
@@ -42,7 +32,6 @@ from tools.repolint import analyze_paths, build_program  # noqa: E402
 from tools.repolint.report import build_report  # noqa: E402
 
 LINT_TARGETS = (REPO_ROOT / "src", REPO_ROOT / "tools")
-ROLLOUT_EPISODES = 50
 
 
 def best_of(repeats: int, fn) -> tuple[float, object]:
@@ -106,21 +95,6 @@ def bench_lint_cache(cold_wall_s: float) -> dict:
     }
 
 
-def bench_lint_parallel(serial_wall_s: float) -> dict:
-    import os
-
-    jobs = min(8, os.cpu_count() or 1)
-    wall, findings = best_of(
-        3, lambda: analyze_paths(list(LINT_TARGETS), jobs=jobs)
-    )
-    return {
-        "jobs": jobs,
-        "wall_s": round(wall, 4),
-        "findings": len(findings),
-        "speedup_vs_serial": round(serial_wall_s / wall, 2) if wall else None,
-    }
-
-
 def bench_report() -> dict:
     wall, program = best_of(2, lambda: build_program(REPO_ROOT / "src"))
     assert program is not None
@@ -128,48 +102,8 @@ def bench_report() -> dict:
     return {
         "build_program_wall_s": round(wall, 4),
         "build_report_wall_s": round(report_wall, 4),
-        "functions_classified": len(report["effects"]),
+        "call_edges": len(report["call_graph"]["edges"]),
         "import_edges": len(report["layers"]["edges"]),
-    }
-
-
-def bench_rollout() -> dict:
-    from repro.core.config import ClassifierConfig, EnvConfig, PAFeatConfig
-    from repro.core.pafeat import PAFeat
-    from repro.data.synthetic import SyntheticSpec, generate_suite
-
-    spec = SyntheticSpec(
-        name="bench-static",
-        n_instances=160,
-        n_features=12,
-        n_seen=3,
-        n_unseen=2,
-        task_informative=3,
-        n_concepts=2,
-        seed=77,
-    )
-    suite = generate_suite(spec)
-    train, _ = suite.split_rows(0.7, np.random.default_rng(0))
-    config = PAFeatConfig(
-        n_iterations=5,
-        episodes_per_iteration=2,
-        updates_per_iteration=2,
-        checkpoint_every=100,
-        seed=0,
-        env=EnvConfig(max_feature_ratio=0.6),
-        classifier=ClassifierConfig(n_epochs=5),
-    )
-    model = PAFeat(config).fit(train)
-    trainer = model.trainer
-    # Warm caches (reward memoisation) before timing.
-    trainer.buffer_filling(5)
-    start = time.perf_counter()
-    trainer.buffer_filling(ROLLOUT_EPISODES)
-    wall = time.perf_counter() - start
-    return {
-        "episodes": ROLLOUT_EPISODES,
-        "wall_s": round(wall, 4),
-        "episodes_per_s": round(ROLLOUT_EPISODES / wall, 1),
     }
 
 
@@ -179,9 +113,7 @@ def main() -> None:
         "generated_by": "benchmarks/bench_repolint.py",
         "lint": lint,
         "lint_cache": bench_lint_cache(lint["wall_s"]),
-        "lint_parallel": bench_lint_parallel(lint["wall_s"]),
         "report": bench_report(),
-        "rollout": bench_rollout(),
     }
     out = REPO_ROOT / "BENCH_static.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -52,8 +52,8 @@ def set_contracts_enabled(enabled: bool) -> bool:
     """Toggle contracts at runtime (tests/debugging); returns the old value.
 
     The flag is deliberately process-global configuration — like
-    ``np.seterr``, it is flipped at startup or around a test, never from
-    the rollout path (PAR601 would flag any reachable caller).
+    ``np.seterr``, it is flipped at startup or around a test, never while
+    training or serving.
     """
     global _enabled
     previous = _enabled

@@ -94,7 +94,7 @@ class PopArtAgent(DuelingDQNAgent):
         stats.update(unnormalised_targets)
         normalised_targets = (unnormalised_targets - stats.mean) / stats.std
 
-        f_all = self.online.forward(states, training=True)
+        f_all = self.online.forward(states)
         targets = f_all.copy()
         targets[np.arange(len(batch)), actions] = normalised_targets
 

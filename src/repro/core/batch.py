@@ -25,10 +25,11 @@ Termination (cursor past the end, or the selected count reaching
 policy that deselects everything falls back to the single
 most-correlated feature so downstream evaluation is always defined.
 Training-time greedy scoring (:func:`repro.core.feat.greedy_subset`)
-steps the environment with ``act(greedy=True)`` instead; it agrees with
-this kernel whenever each row's argmax is unique, which a property test
-(``tests/test_serve_engine.py``) pins across random suites, seeds and
-feature counts straddling numpy's pairwise-summation block size.
+steps the environment with ``act(greedy=True)`` instead, which breaks
+ties the same way, so the two return the same subset; a property test
+(``tests/test_serve_engine.py``) pins that across random suites, seeds,
+feature counts straddling numpy's pairwise-summation block size, and an
+exact-tie case.
 
 The serving layer (:mod:`repro.serve.engine`) wraps this kernel with
 chunking, registries and metrics; it lives here in ``core`` because the

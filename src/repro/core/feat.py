@@ -228,9 +228,7 @@ class FEATTrainer:
         """Buffer Filling Phase (Algorithm 1): N resources → N episodes.
 
         The N rollout resources run one after another: plan, run and
-        commit each episode.  This is the loop the parallel-safety
-        certificate (PAR601) guards: every function reachable from here
-        either touches no shared state or is a declared sync point.
+        commit each episode.
         """
         collected: dict[int, list[Trajectory]] = {}
         for _ in range(n_episodes):
@@ -484,9 +482,11 @@ def greedy_subset(agent: DuelingDQNAgent, env: FeatureSelectionEnv) -> tuple[int
 
     Training-time greedy scoring: best-policy checkpoints, ``further_train``
     and the FEAT-family baselines.  Its ``act(greedy=True)`` calls advance
-    the agent's action counter and randomise exact Q ties, and the training
-    fingerprint depends on both.  Unseen-task selection runs the
-    side-effect-free lockstep kernel (:mod:`repro.core.batch`) instead.
+    the agent's action counter, which the training fingerprint depends on;
+    they break exact Q ties to the lowest action, as the lockstep kernel
+    does, so this scores the subset ``select`` would serve.  Unseen-task
+    selection runs the side-effect-free lockstep kernel
+    (:mod:`repro.core.batch`) instead.
     """
     state = env.reset()
     while not env.done:

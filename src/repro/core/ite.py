@@ -30,8 +30,7 @@ class IntraTaskExplorer:
         self._trees: dict[int, ETree] = {}
         self.invocations = 0
         self.customised_starts = 0
-        # The "E-Tree update barrier" sync point from the PAR601 certificate
-        # (ARCHITECTURE §7.2): finished episodes are recorded one at a time
+        # Guards the E-Trees: finished episodes are recorded one at a time
         # when they are committed, and every tree mutation goes through
         # this lock so concurrent recording is a sanitizer violation rather
         # than silent corruption.

@@ -105,11 +105,10 @@ class InterTaskScheduler:
         self.progress_history: deque[list[TaskProgress]] = deque(
             maxlen=PROGRESS_HISTORY_WINDOW
         )
-        # Per-task episode allocation tally — the "atomic ITS visit
-        # counter" sync point from the PAR601 certificate (ARCHITECTURE
-        # §7.2).  Episodes are planned serially, but the counter is also
-        # readable from telemetry threads, so updates go through a
-        # TrackedLock and feed the runtime sanitizer.
+        # Per-task episode allocation tally, guarded by the lock below.
+        # Episodes are planned serially, but the counter is also readable
+        # from telemetry threads, so updates go through a TrackedLock and
+        # feed the runtime sanitizer.
         self.visit_counts: dict[int, int] = {t: 0 for t in self.task_ids}
         self._visit_lock = tsan.TrackedLock("its.visits")
 

@@ -12,7 +12,7 @@ The API is intentionally close to the familiar ``torch.nn`` shape::
     loss = HuberLoss()
     opt = Adam(net.parameters(), lr=1e-3)
 
-    pred = net.forward(x, training=True)
+    pred = net.forward(x)
     value, grad = loss.forward(pred, target), loss.backward()
     net.backward(grad)
     opt.step()

@@ -98,7 +98,7 @@ class MaskedMLPClassifier:
                         drop[self._rng.integers(self.n_features)] = False
                     xb = xb.copy()
                     xb[:, drop] = 0.0
-                probs = self._net.forward(xb, training=True)
+                probs = self._net.forward(xb)
                 self._loss.forward(probs, labels[batch])
                 self._optimizer.zero_grad()
                 self._net.backward(self._loss.backward())

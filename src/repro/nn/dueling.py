@@ -29,9 +29,9 @@ class DuelingHead(Layer):
         self.advantage_head = Linear(in_features, n_actions, rng, name="dueling.advantage")
         self.n_actions = n_actions
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        value = self.value_head.forward(x, training=training)
-        advantage = self.advantage_head.forward(x, training=training)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        value = self.value_head.forward(x)
+        advantage = self.advantage_head.forward(x)
         centred = advantage - advantage.mean(axis=1, keepdims=True)
         return value + centred
 

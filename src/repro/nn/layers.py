@@ -46,17 +46,17 @@ class Layer(ABC):
     :meth:`infer_batch`; parametric layers also override :meth:`parameters`.
     """
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Training pass: caches what :meth:`backward` needs."""
         raise NotImplementedError
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Pure inference pass: no activation caching, no RNG, no writes.
+        """Inference pass: no activation caching, no RNG, no writes.
 
-        ``forward(training=False)`` still *contains* cache-write statements
-        (behind the ``training`` guard), so a static effect analysis must
-        treat it as mutating.  ``infer`` is the statically-read-only path the
-        rollout uses: the PAR601 parallel-safety certificate relies on every
-        network evaluation reachable from ``Agent.act`` going through here.
+        Every network evaluation outside a gradient step goes through here
+        (``Agent.act``, TD targets, classifier scoring, selection and
+        serving), so evaluating a policy never touches the state
+        ``backward`` reads.
 
         The input is normalised to a 2-D float64 batch once, here; the
         layers then chain through :meth:`infer_batch`, so a forward pays
@@ -83,8 +83,8 @@ class Layer(ABC):
         for parameter in self.parameters():
             parameter.zero_grad()
 
-    def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.infer(x)
 
 
 class Linear(Layer):
@@ -116,14 +116,13 @@ class Linear(Layer):
     def out_features(self) -> int:
         return self.weight.shape[1]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input with {self.in_features} features, got {x.shape[1]}"
             )
-        if training:
-            self._x = x
+        self._x = x
         out = x @ self.weight.value
         if self.bias is not None:
             out = out + self.bias.value
@@ -141,7 +140,7 @@ class Linear(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._x is None:
-            raise LifecycleError("backward called before forward(training=True)")
+            raise LifecycleError("backward called before forward")
         grad_output = np.atleast_2d(grad_output)
         self.weight.grad += self._x.T @ grad_output
         if self.bias is not None:
@@ -161,10 +160,9 @@ class ReLU(Layer):
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if training:
-            self._mask = x > 0.0
+        self._mask = x > 0.0
         return np.maximum(x, 0.0)
 
     def infer_batch(self, x: np.ndarray) -> np.ndarray:
@@ -172,7 +170,7 @@ class ReLU(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise LifecycleError("backward called before forward(training=True)")
+            raise LifecycleError("backward called before forward")
         return grad_output * self._mask
 
 
@@ -182,10 +180,9 @@ class Tanh(Layer):
     def __init__(self) -> None:
         self._out: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         out = np.tanh(np.asarray(x, dtype=np.float64))
-        if training:
-            self._out = out
+        self._out = out
         return out
 
     def infer_batch(self, x: np.ndarray) -> np.ndarray:
@@ -193,7 +190,7 @@ class Tanh(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
-            raise LifecycleError("backward called before forward(training=True)")
+            raise LifecycleError("backward called before forward")
         return grad_output * (1.0 - self._out**2)
 
 
@@ -203,11 +200,10 @@ class Sigmoid(Layer):
     def __init__(self) -> None:
         self._out: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         out = stable_sigmoid(x)
-        if training:
-            self._out = out
+        self._out = out
         return out
 
     def infer_batch(self, x: np.ndarray) -> np.ndarray:
@@ -215,12 +211,12 @@ class Sigmoid(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._out is None:
-            raise LifecycleError("backward called before forward(training=True)")
+            raise LifecycleError("backward called before forward")
         return grad_output * self._out * (1.0 - self._out)
 
 
 class Dropout(Layer):
-    """Inverted dropout: active only when ``training`` is True."""
+    """Inverted dropout: ``forward`` draws a mask; ``infer`` is the identity."""
 
     def __init__(self, p: float, rng: np.random.Generator) -> None:
         if not 0.0 <= p < 1.0:
@@ -229,9 +225,9 @@ class Dropout(Layer):
         self._rng = rng
         self._mask: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if not training or self.p == 0.0:
+        if self.p == 0.0:
             self._mask = None
             return x
         keep = 1.0 - self.p
@@ -257,9 +253,9 @@ class Sequential(Layer):
         if not self.layers:
             raise ValueError("Sequential requires at least one layer")
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
-            x = layer.forward(x, training=training)
+            x = layer.forward(x)
         return x
 
     def infer_batch(self, x: np.ndarray) -> np.ndarray:

@@ -9,12 +9,7 @@ from repro.rl.agent import DuelingDQNAgent
 from repro.rl.replay import ReplayBuffer, ReplayRegistry
 from repro.rl.reward import RewardFunction, build_task_reward
 from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
-from repro.rl.seeding import (
-    derive_seed,
-    spawn_generators,
-    task_rng,
-    task_seed_sequence,
-)
+from repro.rl.seeding import task_rng, task_seed_sequence
 from repro.rl.transition import Transition, Trajectory
 
 __all__ = [
@@ -28,8 +23,6 @@ __all__ = [
     "Trajectory",
     "Transition",
     "build_task_reward",
-    "derive_seed",
-    "spawn_generators",
     "task_rng",
     "task_seed_sequence",
 ]

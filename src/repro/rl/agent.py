@@ -69,13 +69,19 @@ class DuelingDQNAgent:
         return self.online.infer(states)
 
     def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        """Epsilon-greedy action; ``greedy=True`` disables exploration."""
+        """Epsilon-greedy action; ``greedy=True`` disables exploration.
+
+        A greedy call takes the lowest action on an exact Q tie, as
+        :meth:`act_batch` does, and draws nothing from the RNG.
+        """
         self.action_count += 1
         if not greedy:
             epsilon = self.epsilon_schedule(self.action_count)
             if self._rng.random() < epsilon:
                 return int(self._rng.integers(self.n_actions))
         q = self.q_values(state)[0]
+        if greedy:
+            return int(q.argmax())
         # Break exact ties randomly so early (all-zero-Q) policies explore.
         best = np.flatnonzero(q == q.max())
         if len(best) == 1:
@@ -91,9 +97,8 @@ class DuelingDQNAgent:
         neither advances the epsilon schedule's action counter nor draws
         from the exploration RNG, so inference traffic cannot perturb
         training state.  Exact Q ties break to the lowest action index
-        deterministically (``argmax``), where :meth:`act` randomises;
-        the two agree whenever each row's argmax is unique, which holds
-        for any network whose Q-values are not exactly equal.
+        (``argmax``), exactly as ``act(greedy=True)`` breaks them, so the
+        two pick the same action on every row.
         """
         q = self.q_values(states)
         return np.asarray(q.argmax(axis=1), dtype=np.int64)
@@ -110,7 +115,7 @@ class DuelingDQNAgent:
             raise ValueError("update requires a non-empty batch")
         states, actions, targets_for_actions = self.compute_targets(batch)
 
-        q_all = self.online.forward(states, training=True)
+        q_all = self.online.forward(states)
         # Only the taken action's Q contributes to the loss; build a full
         # target matrix equal to the prediction elsewhere so its gradient
         # vanishes on untaken actions.

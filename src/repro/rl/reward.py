@@ -77,10 +77,9 @@ class RewardFunction:
         self._cache: OrderedDict[tuple[int, ...], float] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        # The LRU cache is a documented PAR601 sync point (ARCHITECTURE
-        # §7.2): lookups reorder and inserts evict, so every cache access
-        # holds this lock.  TrackedLock feeds the runtime sanitizer's
-        # held-lock sets, so REPRO_TSAN=1 runs check the guard too.
+        # Guards the LRU cache: lookups reorder and inserts evict, so every
+        # cache access holds this lock.  TrackedLock feeds the runtime
+        # sanitizer's held-lock sets, so REPRO_TSAN=1 runs check the guard.
         self._lock = tsan.TrackedLock("reward.cache")
 
     @property

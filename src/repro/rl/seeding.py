@@ -13,8 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "derive_seed",
-    "spawn_generators",
     "task_rng",
     "task_seed_sequence",
 ]
@@ -34,21 +32,3 @@ def task_rng(seed: int, *components: int) -> np.random.Generator:
     """A fresh :class:`~numpy.random.Generator` for a keyed stream."""
     return np.random.default_rng(task_seed_sequence(seed, *components))
 
-
-def spawn_generators(
-    sequence: np.random.SeedSequence, n: int
-) -> list[np.random.Generator]:
-    """``n`` independent generators spawned from one sequence, in order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [np.random.default_rng(child) for child in sequence.spawn(n)]
-
-
-def derive_seed(sequence: np.random.SeedSequence) -> int:
-    """A single 32-bit integer seed drawn from a spawned child stream.
-
-    For components that take an ``int`` seed (e.g. classifier constructors)
-    rather than a generator; consumes one spawn so successive calls on the
-    same sequence yield independent seeds.
-    """
-    return int(sequence.spawn(1)[0].generate_state(1)[0])

@@ -11,10 +11,8 @@ are gathered into batches that flush on whichever comes first:
 One worker coroutine owns the queue; the handler (the batched engine) runs
 inline on the event loop — selection is a few milliseconds of NumPy, and
 running it on the loop serialises model access by construction (no locks).
-This queue is therefore *the* synchronization point of the serving path,
-and is certified as such in the PAR601 parallel-safety walk
-(``[tool.repolint.parallel]`` in ``pyproject.toml``, rationale in
-``docs/ARCHITECTURE.md`` §8).
+This queue is therefore *the* synchronization point of the serving path
+(rationale in ``docs/ARCHITECTURE.md`` §8).
 
 Overload and failure behaviour is explicit rather than emergent:
 
@@ -78,9 +76,11 @@ class BatcherStalled(ServeError):
 class QueueFull(ServeError):
     """Admission control shed this request: the bounded queue is full.
 
-    Built via :func:`queue_full_error` (a plain message-only exception plus
-    attribute assignment keeps the PAR601 call-graph walk from conflating
-    a custom ``__init__`` with unrelated constructors).
+    Built via :func:`queue_full_error`: a plain message-only exception plus
+    attribute assignment, because a custom ``__init__`` would call
+    ``super().__init__``, which the call graph resolves by name to every
+    ``__init__`` in the program — edges the exception and concurrency
+    passes walk.
     """
 
     depth: int = 0

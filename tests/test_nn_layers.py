@@ -58,7 +58,7 @@ class TestLinear:
     def test_backward_accumulates_weight_grad(self, rng):
         layer = Linear(2, 1, rng)
         x = np.array([[1.0, 2.0]])
-        layer.forward(x, training=True)
+        layer.forward(x)
         layer.backward(np.array([[1.0]]))
         np.testing.assert_allclose(layer.weight.grad, [[1.0], [2.0]])
         np.testing.assert_allclose(layer.bias.grad, [1.0])
@@ -66,7 +66,7 @@ class TestLinear:
     def test_backward_returns_input_gradient(self, rng):
         layer = Linear(2, 2, rng)
         layer.weight.value[...] = np.array([[1.0, 2.0], [3.0, 4.0]])
-        layer.forward(np.ones((1, 2)), training=True)
+        layer.forward(np.ones((1, 2)))
         grad_in = layer.backward(np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(grad_in, [[3.0, 7.0]])
 
@@ -88,7 +88,7 @@ class TestActivations:
 
     def test_relu_backward_masks_gradient(self):
         relu = ReLU()
-        relu.forward(np.array([-1.0, 3.0]), training=True)
+        relu.forward(np.array([-1.0, 3.0]))
         grad = relu.backward(np.array([5.0, 5.0]))
         np.testing.assert_allclose(grad, [0.0, 5.0])
 
@@ -98,7 +98,7 @@ class TestActivations:
 
     def test_tanh_gradient_at_zero_is_one(self):
         tanh = Tanh()
-        tanh.forward(np.zeros(1), training=True)
+        tanh.forward(np.zeros(1))
         np.testing.assert_allclose(tanh.backward(np.ones(1)), [1.0])
 
     def test_sigmoid_is_bounded_and_centred(self):
@@ -108,7 +108,7 @@ class TestActivations:
 
     def test_sigmoid_gradient_peaks_at_zero(self):
         sigmoid = Sigmoid()
-        sigmoid.forward(np.zeros(1), training=True)
+        sigmoid.forward(np.zeros(1))
         np.testing.assert_allclose(sigmoid.backward(np.ones(1)), [0.25])
 
     def test_activation_backward_before_forward_raises(self):
@@ -121,17 +121,17 @@ class TestDropout:
     def test_inactive_at_inference(self, rng):
         dropout = Dropout(0.5, rng)
         x = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(dropout.forward(x, training=False), x)
+        np.testing.assert_array_equal(dropout.infer(x), x)
 
     def test_preserves_expectation_in_training(self, rng):
         dropout = Dropout(0.5, rng)
         x = np.ones((200, 200))
-        out = dropout.forward(x, training=True)
+        out = dropout.forward(x)
         assert abs(out.mean() - 1.0) < 0.05
 
     def test_backward_reuses_mask(self, rng):
         dropout = Dropout(0.5, rng)
-        out = dropout.forward(np.ones((10, 10)), training=True)
+        out = dropout.forward(np.ones((10, 10)))
         grad = dropout.backward(np.ones((10, 10)))
         np.testing.assert_array_equal(grad, out)
 
@@ -161,7 +161,7 @@ class TestSequential:
 
     def test_zero_grad_resets_all(self, rng):
         net = Sequential([Linear(2, 2, rng)])
-        net.forward(np.ones((1, 2)), training=True)
+        net.forward(np.ones((1, 2)))
         net.backward(np.ones((1, 2)))
         assert any(np.any(p.grad != 0) for p in net.parameters())
         net.zero_grad()

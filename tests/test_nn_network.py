@@ -60,7 +60,7 @@ class TestMLP:
         loss = MSELoss()
         optimizer = Adam(net.parameters(), lr=0.05)
         for _ in range(600):
-            pred = net.forward(x, training=True)
+            pred = net.forward(x)
             loss.forward(pred, y)
             optimizer.zero_grad()
             net.backward(loss.backward())
@@ -115,13 +115,13 @@ class TestDueling:
 
     def test_backward_flows_to_both_streams(self, rng):
         head = DuelingHead(8, 3, rng)
-        head.forward(rng.standard_normal((2, 8)), training=True)
+        head.forward(rng.standard_normal((2, 8)))
         head.backward(np.ones((2, 3)))
         assert np.any(head.value_head.weight.grad != 0)
         # Uniform upstream gradient has zero centred component, so check a
         # non-uniform one reaches the advantage stream too.
         head.zero_grad()
-        head.forward(rng.standard_normal((2, 8)), training=True)
+        head.forward(rng.standard_normal((2, 8)))
         head.backward(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         assert np.any(head.advantage_head.weight.grad != 0)
 
@@ -144,7 +144,7 @@ class TestNumericalGradients:
         target = rng.standard_normal((5, 3))
         loss = MSELoss()
 
-        loss.forward(net.forward(x, training=True), target)
+        loss.forward(net.forward(x), target)
         net.zero_grad()
         net.backward(loss.backward())
         analytic = {p.name: p.grad.copy() for p in net.parameters()}
@@ -170,7 +170,7 @@ class TestNumericalGradients:
         target = rng.standard_normal((4, 3))
         loss = MSELoss()
 
-        loss.forward(net.forward(x, training=True), target)
+        loss.forward(net.forward(x), target)
         net.zero_grad()
         net.backward(loss.backward())
         analytic = {p.name: p.grad.copy() for p in net.parameters()}

@@ -3,8 +3,8 @@
 The performance satellite's correctness story: a shared parse must not
 change any verdict, a stale or corrupt result cache must only ever cost a
 recompute, ``# repolint: disable-file=CODE`` must silence exactly the
-named rules — never its neighbours — and neither the config-fingerprint
-cache key nor the ``--jobs`` process pool may change a single verdict.
+named rules — never its neighbours — and the config-fingerprint cache
+key must not change a single verdict.
 """
 
 from __future__ import annotations
@@ -264,59 +264,6 @@ def test_for_repo_keys_cache_to_the_resolved_config(tmp_path):
     cold = ResultCache.for_repo(tmp_path)
     analyze_paths([target], result_cache=cold)
     assert cold.hits == 0 and cold.misses == 1
-
-
-# ---------------------------------------------------------------------------
-# --jobs process pool
-# ---------------------------------------------------------------------------
-
-def test_parallel_jobs_matches_serial(tmp_path):
-    targets = [
-        write_module(tmp_path, "a.py", DIRTY),
-        write_module(tmp_path, "b.py", "import numpy as np\n\n\ndef f(x):\n    return np.exp(x) / np.sum(np.exp(x))\n"),
-        write_module(tmp_path, "c.py", "X = 1\n"),
-        write_module(tmp_path, "d.py", "def broken(:\n"),
-    ]
-    serial = analyze_paths(targets, jobs=1)
-    parallel = analyze_paths(targets, jobs=4)
-    assert [(f.path, f.line, f.code, f.message) for f in serial] == [
-        (f.path, f.line, f.code, f.message) for f in parallel
-    ]
-    assert {"RNG102", "PARSE001"} <= set(codes(serial))
-
-
-def test_parallel_jobs_populates_the_result_cache(tmp_path):
-    targets = [
-        write_module(tmp_path, "a.py", DIRTY),
-        write_module(tmp_path, "b.py", "X = 1\n"),
-    ]
-    cache_path = tmp_path / "cache.json"
-    analyze_paths(targets, result_cache=ResultCache(cache_path), jobs=4)
-
-    warm = ResultCache(cache_path)
-    replayed = analyze_paths(targets, result_cache=warm, jobs=4)
-    assert warm.hits == 2 and warm.misses == 0
-    assert codes(replayed) == codes(analyze_paths(targets, jobs=1))
-
-
-def test_ad_hoc_rules_fall_back_to_the_serial_path(tmp_path):
-    """Workers rebuild rules by registry code, so a caller-supplied rule
-    instance must route through the in-process loop (and still run)."""
-    from tools.repolint.engine import Finding, Rule
-
-    class EveryFileRule(Rule):
-        code = "TEST999"
-        name = "every-file"
-
-        def check(self, ctx):
-            yield self.finding(ctx, ctx.tree, "saw this file")
-
-    targets = [
-        write_module(tmp_path, "a.py", "X = 1\n"),
-        write_module(tmp_path, "b.py", "Y = 2\n"),
-    ]
-    findings = analyze_paths(targets, rules=[EveryFileRule()], jobs=4)
-    assert codes(findings) == ["TEST999", "TEST999"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Whole-program repolint passes: layers, effects, certificate, hot paths.
+"""Whole-program repolint passes: layers, module state, call graph, hot paths.
 
 Snippet-level tests build hermetic multi-module programs through
 ``analyze_source(..., config=..., extra_sources=...)`` (program rules only
 run when a config is given, so the per-file tests elsewhere stay unaffected)
-or :class:`ProgramContext.from_sources` when the test needs the graphs and
-effect summaries directly.  The suite ends with certificate-shaped checks
-against the real repository.
+or :class:`ProgramContext.from_sources` when the test needs the graphs
+directly.  The suite ends with call-graph checks against the real
+repository.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 
+import pytest
+
 from tools.repolint import RepolintConfig, analyze_source, build_program
-from tools.repolint.config import parse_toml
-from tools.repolint.effects import EffectLevel, infer_effects, reachable_from
+from tools.repolint.config import _parse_toml_subset, parse_toml
 from tools.repolint.engine import ProgramContext
-from tools.repolint.report import build_report
 from tools.repolint.sarif import findings_to_sarif
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -38,11 +39,6 @@ def layered_config(**overrides) -> RepolintConfig:
     )
     defaults.update(overrides)
     return RepolintConfig(**defaults)
-
-
-def program_effects(sources: dict[str, str], config: RepolintConfig):
-    program = ProgramContext.from_sources(sources, config)
-    return program, program.effects
 
 
 # ---------------------------------------------------------------------------
@@ -138,107 +134,77 @@ def test_arch503_silent_without_layer_contract():
 
 
 # ---------------------------------------------------------------------------
-# PAR601 — rollout parallel-safety certificate
-# ---------------------------------------------------------------------------
-
-MUTATING_PROGRAM = (
-    "class Runner:\n"
-    "    def run(self):\n"
-    "        self._bump()\n"
-    "    def _bump(self):\n"
-    "        self.count = self.count + 1\n"
-)
-
-
-def par_config(*sync_points: str, entry: str = "pkg.core.run.Runner.run"):
-    return layered_config(
-        entry_points=(entry,), sync_points=frozenset(sync_points)
-    )
-
-
-def test_par601_flags_reachable_self_mutation():
-    findings = analyze_source(
-        MUTATING_PROGRAM,
-        Path("pkg/core/run.py"),
-        module="pkg.core.run",
-        config=par_config(),
-    )
-    assert "PAR601" in codes(findings)
-    message = next(f.message for f in findings if f.code == "PAR601")
-    assert "_bump" in message
-
-
-def test_par601_sync_point_sanctions_own_effects_only():
-    deeper = (
-        "class Runner:\n"
-        "    def run(self):\n"
-        "        self._bump()\n"
-        "    def _bump(self):\n"
-        "        self.count = self.count + 1\n"
-        "        self._deeper()\n"
-        "    def _deeper(self):\n"
-        "        self.other = 1\n"
-    )
-    findings = analyze_source(
-        deeper,
-        Path("pkg/core/run.py"),
-        module="pkg.core.run",
-        config=par_config("pkg.core.run.Runner._bump"),
-    )
-    par = [f for f in findings if f.code == "PAR601"]
-    # _bump is sanctioned, but traversal continues: _deeper is still flagged.
-    assert len(par) == 1
-    assert "_deeper" in par[0].message
-
-
-def test_par601_owned_receiver_drops_shared_context():
-    owned = (
-        "class Widget:\n"
-        "    def mutate(self):\n"
-        "        self.state = 1\n"
-        "class Runner:\n"
-        "    def run(self):\n"
-        "        w = Widget()\n"
-        "        w.mutate()\n"
-    )
-    findings = analyze_source(
-        owned,
-        Path("pkg/core/run.py"),
-        module="pkg.core.run",
-        config=par_config(),
-    )
-    assert "PAR601" not in codes(findings)
-
-
-def test_par601_missing_entry_point_is_reported():
-    findings = analyze_source(
-        "X = 1\n",
-        Path("pkg/core/run.py"),
-        module="pkg.core.run",
-        config=par_config(entry="pkg.core.run.Runner.gone"),
-    )
-    par = [f for f in findings if f.code == "PAR601"]
-    assert par and "gone" in par[0].message
-
-
-# ---------------------------------------------------------------------------
 # PAR602 — module/class state mutation
 # ---------------------------------------------------------------------------
 
-def test_par602_flags_module_global_write():
-    src = (
-        "_COUNT = 0\n"
-        "def bump():\n"
-        "    global _COUNT\n"
-        "    _COUNT += 1\n"
-    )
+PAR602_PRELUDE = (
+    "import collections\n"
+    "import numpy as np\n"
+    "_G = [0]\n"
+    "_CACHE = {}\n"
+    "_ITEMS = []\n"
+    "_RECENT = collections.deque()\n"
+    "_RNG = np.random.default_rng(0)\n"
+    "class Klass:\n"
+    "    n = 0\n"
+)
+
+#: (id, function body source, flagged): each row pins today's verdict.
+PAR602_CASES = [
+    ("global-rebind", "def f():\n    global _G\n    _G = [1]\n", True),
+    ("dict-subscript-store", "def f(k, v):\n    _CACHE[k] = v\n", True),
+    ("dict-item-delete", "def f(k):\n    del _CACHE[k]\n", True),
+    ("list-append", "def f(x):\n    _ITEMS.append(x)\n", True),
+    ("dict-update", "def f(d):\n    _CACHE.update(d)\n", True),
+    ("dict-setdefault", "def f(k):\n    _CACHE.setdefault(k, 0)\n", True),
+    ("deque-appendleft", "def f(x):\n    _RECENT.appendleft(x)\n", True),
+    (
+        "cls-augassign",
+        "class C:\n    n = 0\n    @classmethod\n    def f(cls):\n        cls.n += 1\n",
+        True,
+    ),
+    ("class-attr-from-function", "def f():\n    Klass.n = 2\n", True),
+    (
+        "class-attr-from-method",
+        "class C:\n    def f(self):\n        Klass.n = 3\n",
+        True,
+    ),
+    ("tuple-target", "def f():\n    _G[0], y = 1, 2\n    return y\n", True),
+    ("param-shadows-module-name", "def f(_ITEMS):\n    _ITEMS.append(1)\n", False),
+    (
+        "local-rebound-then-appended",
+        "def f():\n    _ITEMS = []\n    _ITEMS.append(1)\n    return _ITEMS\n",
+        False,
+    ),
+    (
+        "closure-captured-append",
+        "def outer():\n    seen = []\n    def inner(x):\n        seen.append(x)\n"
+        "    return inner\n",
+        False,
+    ),
+    (
+        "writes-through-self",
+        "class C:\n    def f(self, k):\n        self.n = 1\n        self.d[k] = 2\n"
+        "        self.items.append(k)\n",
+        False,
+    ),
+    ("module-generator-draw", "def f():\n    return _RNG.random()\n", False),
+]
+
+
+@pytest.mark.parametrize(
+    "body, flagged",
+    [case[1:] for case in PAR602_CASES],
+    ids=[case[0] for case in PAR602_CASES],
+)
+def test_par602_verdict(body, flagged):
     findings = analyze_source(
-        src,
-        Path("pkg/core/telemetry.py"),
-        module="pkg.core.telemetry",
+        PAR602_PRELUDE + body,
+        Path("pkg/core/state.py"),
+        module="pkg.core.state",
         config=layered_config(),
     )
-    assert "PAR602" in codes(findings)
+    assert ("PAR602" in codes(findings)) is flagged
 
 
 def test_par602_flags_module_dict_mutation_without_global():
@@ -461,88 +427,10 @@ def test_res801_clean_on_real_serve_layer():
 
 
 # ---------------------------------------------------------------------------
-# Effect inference — edge cases
+# Call graph — edge cases
 # ---------------------------------------------------------------------------
 
-def effect_of(source: str, qualname: str, module: str = "pkg.core.mod"):
-    program, effects = program_effects({module: source}, layered_config())
-    return effects[qualname]
-
-
-def test_effect_self_augassign_is_self_mutation():
-    effect = effect_of(
-        "class C:\n"
-        "    def tick(self):\n"
-        "        self.x += 1\n",
-        "pkg.core.mod.C.tick",
-    )
-    assert effect.level is EffectLevel.MUTATES_SELF
-    assert any(r.kind == "self-mutation" for r in effect.reasons)
-
-
-def test_effect_property_setter_mutates_self():
-    src = (
-        "class C:\n"
-        "    @property\n"
-        "    def x(self):\n"
-        "        return self._x\n"
-        "    @x.setter\n"
-        "    def x(self, value):\n"
-        "        self._x = value\n"
-    )
-    program, effects = program_effects({"pkg.core.mod": src}, layered_config())
-    levels = {
-        qualname: effect.level
-        for qualname, effect in effects.items()
-        if ".C.x" in qualname
-    }
-    # Getter and setter share a name; both are indexed, the setter mutates.
-    assert EffectLevel.MUTATES_SELF in levels.values()
-    assert EffectLevel.READS_SELF in levels.values()
-
-
-def test_effect_decorated_function_still_analyzed():
-    src = (
-        "import functools\n"
-        "class C:\n"
-        "    @functools.lru_cache\n"
-        "    def compute(self):\n"
-        "        self.hits += 1\n"
-        "        return self.hits\n"
-    )
-    effect = effect_of(src, "pkg.core.mod.C.compute")
-    assert effect.level is EffectLevel.MUTATES_SELF
-
-
-def test_effect_closure_write_is_captured_write():
-    src = (
-        "def outer():\n"
-        "    total = 0\n"
-        "    def inner(x):\n"
-        "        nonlocal total\n"
-        "        total += x\n"
-        "    return inner\n"
-    )
-    program, effects = program_effects({"pkg.core.mod": src}, layered_config())
-    inner = effects["pkg.core.mod.outer.inner"]
-    assert inner.level is EffectLevel.MUTATES_SHARED
-    assert any(r.kind == "captured-write" for r in inner.reasons)
-
-
-def test_effect_local_write_in_nested_function_is_pure():
-    src = (
-        "def outer():\n"
-        "    def inner(x):\n"
-        "        total = 0\n"
-        "        total += x\n"
-        "        return total\n"
-        "    return inner\n"
-    )
-    program, effects = program_effects({"pkg.core.mod": src}, layered_config())
-    assert effects["pkg.core.mod.outer.inner"].level is EffectLevel.PURE
-
-
-def test_effect_functools_partial_creates_call_edge():
+def test_functools_partial_creates_call_edge():
     src = (
         "import functools\n"
         "class C:\n"
@@ -552,52 +440,9 @@ def test_effect_functools_partial_creates_call_edge():
         "        hook = functools.partial(self._bump)\n"
         "        return hook\n"
     )
-    program, _ = program_effects({"pkg.core.mod": src}, layered_config())
+    program = ProgramContext.from_sources({"pkg.core.mod": src}, layered_config())
     edges = program.call_graph.edges_by_caller.get("pkg.core.mod.C.run", [])
     assert any(e.callee == "pkg.core.mod.C._bump" for e in edges)
-
-
-def test_effect_shared_rng_draw_is_shared_hazard():
-    src = (
-        "class C:\n"
-        "    def draw(self, rng):\n"
-        "        return rng.random()\n"
-    )
-    effect = effect_of(src, "pkg.core.mod.C.draw")
-    assert any(r.kind == "rng-draw" and r.shared for r in effect.reasons)
-
-
-def test_effect_owned_rng_draw_is_clean():
-    src = (
-        "import numpy as np\n"
-        "def draw(seed):\n"
-        "    rng = np.random.default_rng(seed)\n"
-        "    return rng.random()\n"
-    )
-    effect = effect_of(src, "pkg.core.mod.draw")
-    assert effect.level is EffectLevel.PURE
-
-
-# ---------------------------------------------------------------------------
-# reachable_from — context propagation semantics
-# ---------------------------------------------------------------------------
-
-def test_reachable_from_owned_edge_drops_shared_context():
-    edges = {
-        "a": [("b", True)],   # receiver owned -> context drops
-        "b": [("c", False)],  # stays non-shared downstream
-    }
-    reached = dict(reachable_from(edges, "a"))
-    assert reached == {"a": True, "b": False, "c": False}
-
-
-def test_reachable_from_shared_context_wins_on_diamond():
-    edges = {
-        "a": [("b", True), ("b", False)],
-        "b": [],
-    }
-    reached = dict(reachable_from(edges, "a"))
-    assert reached["b"] is True  # the shared path dominates
 
 
 # ---------------------------------------------------------------------------
@@ -613,18 +458,21 @@ def test_parse_toml_subset_roundtrip():
         "[tool.repolint.layers.ranks]\n"
         "data = 0\n"
         "core = 2\n"
-        "[tool.repolint.parallel]\n"
-        "entry-points = [\n"
-        '    "pkg.core.run.Runner.run",\n'
+        "[tool.repolint.calls.extra-edges]\n"
+        '"pkg.core.run.Runner.run" = [\n'
+        '    "pkg.core.run.Runner.hook",\n'
         "]\n"
     )
     data = parse_toml(text)
+    assert _parse_toml_subset(text) == data
     section = data["tool"]["repolint"]
     config = RepolintConfig.from_mapping(section)
     assert config.package == "pkg"
     assert config.layer_ranks == {"data": 0, "core": 2}
     assert config.free_layers == frozenset({"util"})
-    assert config.entry_points == ("pkg.core.run.Runner.run",)
+    assert config.extra_edges == {
+        "pkg.core.run.Runner.run": ("pkg.core.run.Runner.hook",)
+    }
 
 
 def test_rank_for_layer_treats_root_as_free():
@@ -653,38 +501,37 @@ def test_findings_to_sarif_shape():
 
 
 # ---------------------------------------------------------------------------
-# Certificate against the real repository
+# Call graph of the real repository
 # ---------------------------------------------------------------------------
 
 def real_program():
     return build_program(REPO_ROOT / "src")
 
 
-def test_report_covers_every_reachable_public_function():
-    program = real_program()
-    assert program is not None
-    report = build_report(program)
-    entry = "repro.core.feat.FEATTrainer.buffer_filling"
-    reachable = report["certificate"]["reachable"][entry]
-    assert reachable, "buffer_filling reaches nothing — call graph broke"
-    for item in reachable:
-        assert item["function"] in report["effects"]
-    public = [item for item in reachable if item["public"]]
-    assert any("DuelingDQNAgent.act" in item["function"] for item in public)
-    assert any("FeatureSelectionEnv.step" in item["function"] for item in public)
+def reachable(program: ProgramContext, entry: str) -> set[str]:
+    """Every function the call graph reaches from ``entry``, itself included."""
+    seen = {entry}
+    queue = deque([entry])
+    while queue:
+        for edge in program.call_graph.edges_by_caller.get(queue.popleft(), []):
+            if edge.callee not in seen:
+                seen.add(edge.callee)
+                queue.append(edge.callee)
+    return seen
 
 
 def test_rollout_inference_path_uses_pure_infer():
-    """Agent.act must reach the pure ``infer`` stack, never a training
-    ``forward`` that caches activations on shared layer objects."""
+    """The rollout reaches Agent.act and the env step, and Agent.act reaches
+    the pure ``infer`` stack, never a ``forward`` that caches activations on
+    the layer objects."""
     program = real_program()
     assert program is not None
-    edges = {}
-    for caller, edge_list in program.call_graph.edges_by_caller.items():
-        edges[caller] = [(e.callee, e.receiver_owned) for e in edge_list]
-    reached = dict(reachable_from(edges, "repro.rl.agent.DuelingDQNAgent.act"))
-    forwards = [fn for fn in reached if fn.endswith(".forward")]
-    assert forwards == [], f"act reaches training forward(s): {forwards}"
+    rollout = reachable(program, "repro.core.feat.FEATTrainer.buffer_filling")
+    assert "repro.rl.agent.DuelingDQNAgent.act" in rollout
+    assert "repro.core.env.FeatureSelectionEnv.step" in rollout
+    reached = reachable(program, "repro.rl.agent.DuelingDQNAgent.act")
+    forwards = sorted(fn for fn in reached if fn.endswith(".forward"))
+    assert forwards == [], f"act reaches forward(s): {forwards}"
     assert any(fn.endswith(".infer") for fn in reached)
 
 
@@ -748,7 +595,7 @@ def test_cli_report_subcommand(tmp_path):
     report = json.loads(out.read_text())
     assert report["package"] == "repro"
     assert report["layers"]["ranks"]["core"] == 4
-    assert report["certificate"]["entry_points"]
+    assert report["concurrency_certificate"]["clean"]
 
 
 def test_cli_changed_works_from_subdirectory(tmp_path):

@@ -38,8 +38,16 @@ class TestActionSelection:
         agent = make_agent(epsilon=1.0)  # epsilon ignored when greedy
         state = np.ones(4)
         q = agent.q_values(state)[0]
-        if q[0] != q[1]:
-            assert agent.act(state, greedy=True) == int(np.argmax(q))
+        assert agent.act(state, greedy=True) == int(np.argmax(q))
+
+        # An exact tie (a zeroed dueling head makes Q = 0 for every action)
+        # takes the lowest action, as act_batch does, and draws no RNG.
+        for parameter in agent.online.layers[-1].parameters():
+            parameter.value[...] = 0.0
+        assert np.all(agent.q_values(state)[0] == 0.0)
+        rng_state = agent._rng.bit_generator.state
+        assert {agent.act(state, greedy=True) for _ in range(20)} == {0}
+        assert agent._rng.bit_generator.state == rng_state
 
     def test_full_exploration_is_uniform(self):
         agent = make_agent(epsilon=1.0)

@@ -186,7 +186,7 @@ class TestLeanForward:
         dim = state_dim(72)
         network = DuelingNetwork(dim, 2, hidden, rng)
         states = rng.normal(size=(batch, dim))
-        layered = network.forward(states, training=False)
+        layered = network.forward(states)
         assert np.array_equal(network.infer(states), layered)
         agent = DuelingDQNAgent(
             dim, 2, hidden, 0.9, 1e-3, ConstantSchedule(0.0), 100, rng

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch import batched_greedy_subsets
@@ -58,6 +58,9 @@ class TestBitExactParity:
         with_corr=st.booleans(),
         n_tasks=st.integers(1, 9),
     )
+    # Dead ReLUs give Q = [0, 0] at position 6 of the second task: an exact
+    # tie, which act(greedy=True) must break the way act_batch does.
+    @example(seed=863, n_features=10, mfr=1.0, with_corr=True, n_tasks=2)
     def test_batched_equals_sequential(self, seed, n_features, mfr, with_corr, n_tasks):
         rng = np.random.default_rng(seed)
         config = EnvConfig(max_feature_ratio=mfr)

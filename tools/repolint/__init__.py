@@ -1,9 +1,9 @@
 """repro-lint: determinism, contract and whole-program static analysis.
 
 AST-based, project-specific rules over the PA-FEAT reproduction.  Per-file
-rules check one parsed module at a time; whole-program rules (ARCH/PAR/HOT)
-parse the entire ``src/repro`` package, build import and call graphs, infer
-per-function effects and check them against the contracts declared under
+rules check one parsed module at a time; whole-program rules
+(ARCH/PAR/HOT/RES/ASYNC/EXC) parse the entire ``src/repro`` package, build
+import and call graphs and check them against the contracts declared under
 ``[tool.repolint]`` in ``pyproject.toml``:
 
 =======  ==========================  ==================================================
@@ -21,8 +21,6 @@ API402   all-drift                   ``__all__`` out of sync with bound names
 ARCH501  layer-upward-import         imports against the declared layer order
 ARCH502  import-cycle                import-time cycles between package modules
 ARCH503  undeclared-layer            subpackages missing from the layer contract
-PAR601   rollout-shared-mutation     unsanctioned shared-state writes reachable
-                                     from the rollout entry points
 PAR602   module-state-mutation       functions mutating module-level state
 HOT701   hotpath-allocation          per-step numpy allocations / loop growth in
                                      functions tagged hot
@@ -48,9 +46,9 @@ LINT001  unused-suppression          ``disable=`` pragmas that no longer
 =======  ==========================  ==================================================
 
 Run ``python -m tools.repolint src/`` (or ``--changed`` for a fast path over
-the git-modified set), fan per-file analysis over a process pool with
-``--jobs N``, pick an output with ``--format={text,json,sarif}``, and dump
-the layer graph + effect table with ``python -m tools.repolint report``.
+the git-modified set), pick an output with ``--format={text,json,sarif}``,
+and dump the layer graph, call graph and certificates with
+``python -m tools.repolint report``.
 Suppress a single line with ``# repolint: disable=CODE`` and add rules in
 ``tools/repolint/rules/``.
 """

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -72,8 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Project-specific determinism, contract and whole-program "
             "linter: RNG discipline, checkpoint completeness, numerical "
-            "safety, API hygiene, import-layer contracts, parallel-safety "
-            "certificate and hot-path allocation checks."
+            "safety, API hygiene, import-layer contracts, module-state "
+            "writes, hot-path allocations, and concurrency and exception "
+            "certificates."
         ),
     )
     parser.add_argument(
@@ -108,16 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "process-pool size for per-file analysis "
-            "(default: min(8, CPU count); 1 disables the pool)"
-        ),
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
@@ -146,8 +136,8 @@ def build_report_parser() -> argparse.ArgumentParser:
         prog="python -m tools.repolint report",
         description=(
             "Emit the whole-program analysis artifact: import-layer graph, "
-            "call graph, per-function effect table and the parallel-safety "
-            "certificate, as JSON."
+            "call graph and the concurrency and exception certificates, "
+            "as JSON."
         ),
     )
     parser.add_argument(
@@ -257,13 +247,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         result_cache = ResultCache.for_repo(Path(targets[0]))
 
-    if args.jobs is not None and args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    jobs = args.jobs if args.jobs is not None else min(8, os.cpu_count() or 1)
-
     findings: list[Finding] = analyze_paths(
-        targets, rules=rules, result_cache=result_cache, jobs=jobs
+        targets, rules=rules, result_cache=result_cache
     )
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     rendered = render_findings(findings, args.format)

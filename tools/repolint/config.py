@@ -1,11 +1,11 @@
 """Whole-program analysis configuration, loaded from ``pyproject.toml``.
 
-The layer contract, parallel-safety certificate and hot-path tags all live
-under ``[tool.repolint]`` so they version with the code they constrain.
-Python 3.11+ parses the file with :mod:`tomllib`; on 3.10 (still in the CI
-matrix) a small TOML-subset parser handles the constructs this repo's
-pyproject actually uses — tables, strings, integers, booleans and (possibly
-multiline) arrays.
+The layer contract, extra call edges, concurrency and exception contracts
+and hot-path tags all live under ``[tool.repolint]`` so they version with
+the code they constrain.  Python 3.11+ parses the file with
+:mod:`tomllib`; on 3.10 (still in the CI matrix) a small TOML-subset parser
+handles the constructs this repo's pyproject actually uses — tables,
+strings, integers, booleans and (possibly multiline) arrays.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ class RepolintConfig:
     src_root: str = "src"
     layer_ranks: Mapping[str, int] = field(default_factory=dict)
     free_layers: frozenset[str] = frozenset()
-    entry_points: tuple[str, ...] = ()
-    sync_points: frozenset[str] = frozenset()
+    #: Call edges the AST resolver cannot see (hooks injected at
+    #: construction), walked by every call-graph pass.
     extra_edges: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     hot_functions: frozenset[str] = frozenset()
     resilience_packages: tuple[str, ...] = ()
@@ -88,7 +88,7 @@ class RepolintConfig:
     def from_mapping(cls, data: Mapping[str, Any]) -> "RepolintConfig":
         """Build from the ``[tool.repolint]`` table of a parsed pyproject."""
         layers = data.get("layers", {})
-        parallel = data.get("parallel", {})
+        calls = data.get("calls", {})
         hotpath = data.get("hotpath", {})
         resilience = data.get("resilience", {})
         concurrency = data.get("concurrency", {})
@@ -102,11 +102,9 @@ class RepolintConfig:
                 for name, rank in dict(layers.get("ranks", {})).items()
             },
             free_layers=frozenset(str(n) for n in layers.get("free", [])),
-            entry_points=tuple(str(n) for n in parallel.get("entry-points", [])),
-            sync_points=frozenset(str(n) for n in parallel.get("sync-points", [])),
             extra_edges={
                 str(src): tuple(str(dst) for dst in dsts)
-                for src, dsts in dict(parallel.get("extra-edges", {})).items()
+                for src, dsts in dict(calls.get("extra-edges", {})).items()
             },
             hot_functions=frozenset(str(n) for n in hotpath.get("functions", [])),
             resilience_packages=tuple(

@@ -1,54 +1,23 @@
-"""Per-function effect inference: pure / reads-self / mutates-self / shared.
+"""Module-state writes: the sites where a function changes process-global state.
 
-Each function's body (nested defs excluded — they are classified on their
-own) is scanned for state-changing operations, and every operation is
-attributed to a *receiver* whose ownership decides how bad it is:
+A function's body (nested defs excluded — they are scanned on their own)
+is searched for stores and in-place mutations whose receiver is state that
+outlives the call:
 
-* ``self`` / ``self.attr``           → mutates-self (a hazard only when the
-                                       instance is shared across workers);
-* a parameter or module-level name   → mutates-shared (cross-object);
-* a name captured from an enclosing
-  function, or declared ``global``   → mutates-shared;
-* a class attribute (``cls.x = ..``) → mutates-shared;
-* a local the function constructed   → owned; the mutation is invisible
-                                       outside the call and is ignored.
+* a name declared ``global`` (rebound, or written through);
+* a module-level name written through, or mutated in place with one of
+  :data:`MUTATING_METHODS`, when the function does not bind it locally;
+* a class attribute (``cls.x = ...``, ``Klass.x = ...``).
 
-RNG draws are tracked separately: every ``Generator`` method call advances
-shared mutable stream state, so a draw on a non-owned generator is a
-mutation of whatever owns the generator.
+Writes through ``self``, locals, parameters and closure-captured names
+change state the caller owns or can see, so they are not reported here.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from enum import IntEnum
-from typing import Iterator
 
-from tools.repolint.graphs.calls import (
-    GENERATOR_TYPE,
-    Binding,
-    FunctionInfo,
-    ProgramIndex,
-    _iter_own_nodes,
-    compute_bindings,
-    infer_expr_type,
-    receiver_ownership,
-)
-
-
-class EffectLevel(IntEnum):
-    """Lattice of behavioral summaries, ordered by severity."""
-
-    PURE = 0
-    READS_SELF = 1
-    MUTATES_SELF = 2
-    MUTATES_SHARED = 3
-
-    @property
-    def label(self) -> str:
-        return self.name.lower().replace("_", "-")
-
+from tools.repolint.graphs.calls import FunctionInfo, ProgramIndex, _iter_own_nodes
 
 #: Methods that mutate their receiver in-place (list/set/dict/deque/array).
 MUTATING_METHODS = {
@@ -71,79 +40,6 @@ MUTATING_METHODS = {
     "fill",
     "add_trajectory",
 }
-
-#: numpy.random.Generator draw methods — each advances the stream state.
-GENERATOR_METHODS = {
-    "random",
-    "integers",
-    "choice",
-    "normal",
-    "standard_normal",
-    "uniform",
-    "exponential",
-    "poisson",
-    "binomial",
-    "beta",
-    "gamma",
-    "shuffle",
-    "permutation",
-    "permuted",
-    "bytes",
-    "multivariate_normal",
-}
-
-
-@dataclass(frozen=True)
-class EffectReason:
-    """One state-changing (or self-reading) operation and where it happens."""
-
-    kind: str  # global-write | class-write | captured-write | param-mutation
-    #            | unknown-mutation | self-mutation | rng-draw | self-read
-    detail: str
-    line: int
-    shared: bool  # True when the mutation is shared regardless of context
-
-
-@dataclass
-class FunctionEffect:
-    """Effect summary for one function."""
-
-    qualname: str
-    level: EffectLevel
-    reasons: tuple[EffectReason, ...]
-
-    @property
-    def context_hazards(self) -> tuple[EffectReason, ...]:
-        """Reasons that become hazards when the instance is shared."""
-        return tuple(
-            r for r in self.reasons if not r.shared and r.kind != "self-read"
-        )
-
-    @property
-    def shared_hazards(self) -> tuple[EffectReason, ...]:
-        return tuple(r for r in self.reasons if r.shared)
-
-    def to_payload(self) -> dict[str, object]:
-        return {
-            "level": self.level.label,
-            "reasons": [
-                {
-                    "kind": r.kind,
-                    "detail": r.detail,
-                    "line": r.line,
-                    "shared": r.shared,
-                }
-                for r in self.reasons
-            ],
-        }
-
-
-def infer_effects(index: ProgramIndex) -> dict[str, FunctionEffect]:
-    """Effect summary for every function in the program."""
-    return {
-        qualname: infer_function_effect(index, function)
-        for qualname, function in index.functions.items()
-    }
 
 
 def _root_name(expr: ast.expr) -> ast.Name | None:
@@ -185,36 +81,36 @@ def _enclosing_locals(index: ProgramIndex, function: FunctionInfo) -> set[str]:
     return names
 
 
-def infer_function_effect(
+def _names_a_class(index: ProgramIndex, function: FunctionInfo, name: str) -> bool:
+    """True when a bare name refers to a program class (class-attr write)."""
+    resolved = index.resolve_symbol(function.module, name)
+    return resolved is not None and resolved in index.classes
+
+
+def module_state_writes(
     index: ProgramIndex, function: FunctionInfo
-) -> FunctionEffect:
-    bindings = compute_bindings(index, function)
+) -> list[tuple[int, str]]:
+    """``(line, detail)`` for every global or class-attribute write, in order.
+
+    A module-level name counts only where the function does not bind it
+    itself and, for a store, does not capture it from an enclosing
+    function either.  Writes through ``self`` are never reported.
+    """
     module_names = index.module_globals.get(function.module, set())
     local_names = _bound_local_names(function)
     closure_names = _enclosing_locals(index, function) - local_names
     global_decls: set[str] = set()
-    nonlocal_decls: set[str] = set()
     for node in _iter_own_nodes(function.node):
         if isinstance(node, ast.Global):
             global_decls.update(node.names)
-        elif isinstance(node, ast.Nonlocal):
-            nonlocal_decls.update(node.names)
 
-    reasons: list[EffectReason] = []
+    writes: list[tuple[int, str]] = []
 
     def classify_write(target: ast.expr, line: int, op: str) -> None:
         """Attribute/subscript stores and name rebinds that escape."""
         if isinstance(target, ast.Name):
             if target.id in global_decls:
-                reasons.append(
-                    EffectReason("global-write", f"{op} global {target.id}", line, True)
-                )
-            elif target.id in nonlocal_decls:
-                reasons.append(
-                    EffectReason(
-                        "captured-write", f"{op} nonlocal {target.id}", line, True
-                    )
-                )
+                writes.append((line, f"{op} global {target.id}"))
             return
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
@@ -223,77 +119,31 @@ def infer_function_effect(
         if not isinstance(target, (ast.Attribute, ast.Subscript)):
             return
         root = _root_name(target)
-        if root is None:
-            reasons.append(
-                EffectReason("unknown-mutation", f"{op} on opaque receiver", line, True)
-            )
+        if root is None or root.id == "self":
             return
-        detail = f"{op} {ast.unparse(target)}"
-        if root.id in ("self",):
-            reasons.append(EffectReason("self-mutation", detail, line, False))
-        elif root.id == "cls" or _names_a_class(index, function, root.id):
-            reasons.append(EffectReason("class-write", detail, line, True))
-        elif root.id in global_decls:
-            reasons.append(EffectReason("global-write", detail, line, True))
-        elif root.id in closure_names and root.id not in local_names:
-            reasons.append(EffectReason("captured-write", detail, line, True))
-        elif root.id in local_names:
-            binding = bindings.get(root.id)
-            if binding is not None and binding.origin == "param":
-                reasons.append(EffectReason("param-mutation", detail, line, True))
-            elif binding is not None and binding.origin == "self-alias":
-                reasons.append(EffectReason("self-mutation", detail, line, False))
-            elif binding is not None and binding.owned:
-                pass  # mutating an object this function constructed
-            else:
-                reasons.append(EffectReason("unknown-mutation", detail, line, True))
-        elif root.id in module_names:
-            reasons.append(EffectReason("global-write", detail, line, True))
-        else:
-            reasons.append(EffectReason("unknown-mutation", detail, line, True))
+        if (
+            root.id == "cls"
+            or _names_a_class(index, function, root.id)
+            or root.id in global_decls
+            or (root.id in module_names and root.id not in local_names | closure_names)
+        ):
+            writes.append((line, f"{op} {ast.unparse(target)}"))
 
-    def classify_mutating_call(call: ast.Call, line: int) -> bool:
-        """True when the call is a known in-place mutation of its receiver."""
+    def classify_mutating_call(call: ast.Call, line: int) -> None:
+        """In-place container mutation of a module-level receiver."""
         if not isinstance(call.func, ast.Attribute):
-            return False
-        method = call.func.attr
-        receiver = call.func.value
-        receiver_type = infer_expr_type(index, function, bindings, receiver)
-        if receiver_type == GENERATOR_TYPE and method in GENERATOR_METHODS:
-            ownership = receiver_ownership(bindings, receiver)
-            if ownership != "owned":
-                shared = ownership in ("param", "unknown")
-                reasons.append(
-                    EffectReason(
-                        "rng-draw",
-                        f"draws {ast.unparse(call.func)}",
-                        line,
-                        shared,
-                    )
-                )
-            return True
-        if method not in MUTATING_METHODS:
-            return False
-        if receiver_type is not None and receiver_type in index.classes:
-            return False  # resolved program method; callee effects cover it
-        ownership = receiver_ownership(bindings, receiver)
-        detail = f"calls {ast.unparse(call.func)}(...)"
-        root = _root_name(receiver)
-        if ownership == "owned":
-            return True
-        if ownership in ("self", "self-attr"):
-            reasons.append(EffectReason("self-mutation", detail, line, False))
-        elif ownership == "param":
-            reasons.append(EffectReason("param-mutation", detail, line, True))
-        elif root is not None and root.id in module_names and root.id not in local_names:
-            reasons.append(EffectReason("global-write", detail, line, True))
-        elif root is not None and root.id in closure_names and root.id not in local_names:
-            reasons.append(EffectReason("captured-write", detail, line, True))
-        else:
-            reasons.append(EffectReason("unknown-mutation", detail, line, True))
-        return True
+            return
+        if call.func.attr not in MUTATING_METHODS:
+            return
+        root = _root_name(call.func.value)
+        if (
+            root is not None
+            and root.id not in ("self", "cls")
+            and root.id in module_names
+            and root.id not in local_names
+        ):
+            writes.append((line, f"calls {ast.unparse(call.func)}(...)"))
 
-    reads_self = False
     for node in _iter_own_nodes(function.node):
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -307,59 +157,4 @@ def infer_function_effect(
                 classify_write(target, node.lineno, "deletes")
         elif isinstance(node, ast.Call):
             classify_mutating_call(node, node.lineno)
-        elif (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            reads_self = True
-
-    if any(reason.shared for reason in reasons):
-        level = EffectLevel.MUTATES_SHARED
-    elif any(reason.kind in ("self-mutation", "rng-draw") for reason in reasons):
-        level = EffectLevel.MUTATES_SELF
-    elif reads_self:
-        level = EffectLevel.READS_SELF
-    else:
-        level = EffectLevel.PURE
-    deduped: list[EffectReason] = []
-    seen: set[tuple[str, str, int]] = set()
-    for reason in reasons:
-        key = (reason.kind, reason.detail, reason.line)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(reason)
-    return FunctionEffect(
-        qualname=function.qualname, level=level, reasons=tuple(deduped)
-    )
-
-
-def _names_a_class(index: ProgramIndex, function: FunctionInfo, name: str) -> bool:
-    """True when a bare name refers to a program class (class-attr write)."""
-    resolved = index.resolve_symbol(function.module, name)
-    return resolved is not None and resolved in index.classes
-
-
-def reachable_from(
-    graph_edges: dict[str, list[tuple[str, bool]]],
-    entry: str,
-) -> Iterator[tuple[str, bool]]:
-    """(function, shared-context) pairs reachable from ``entry``.
-
-    The entry executes on shared objects (that is the whole point of the
-    rollout certificate), so it starts in shared context.  Context becomes
-    non-shared only through an edge whose receiver is an object the caller
-    constructed itself; it never flows back to shared.
-    """
-    best: dict[str, bool] = {}
-    queue: list[tuple[str, bool]] = [(entry, True)]
-    while queue:
-        qualname, shared = queue.pop()
-        previous = best.get(qualname)
-        if previous is not None and (previous or not shared):
-            continue
-        best[qualname] = shared
-        for callee, receiver_owned in graph_edges.get(qualname, []):
-            queue.append((callee, shared and not receiver_owned))
-    yield from best.items()
+    return list(dict.fromkeys(writes))

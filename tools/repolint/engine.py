@@ -177,7 +177,7 @@ class ProgramFile:
 
 
 class ProgramContext:
-    """Whole-program facts: parsed modules plus derived graphs and effects.
+    """Whole-program facts: parsed modules plus the graphs derived from them.
 
     The graphs are cached properties so per-file-only runs never pay for
     them, and every program rule shares one instance.
@@ -259,12 +259,6 @@ class ProgramContext:
         from tools.repolint.graphs.calls import build_call_graph
 
         return build_call_graph(self.index)
-
-    @cached_property
-    def effects(self):  # -> dict[str, FunctionEffect]
-        from tools.repolint.effects import infer_effects
-
-        return infer_effects(self.index)
 
     @cached_property
     def concurrency(self):  # -> ConcurrencyIndex
@@ -638,45 +632,12 @@ def build_program(
     return ProgramContext.from_package(package_dir, config, source_cache)
 
 
-def _analyze_file_job(task: tuple[str, tuple[str, ...]]) -> list[Finding]:
-    """Process-pool worker: lint one file with the named registry rules.
-
-    Rule *instances* don't cross process boundaries; rule *codes* do, and
-    every registered rule is stateless, so the worker rebuilds the exact
-    per-file rule subset from the registry.  :class:`Finding` is a frozen
-    dataclass of primitives, so results pickle straight back.
-    """
-    path, codes = task
-    wanted = set(codes)
-    rules = [
-        rule
-        for rule in default_rules()
-        if rule.code in wanted and not isinstance(rule, ProgramRule)
-    ]
-    return analyze_file(Path(path), rules=rules)
-
-
-def _registry_codes_for(rules: Sequence[Rule]) -> tuple[str, ...] | None:
-    """Rule codes when every rule is a registered class, else ``None``.
-
-    The parallel path reconstructs rules by code inside each worker, which
-    is only faithful for registry rules — a caller-supplied ad-hoc rule
-    instance forces the serial path.
-    """
-    from tools.repolint.rules import RULE_CLASSES
-
-    if all(type(rule) in RULE_CLASSES for rule in rules):
-        return tuple(rule.code for rule in rules)
-    return None
-
-
 def analyze_paths(
     paths: Iterable[Path | str],
     rules: Sequence[Rule] | None = None,
     config: RepolintConfig | None = None,
     source_cache: "SourceCache | None" = None,
     result_cache: "ResultCache | None" = None,
-    jobs: int = 1,
 ) -> list[Finding]:
     """Per-file rules over every target, plus program rules over the package.
 
@@ -689,13 +650,6 @@ def analyze_paths(
     parsed at most once per run.  With a :class:`ResultCache`, per-file
     analysis is skipped outright for files whose content hash matches the
     previous run; program-pass findings are always recomputed.
-
-    ``jobs > 1`` fans the per-file misses out over a process pool (the
-    program pass stays in-process — it is one whole-package computation).
-    Workers rebuild rules by code from the registry, so ad-hoc rule
-    instances, tiny batches, or an unavailable ``multiprocessing`` fall
-    back to the serial loop; output is identical either way, in target
-    order.
     """
     from tools.repolint.cache import SourceCache
 
@@ -707,8 +661,6 @@ def analyze_paths(
     program_rules = [rule for rule in rules if isinstance(rule, ProgramRule)]
     findings: list[Finding] = []
     targets = list(iter_python_files(paths))
-    per_file: dict[Path, list[Finding]] = {}
-    pending: list[tuple[Path, str | None]] = []
     for path in targets:
         cached_sha: str | None = None
         if result_cache is not None:
@@ -719,46 +671,12 @@ def analyze_paths(
             if cached_sha is not None:
                 cached = result_cache.lookup(path, cached_sha)
                 if cached is not None:
-                    per_file[path] = cached
+                    findings.extend(cached)
                     continue
-        pending.append((path, cached_sha))
-
-    pool_results: list[list[Finding]] | None = None
-    if jobs > 1 and len(pending) > 1:
-        codes = _registry_codes_for(file_rules)
-        if codes is not None:
-            import concurrent.futures
-
-            workers = min(jobs, len(pending))
-            try:
-                with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers
-                ) as pool:
-                    pool_results = list(
-                        pool.map(
-                            _analyze_file_job,
-                            [(str(path), codes) for path, _ in pending],
-                        )
-                    )
-            except (OSError, NotImplementedError, ImportError):
-                # Sandboxed/embedded interpreters without working
-                # multiprocessing primitives: serial is always correct.
-                pool_results = None
-    if pool_results is not None:
-        for (path, cached_sha), file_findings in zip(pending, pool_results):
-            per_file[path] = file_findings
-            if result_cache is not None and cached_sha is not None:
-                result_cache.store(path, cached_sha, file_findings)
-    else:
-        for path, cached_sha in pending:
-            file_findings = analyze_file(
-                path, rules=file_rules, source_cache=source_cache
-            )
-            per_file[path] = file_findings
-            if result_cache is not None and cached_sha is not None:
-                result_cache.store(path, cached_sha, file_findings)
-    for path in targets:
-        findings.extend(per_file.get(path, []))
+        file_findings = analyze_file(path, rules=file_rules, source_cache=source_cache)
+        if result_cache is not None and cached_sha is not None:
+            result_cache.store(path, cached_sha, file_findings)
+        findings.extend(file_findings)
 
     if program_rules and targets:
         located = locate_package_dir(targets[0], config=config)

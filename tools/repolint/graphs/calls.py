@@ -15,7 +15,7 @@ deliberately conservative where Python is dynamic:
 * ``functools.partial(f, ...)`` adds an edge to ``f``;
 * hook attributes invoked dynamically (``self.task_sampler(...)``) cannot
   be seen statically — those edges are declared in
-  ``[tool.repolint.parallel.extra-edges]``.
+  ``[tool.repolint.calls.extra-edges]``.
 """
 
 from __future__ import annotations
@@ -94,10 +94,6 @@ class FunctionInfo:
     parent: str | None  # enclosing function qualname for nested defs
     decorators: tuple[str, ...]
 
-    @property
-    def is_public(self) -> bool:
-        return not self.name.startswith("_") or self.name == "__call__"
-
 
 @dataclass
 class ClassInfo:
@@ -119,7 +115,6 @@ class CallEdge:
     caller: str
     callee: str
     line: int
-    receiver_owned: bool
     kind: str  # direct | method | fallback | nested | partial | extra
 
 
@@ -129,11 +124,10 @@ class Binding:
 
     type: str | None = None
     owned: bool = False
-    origin: str = "local"  # param | local | self-alias
 
 
 class ProgramIndex:
-    """Symbol tables shared by the call graph and effect inference."""
+    """Symbol tables shared by the call graph and the program passes."""
 
     def __init__(self, config: RepolintConfig) -> None:
         self.config = config
@@ -419,7 +413,7 @@ def compute_bindings(index: ProgramIndex, function: FunctionInfo) -> dict[str, B
         param_type = annotations.get(name)
         if param_type is None and name in ("rng", "_rng"):
             param_type = GENERATOR_TYPE
-        bindings[name] = Binding(type=param_type, owned=False, origin="param")
+        bindings[name] = Binding(type=param_type)
     for node in _iter_own_nodes(function.node):
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             declared = index.annotation_type(function.module, node.annotation)
@@ -428,9 +422,7 @@ def compute_bindings(index: ProgramIndex, function: FunctionInfo) -> dict[str, B
                 inferred = _binding_for_value(index, function, bindings, node.value)
                 owned = inferred.owned
                 declared = declared or inferred.type
-            bindings[node.target.id] = Binding(
-                type=declared, owned=owned, origin="local"
-            )
+            bindings[node.target.id] = Binding(type=declared, owned=owned)
             continue
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
@@ -466,15 +458,15 @@ def _binding_for_value(
         return Binding(owned=True)
     if isinstance(value, ast.Name):
         if value.id == "self":
-            return Binding(type=function.cls, origin="self-alias")
+            return Binding(type=function.cls)
         if value.id in bindings:
             existing = bindings[value.id]
-            return Binding(existing.type, existing.owned, existing.origin)
+            return Binding(existing.type, existing.owned)
         return Binding()
     if isinstance(value, ast.Attribute):
         if isinstance(value.value, ast.Name) and value.value.id == "self":
             attr_type = _self_attr_type(index, function, value.attr)
-            return Binding(type=attr_type, origin="self-alias")
+            return Binding(type=attr_type)
         return Binding()
     if isinstance(value, ast.Call):
         call_type, constructed = _call_result_type(index, function, bindings, value)
@@ -562,36 +554,6 @@ def infer_expr_type(
     return None
 
 
-def receiver_ownership(
-    bindings: dict[str, Binding], expr: ast.expr
-) -> str:
-    """Classify a call receiver: self | self-attr | param | owned | unknown."""
-    if isinstance(expr, ast.Name):
-        if expr.id in ("self", "cls"):
-            return "self"
-        binding = bindings.get(expr.id)
-        if binding is None:
-            return "unknown"
-        if binding.origin == "param":
-            return "param"
-        if binding.origin == "self-alias":
-            return "self-attr"
-        return "owned" if binding.owned else "unknown"
-    if isinstance(expr, ast.Attribute):
-        root = expr
-        while isinstance(root, ast.Attribute):
-            root = root.value
-        if isinstance(root, ast.Name):
-            if root.id in ("self", "cls"):
-                return "self-attr"
-            base = receiver_ownership(bindings, root)
-            return "param" if base == "param" else "unknown"
-        return "unknown"
-    if isinstance(expr, ast.Subscript):
-        return receiver_ownership(bindings, expr.value)
-    return "unknown"
-
-
 @dataclass
 class CallGraph:
     """Edges plus the index they were resolved against."""
@@ -611,7 +573,6 @@ class CallGraph:
                     "caller": edge.caller,
                     "callee": edge.callee,
                     "line": edge.line,
-                    "receiver_owned": edge.receiver_owned,
                     "kind": edge.kind,
                 }
                 for edge in self.edges
@@ -623,12 +584,12 @@ def build_call_graph(index: ProgramIndex) -> CallGraph:
     edges: list[CallEdge] = []
     seen: set[tuple[str, str]] = set()
 
-    def add(caller: str, callee: str, line: int, owned: bool, kind: str) -> None:
+    def add(caller: str, callee: str, line: int, kind: str) -> None:
         key = (caller, callee)
         if key in seen or callee not in index.functions:
             return
         seen.add(key)
-        edges.append(CallEdge(caller, callee, line, owned, kind))
+        edges.append(CallEdge(caller, callee, line, kind))
 
     for qualname, function in index.functions.items():
         bindings = compute_bindings(index, function)
@@ -647,10 +608,10 @@ def build_call_graph(index: ProgramIndex) -> CallGraph:
             ):
                 nested = index.functions.get(f"{qualname}.{child.name}")
                 if nested is not None and nested.parent == qualname:
-                    add(qualname, nested.qualname, child.lineno, False, "nested")
+                    add(qualname, nested.qualname, child.lineno, "nested")
     for source, targets in index.config.extra_edges.items():
         for target in targets:
-            add(source, target, 0, False, "extra")
+            add(source, target, 0, "extra")
     return CallGraph(index=index, edges=tuple(edges))
 
 
@@ -659,7 +620,7 @@ def _resolve_call_edges(
     function: FunctionInfo,
     bindings: dict[str, Binding],
     call: ast.Call,
-    add: Callable[[str, str, int, bool, str], None],
+    add: Callable[[str, str, int, str], None],
 ) -> None:
     qualname = function.qualname
     dotted = _dotted_name(call.func)
@@ -675,46 +636,42 @@ def _resolve_call_edges(
             else None
         )
         if target in index.functions:
-            add(qualname, target, call.lineno, False, "partial")
+            add(qualname, target, call.lineno, "partial")
         elif target in index.classes:
             init = index.classes[target].methods.get("__init__")
             if init:
-                add(qualname, init, call.lineno, False, "partial")
+                add(qualname, init, call.lineno, "partial")
         elif isinstance(target_node, ast.Attribute):
             # Bound method: partial(self._hook) / partial(obj.method).
             receiver_type = infer_expr_type(index, function, bindings, target_node.value)
             if receiver_type is not None and receiver_type in index.classes:
-                owned = receiver_ownership(bindings, target_node.value) == "owned"
                 for bound in index.lookup_method(receiver_type, target_node.attr):
-                    add(qualname, bound, call.lineno, owned, "partial")
+                    add(qualname, bound, call.lineno, "partial")
         return
     if resolved in index.functions:
-        add(qualname, resolved, call.lineno, False, "direct")
+        add(qualname, resolved, call.lineno, "direct")
         return
     if resolved in index.classes:
         init = index.classes[resolved].methods.get("__init__")
         if init:
-            add(qualname, init, call.lineno, True, "direct")
+            add(qualname, init, call.lineno, "direct")
         return
     if not isinstance(call.func, ast.Attribute):
         return
     method = call.func.attr
     receiver = call.func.value
-    ownership = receiver_ownership(bindings, receiver)
-    owned = ownership == "owned"
     receiver_type = infer_expr_type(index, function, bindings, receiver)
     if receiver_type is not None and receiver_type in index.classes:
         for target in index.lookup_method(receiver_type, method):
-            add(qualname, target, call.lineno, owned, "method")
+            add(qualname, target, call.lineno, "method")
         return
     if receiver_type == GENERATOR_TYPE:
-        return  # numpy Generator methods; effects.py accounts for the draw
+        return  # numpy Generator methods: no program code runs
     # Unknown receiver: conservatively fan out to every same-named method —
     # except for builtin-container method names (append, update, ...): an
     # untyped receiver with one of those is almost always a list/dict/set,
-    # the caller-side effect classification already accounts for the
-    # mutation, and typed program receivers resolve above.
+    # and typed program receivers resolve above.
     if method in _CONTAINER_METHOD_NAMES:
         return
     for target in index.methods_by_name.get(method, []):
-        add(qualname, target, call.lineno, owned, "fallback")
+        add(qualname, target, call.lineno, "fallback")

@@ -1,14 +1,12 @@
 """``python -m tools.repolint report``: the whole-program analysis artifact.
 
-One JSON document bundling everything the ARCH/PAR/HOT/ASYNC passes
-computed: the import-layer graph with ranks, detected cycles, the call
-graph, an effect classification for every function, the parallel-safety
-certificate — per rollout entry point, every reachable function with its
-effect level and whether it executes in shared context — and the
-concurrency certificate: per execution context (event loop / thread /
+One JSON document bundling what the ARCH/HOT/ASYNC/EXC passes computed:
+the import-layer graph with ranks, detected cycles, the call graph, the
+concurrency certificate — per execution context (event loop / thread /
 executor), every function running there with its blocking operations,
 lock regions, spawns and the cross-context shared-state table, plus the
-surviving ASYNC9xx findings and a ``clean`` verdict.  CI archives this
+surviving ASYNC9xx findings and a ``clean`` verdict — and the exception
+certificate, with the same shape for the EXC10xx passes.  CI archives this
 artifact so architecture drift is diffable across commits.
 """
 
@@ -16,7 +14,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from tools.repolint.effects import reachable_from
 from tools.repolint.engine import Finding, ProgramContext
 from tools.repolint.graphs.imports import find_cycles
 
@@ -284,38 +281,6 @@ def _exception_certificate(program: ProgramContext) -> dict[str, Any]:
 def build_report(program: ProgramContext) -> dict[str, Any]:
     config = program.config
     import_graph = program.import_graph
-    call_graph = program.call_graph
-    effects = program.effects
-    index = call_graph.index
-
-    edges: dict[str, list[tuple[str, bool]]] = {}
-    for edge in call_graph.edges:
-        edges.setdefault(edge.caller, []).append((edge.callee, edge.receiver_owned))
-
-    certificate: dict[str, Any] = {
-        "entry_points": list(config.entry_points),
-        "sync_points": sorted(config.sync_points),
-        "reachable": {},
-    }
-    for entry in config.entry_points:
-        if entry not in index.functions:
-            certificate["reachable"][entry] = None
-            continue
-        rows = []
-        for qualname, shared in sorted(reachable_from(edges, entry)):
-            function = index.functions[qualname]
-            effect = effects[qualname]
-            rows.append(
-                {
-                    "function": qualname,
-                    "public": function.is_public,
-                    "shared_context": shared,
-                    "effect": effect.level.label,
-                    "sync_point": qualname in config.sync_points,
-                }
-            )
-        certificate["reachable"][entry] = rows
-
     return {
         "package": config.package,
         "layers": {
@@ -324,12 +289,7 @@ def build_report(program: ProgramContext) -> dict[str, Any]:
             **import_graph.to_payload(),
         },
         "cycles": [list(component) for component in find_cycles(import_graph)],
-        "call_graph": call_graph.to_payload(),
-        "effects": {
-            qualname: effects[qualname].to_payload()
-            for qualname in sorted(effects)
-        },
-        "certificate": certificate,
+        "call_graph": program.call_graph.to_payload(),
         "concurrency_certificate": _concurrency_certificate(program),
         "exception_certificate": _exception_certificate(program),
         "hotpath": {"functions": sorted(config.hot_functions)},

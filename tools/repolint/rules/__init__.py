@@ -28,10 +28,7 @@ from tools.repolint.rules.hotpath import HotPathAllocationRule
 from tools.repolint.rules.lint import UnusedSuppressionRule
 from tools.repolint.rules.numeric import UnguardedExpLogRule, UnguardedSumDivisionRule
 from tools.repolint.rules.obs import BarePrintRule, DirectClockRule
-from tools.repolint.rules.parallel import (
-    ModuleStateMutationRule,
-    RolloutSharedStateRule,
-)
+from tools.repolint.rules.parallel import ModuleStateMutationRule
 from tools.repolint.rules.resilience import UnboundedServeIORule
 from tools.repolint.rules.rng import (
     GlobalNumpyRandomRule,
@@ -53,7 +50,6 @@ RULE_CLASSES: list[type[Rule]] = [
     LayerContractRule,
     ImportCycleRule,
     UndeclaredLayerRule,
-    RolloutSharedStateRule,
     ModuleStateMutationRule,
     HotPathAllocationRule,
     UnboundedServeIORule,
@@ -108,7 +104,6 @@ __all__ = [
     "OrphanSpawnRule",
     "ProgramRule",
     "RULE_CLASSES",
-    "RolloutSharedStateRule",
     "Rule",
     "StdlibRandomRule",
     "SwallowedExceptionRule",
