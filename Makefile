@@ -1,7 +1,13 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-changed lint-concurrency lint-exceptions typecheck test test-perf test-serve test-fault test-chaos test-chaos-tsan test-tsan serve bench-serve bench-resilience bench-obs check
+.PHONY: size lint lint-changed lint-concurrency lint-exceptions typecheck test test-perf test-serve test-fault test-chaos test-chaos-tsan test-tsan serve bench-serve bench-resilience bench-obs check
+
+## Net .py lines of src/ and tools/, the code size ROADMAP tracks.
+size:
+	@for dir in src tools; do \
+		printf '%-7s %6d lines\n' "$$dir/" "$$(find $$dir -name '*.py' -exec cat {} + | wc -l)"; \
+	done
 
 ## Full static-analysis gate: every repolint rule over src/.
 lint:

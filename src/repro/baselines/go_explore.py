@@ -22,7 +22,7 @@ from repro.analysis.numerics import normalized
 from repro.core.config import PAFeatConfig
 from repro.core.pafeat import PAFeat
 from repro.core.state import EnvState
-from repro.rl.transition import Trajectory
+from repro.rl.trajectory import Trajectory
 
 
 class _Archive:
@@ -39,8 +39,8 @@ class _Archive:
         self._touch(state, score)
         selected = list(start.selected)
         position = start.position
-        for transition in trajectory.transitions:
-            if transition.action == 1:
+        for action in trajectory.actions:
+            if action == 1:
                 selected.append(position)
             position += 1
             state = EnvState(selected=tuple(selected), position=position)

@@ -19,14 +19,14 @@ paper's Table II.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.core.config import PAFeatConfig
 from repro.core.pafeat import PAFeat
 from repro.rl.agent import DuelingDQNAgent
-from repro.rl.transition import Transition
+from repro.rl.replay import ReplayBatch
 
 
 class _RunningStats:
@@ -61,54 +61,29 @@ class PopArtAgent(DuelingDQNAgent):
             self._stats[task_id] = _RunningStats()
         return self._stats[task_id]
 
-    def update(self, batch: Sequence[Transition], task_id: int | None = None) -> float:
-        """TD update in per-task normalised target space.
+    def compute_targets(
+        self, batch: ReplayBatch, task_id: int | None = None
+    ) -> np.ndarray:
+        """TD targets in per-task normalised target space.
 
         The network ``f`` predicts normalised values; actual Q-values are
         ``sigma_k f + mu_k``.  Since the per-task transform is affine, the
         greedy action (argmax over actions for one state) is unchanged, so
-        :meth:`act` needs no task information.
+        :meth:`act` needs no task information.  Without a ``task_id`` the
+        targets are plain Dueling-DQN ones.
         """
         if task_id is None:
-            return super().update(batch)
-        if not batch:
-            raise ValueError("update requires a non-empty batch")
+            return super().compute_targets(batch)
         stats = self._task_stats(task_id)
-
-        states = np.stack([t.state for t in batch])
-        next_states = np.stack([t.next_state for t in batch])
-        actions = np.array([t.action for t in batch], dtype=np.int64)
-        rewards = np.array([t.reward for t in batch], dtype=np.float64)
-        dones = np.array([t.done for t in batch], dtype=bool)
-
         # Unnormalised bootstrap target via the target network.
-        next_f = self.target.infer(next_states)
+        next_f = self.target.infer(batch.next_states)
         next_q = stats.std * next_f + stats.mean
-        unnormalised_targets = rewards + np.where(
-            dones, 0.0, self.gamma * next_q.max(axis=1)
+        unnormalised_targets = batch.rewards + np.where(
+            batch.dones, 0.0, self.gamma * next_q.max(axis=1)
         )
-        returns_to_go = np.array(
-            [t.return_to_go if t.return_to_go is not None else -np.inf for t in batch]
-        )
-        unnormalised_targets = np.maximum(unnormalised_targets, returns_to_go)
+        unnormalised_targets = np.maximum(unnormalised_targets, batch.returns)
         stats.update(unnormalised_targets)
-        normalised_targets = (unnormalised_targets - stats.mean) / stats.std
-
-        f_all = self.online.forward(states)
-        targets = f_all.copy()
-        targets[np.arange(len(batch)), actions] = normalised_targets
-
-        loss_value = self._loss.forward(f_all, targets)
-        self._optimizer.zero_grad()
-        self.online.backward(self._loss.backward())
-        if self.grad_clip > 0:
-            self._optimizer.clip_grad_norm(self.grad_clip)
-        self._optimizer.step()
-
-        self.update_count += 1
-        if self.update_count % self.target_sync_every == 0:
-            self.sync_target()
-        return loss_value
+        return (unnormalised_targets - stats.mean) / stats.std
 
 
 class PopArtSelector(PAFeat):

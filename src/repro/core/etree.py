@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis import tsan
 from repro.core.state import EnvState
-from repro.rl.transition import Trajectory
+from repro.rl.trajectory import Trajectory
 
 
 @dataclass
@@ -102,8 +102,7 @@ class ETree:
         node = self._descend_to(start) if start is not None else self.root
         node.visits += 1
         node.value_sum += value
-        for transition in trajectory.transitions:
-            action = transition.action
+        for action in trajectory.actions.tolist():
             child = node.children.get(action)
             if child is None:
                 if self.n_nodes >= self.max_nodes:

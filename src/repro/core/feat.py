@@ -28,8 +28,9 @@ from repro.core.state import EnvState
 from repro.obs.telemetry import TelemetryWriter
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rl.agent import DuelingDQNAgent
+from repro.rl.prioritized import PrioritizedReplayBuffer
 from repro.rl.replay import ReplayRegistry
-from repro.rl.transition import Trajectory, Transition
+from repro.rl.trajectory import Trajectory
 
 # Hook signatures.
 TaskSampler = Callable[[ReplayRegistry, np.random.Generator], int]
@@ -89,8 +90,6 @@ class FEATTrainer:
         self._rng = rng
         buffer_factory = None
         if config.agent.prioritized_replay:
-            from repro.rl.prioritized import PrioritizedReplayBuffer
-
             buffer_factory = lambda capacity, window: PrioritizedReplayBuffer(
                 capacity, trajectory_window=window
             )
@@ -129,56 +128,45 @@ class FEATTrainer:
         self,
         task_id: int,
         start: EnvState | None = None,
-        greedy: bool = False,
         random_policy: bool = False,
     ) -> Trajectory:
-        """Roll one episode on ``task_id`` from ``start`` (default: reset).
+        """Roll one epsilon-greedy episode on ``task_id`` from ``start``.
 
-        ``greedy`` disables exploration (used at inference); ``random_policy``
-        picks uniform actions (used by the Go-Explore baseline and the
-        w/o-PE ablation when restarting from customised states).
+        ``start`` defaults to the reset state; ``random_policy`` picks
+        uniform actions (used by the Go-Explore baseline and the w/o-PE
+        ablation when restarting from customised states).
         """
         # Annotated so static call resolution binds env.step/reset to
-        # FeatureSelectionEnv (the effect analysis can't see through the
+        # FeatureSelectionEnv (the call graph can't see through the
         # Mapping element type).
         env: FeatureSelectionEnv = self.envs[task_id]
         state = env.reset() if start is None else env.reset_to(start)
-        trajectory = Trajectory(task_id=task_id)
         final_score = env.reward_fn(env.selected) if env.selected else 0.0
-        steps: list[tuple[np.ndarray, int, float, np.ndarray, bool]] = []
+        states: list[np.ndarray] = []
+        actions: list[int] = []
+        rewards: list[float] = []
         while not env.done:
             if random_policy:
                 action = int(self._rng.integers(env.N_ACTIONS))
             else:
-                action = self.agent.act(state, greedy=greedy)
-            next_state, reward, done, info = env.step(action)
+                action = self.agent.act(state)
+            next_state, reward, _, info = env.step(action)
             if self.reward_transform is not None:
                 reward = self.reward_transform(task_id, reward)
-            steps.append((state, action, reward, next_state, done))
+            states.append(state)
+            actions.append(action)
+            rewards.append(reward)
             state = next_state
             final_score = info["score"]
-        # Compute the discounted return-to-go R̂ for each step (Algorithm 1
-        # lines 16-18 store it in the buffer alongside the transition).
-        gamma = self.config.agent.gamma
-        running_return = 0.0
-        returns: list[float] = [0.0] * len(steps)
-        for index in range(len(steps) - 1, -1, -1):
-            running_return = steps[index][2] + gamma * running_return
-            returns[index] = running_return
-        for (step_state, action, reward, next_state, done), ret in zip(steps, returns):
-            trajectory.append(
-                Transition(
-                    state=step_state,
-                    action=action,
-                    reward=reward,
-                    next_state=next_state,
-                    done=done,
-                    return_to_go=ret,
-                )
-            )
-        trajectory.selected_features = env.selected
-        trajectory.final_reward = float(final_score)
-        return trajectory
+        return Trajectory(
+            task_id=task_id,
+            states=np.array(states).reshape(len(states), env.state_dim),
+            actions=actions,
+            rewards=rewards,
+            gamma=self.config.agent.gamma,
+            selected_features=env.selected,
+            final_reward=float(final_score),
+        )
 
     def plan_episode(self) -> tuple[int, EnvState, bool]:
         """Sample one episode's ``(task, start, random_policy)`` triple.
@@ -254,13 +242,7 @@ class FEATTrainer:
             with self.tracer.span("train.update", parent=span):
                 for _ in range(self.config.updates_per_iteration):
                     for task_id in self.registry.non_empty_task_ids():
-                        buffer = self.registry.buffer(task_id)
-                        batch = buffer.sample(
-                            self.config.agent.batch_size, self._rng
-                        )
-                        losses.append(self.agent.update(batch, task_id=task_id))
-                        if hasattr(buffer, "update_priorities"):
-                            buffer.update_priorities(self.agent.td_errors(batch))
+                        losses.append(self.update_round(task_id, self._rng))
         stats = IterationStats(
             iteration=iteration,
             episodes=sum(len(v) for v in collected.values()),
@@ -274,6 +256,19 @@ class FEATTrainer:
         if self.telemetry is not None:
             self.telemetry.emit("iteration", **self._iteration_event(stats))
         return stats
+
+    def update_round(self, task_id: int, rng: np.random.Generator) -> float:
+        """One minibatch update from ``task_id``'s buffer; returns the loss.
+
+        Samples with ``rng``, steps the agent, and refreshes the sampled
+        priorities when the buffer is prioritized.
+        """
+        buffer = self.registry.buffer(task_id)
+        batch = buffer.sample(self.config.agent.batch_size, rng)
+        loss = self.agent.update(batch, task_id=task_id)
+        if isinstance(buffer, PrioritizedReplayBuffer):
+            buffer.update_priorities(self.agent.td_errors(batch))
+        return loss
 
     def _iteration_event(self, stats: IterationStats) -> dict[str, Any]:
         """The per-iteration telemetry payload (read-only aggregation)."""
@@ -332,10 +327,12 @@ class FEATTrainer:
         """Run the full Algorithm 1 loop with best-policy checkpointing.
 
         Every ``checkpoint_every`` iterations the greedy policy is scored on
-        all seen tasks (cheap: rewards are cached); the best-scoring network
-        snapshot is restored at the end.  DQN on small reward gaps can drift
-        late in training — keeping the best seen-task policy removes that
-        failure mode without touching the learning dynamics.
+        all seen tasks; the best-scoring network snapshot is restored at the
+        end.  The default score reads cached rewards, but the held-out
+        kernel scorer PA-FEAT installs is a large share of a fit's time.
+        DQN on small reward gaps can drift late in training — keeping the
+        best seen-task policy removes that failure mode without touching
+        the learning dynamics.
 
         The evaluation cadence is keyed on the *global* iteration counter
         (``len(self.history)``), so a run resumed from a checkpoint

@@ -17,7 +17,7 @@ from repro.analysis import tsan
 from repro.core.config import ITEConfig
 from repro.core.etree import ETree
 from repro.core.state import EnvState
-from repro.rl.transition import Trajectory
+from repro.rl.trajectory import Trajectory
 
 
 class IntraTaskExplorer:

@@ -28,7 +28,7 @@ from repro.analysis.contracts import check_probability_vector
 from repro.analysis.numerics import normalized, stable_softmax
 from repro.core.config import ITSConfig
 from repro.rl.replay import ReplayRegistry
-from repro.rl.transition import Trajectory
+from repro.rl.trajectory import EpisodeSummary
 
 # Bound on the persisted probe-telemetry history (collect_progress calls).
 PROGRESS_HISTORY_WINDOW = 256
@@ -44,7 +44,9 @@ class TaskProgress:
     n_trajectories: int
 
 
-def distance_ratio(trajectories: list[Trajectory], all_features_score: float) -> float:
+def distance_ratio(
+    trajectories: list[EpisodeSummary], all_features_score: float
+) -> float:
     """Eqn. 6: ``(P_all - P_avg) / P_all`` over the recent subsets.
 
     Trajectory ``final_reward`` is exactly ``P(F_i)`` — the pretrained
@@ -60,7 +62,9 @@ def distance_ratio(trajectories: list[Trajectory], all_features_score: float) ->
     return max(0.0, (all_features_score - average) / all_features_score)
 
 
-def performance_uncertainty(trajectories: list[Trajectory], n_features: int) -> float:
+def performance_uncertainty(
+    trajectories: list[EpisodeSummary], n_features: int
+) -> float:
     """Eqn. 7: instability of per-feature selection frequencies.
 
     Returns a value in [1/2, 1]: 1/2 when every feature is always or never

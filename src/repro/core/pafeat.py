@@ -395,10 +395,7 @@ class PAFeat:
             trajectory = trainer.run_episode(task.label_index)
             trainer.registry.buffer(task.label_index).add_trajectory(trajectory)
             for _ in range(self.config.updates_per_iteration):
-                batch = trainer.registry.buffer(task.label_index).sample(
-                    self.config.agent.batch_size, self._rng
-                )
-                trainer.agent.update(batch, task_id=task.label_index)
+                trainer.update_round(task.label_index, self._rng)
             if (iteration + 1) % checkpoint_every == 0 or iteration == n_iterations - 1:
                 subset = trainer.infer_subset(env)
                 score = env.reward_fn(subset) if subset else 0.0

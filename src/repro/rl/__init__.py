@@ -6,22 +6,23 @@ Task-agnostic pieces live here; everything specific to feature selection
 """
 
 from repro.rl.agent import DuelingDQNAgent
-from repro.rl.replay import ReplayBuffer, ReplayRegistry
+from repro.rl.replay import ReplayBatch, ReplayBuffer, ReplayRegistry
 from repro.rl.reward import RewardFunction, build_task_reward
 from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
 from repro.rl.seeding import task_rng, task_seed_sequence
-from repro.rl.transition import Transition, Trajectory
+from repro.rl.trajectory import EpisodeSummary, Trajectory
 
 __all__ = [
     "ConstantSchedule",
     "DuelingDQNAgent",
+    "EpisodeSummary",
     "ExponentialDecay",
     "LinearDecay",
+    "ReplayBatch",
     "ReplayBuffer",
     "ReplayRegistry",
     "RewardFunction",
     "Trajectory",
-    "Transition",
     "build_task_reward",
     "task_rng",
     "task_seed_sequence",

@@ -22,8 +22,8 @@ from repro.nn.dueling import DuelingNetwork
 from repro.nn.losses import HuberLoss
 from repro.nn.network import load_state_dict, state_dict
 from repro.nn.optim import Adam
+from repro.rl.replay import ReplayBatch
 from repro.rl.schedules import Schedule
-from repro.rl.transition import Transition
 
 
 class DuelingDQNAgent:
@@ -103,24 +103,22 @@ class DuelingDQNAgent:
         q = self.q_values(states)
         return np.asarray(q.argmax(axis=1), dtype=np.int64)
 
-    def update(self, batch: Sequence[Transition], task_id: int | None = None) -> float:
-        """One Dueling-DQN step on a transition minibatch; returns the loss.
+    def update(self, batch: ReplayBatch, task_id: int | None = None) -> float:
+        """One Dueling-DQN step on a replay minibatch; returns the loss.
 
-        ``task_id`` identifies which task's buffer the batch came from; the
-        base agent ignores it, but multi-task reward-rescaling variants
-        (e.g. the PopArt baseline) key their running statistics on it.
+        ``task_id`` identifies which task's buffer the batch came from and
+        is passed on to :meth:`compute_targets`.
         """
-        del task_id  # hook for subclasses
-        if not batch:
+        if not len(batch):
             raise ValueError("update requires a non-empty batch")
-        states, actions, targets_for_actions = self.compute_targets(batch)
+        targets_for_actions = self.compute_targets(batch, task_id)
 
-        q_all = self.online.forward(states)
+        q_all = self.online.forward(batch.states)
         # Only the taken action's Q contributes to the loss; build a full
         # target matrix equal to the prediction elsewhere so its gradient
         # vanishes on untaken actions.
         targets = q_all.copy()
-        targets[np.arange(len(batch)), actions] = targets_for_actions
+        targets[np.arange(len(batch)), batch.actions] = targets_for_actions
 
         loss_value = self._loss.forward(q_all, targets)
         self._optimizer.zero_grad()
@@ -135,46 +133,40 @@ class DuelingDQNAgent:
         return loss_value
 
     def compute_targets(
-        self, batch: Sequence[Transition]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """TD targets for a batch: (states, actions, per-sample targets).
+        self, batch: ReplayBatch, task_id: int | None = None
+    ) -> np.ndarray:
+        """TD targets for the taken actions of a batch.
 
         Targets use (Double-)DQN bootstrapping, then are tightened from
-        below by each transition's observed return-to-go (the R̂ Algorithm 1
+        below by each step's observed return-to-go (the R̂ Algorithm 1
         stores in the buffer), which lower-bounds the optimal Q in this
-        deterministic MDP.
+        deterministic MDP.  The base agent ignores ``task_id``; multi-task
+        reward-rescaling variants (the PopArt baseline) key their running
+        statistics on it.
         """
-        if not batch:
+        del task_id  # hook for subclasses
+        if not len(batch):
             raise ValueError("compute_targets requires a non-empty batch")
-        states = np.stack([t.state for t in batch])
-        next_states = np.stack([t.next_state for t in batch])
-        actions = np.array([t.action for t in batch], dtype=np.int64)
-        rewards = np.array([t.reward for t in batch], dtype=np.float64)
-        dones = np.array([t.done for t in batch], dtype=bool)
-
-        next_q_target = self.target.infer(next_states)
+        next_q_target = self.target.infer(batch.next_states)
         if self.double_dqn:
             # Double DQN: online network picks the action, target scores it.
-            next_q_online = self.online.infer(next_states)
+            next_q_online = self.online.infer(batch.next_states)
             best_actions = next_q_online.argmax(axis=1)
             bootstrap = next_q_target[np.arange(len(batch)), best_actions]
         else:
             bootstrap = next_q_target.max(axis=1)
-        targets = rewards + np.where(dones, 0.0, self.gamma * bootstrap)
+        targets = batch.rewards + np.where(batch.dones, 0.0, self.gamma * bootstrap)
 
-        returns_to_go = np.array(
-            [t.return_to_go if t.return_to_go is not None else -np.inf for t in batch]
-        )
-        check_state_batch("agent.compute_targets", states, self.state_dim)
-        tightened = np.maximum(targets, returns_to_go)
+        check_state_batch("agent.compute_targets", batch.states, self.state_dim)
+        tightened = np.maximum(targets, batch.returns)
         check_finite("agent.compute_targets", tightened)
-        return states, actions, tightened
+        return tightened
 
-    def td_errors(self, batch: Sequence[Transition]) -> np.ndarray:
+    def td_errors(self, batch: ReplayBatch) -> np.ndarray:
         """Per-sample |target − Q(s, a)| — priorities for prioritized replay."""
-        states, actions, targets = self.compute_targets(batch)
-        q_all = self.online.infer(states)
-        predictions = q_all[np.arange(len(batch)), actions]
+        targets = self.compute_targets(batch)
+        q_all = self.online.infer(batch.states)
+        predictions = q_all[np.arange(len(batch)), batch.actions]
         return np.abs(targets - predictions)
 
     def sync_target(self) -> None:

@@ -7,10 +7,11 @@ It is off by default (``AgentConfig.prioritized_replay=False``) and
 benchmarked as one of the DESIGN.md §5 extra ablations.
 
 Implementation: proportional prioritisation ``p_i = (|delta_i| + eps)^alpha``
-over a ring buffer, with NumPy categorical sampling — exact and fast at the
-buffer sizes this reproduction uses (≤ tens of thousands of transitions),
-so no sum-tree is needed.  Importance-sampling weights are exposed via
-:attr:`last_weights` with the usual ``beta`` annealing.
+kept as one more column of the ring, with NumPy categorical sampling —
+exact and fast at the buffer sizes this reproduction uses (≤ tens of
+thousands of transitions), so no sum-tree is needed.  Sampling is
+proportional only: updates are not corrected by importance-sampling
+weights.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from repro.errors import LifecycleError
 
 from repro.analysis.numerics import normalized
 from repro.rl.replay import ReplayBuffer
-from repro.rl.transition import Transition
 
 
 class PrioritizedReplayBuffer(ReplayBuffer):
@@ -31,60 +31,47 @@ class PrioritizedReplayBuffer(ReplayBuffer):
         capacity: int,
         trajectory_window: int = 32,
         alpha: float = 0.6,
-        beta: float = 0.4,
         epsilon: float = 1e-3,
     ) -> None:
         super().__init__(capacity, trajectory_window=trajectory_window)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {beta}")
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.alpha = alpha
-        self.beta = beta
         self.epsilon = epsilon
-        self._priorities: list[float] = []
         self._max_priority = 1.0
         self.last_indices: np.ndarray | None = None
-        self.last_weights: np.ndarray | None = None
 
-    def add(self, transition: Transition) -> None:
-        at_capacity = len(self._storage) == self.capacity
-        super().add(transition)
-        if at_capacity and self._priorities:
-            self._priorities.pop(0)
+    def _empty_columns(self) -> dict[str, np.ndarray]:
+        return super()._empty_columns() | {"priorities": np.zeros(0)}
+
+    def _write(self, rows: dict[str, np.ndarray]) -> None:
         # New experiences enter with maximal priority so each is seen once.
-        self._priorities.append(self._max_priority)
+        priorities = np.full(len(rows["actions"]), self._max_priority)
+        super()._write(rows | {"priorities": priorities})
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if not self._storage:
-            raise ValueError("cannot sample from an empty buffer")
-        priorities = np.asarray(self._priorities, dtype=np.float64)
+    def _draw(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        priorities = self._columns["priorities"][self._write_order()]
         scaled = (priorities + self.epsilon) ** self.alpha
         probabilities = normalized(scaled)
-        indices = rng.choice(len(self._storage), size=batch_size, p=probabilities)
-        self.last_indices = indices
-        weights = (len(self._storage) * probabilities[indices]) ** (-self.beta)
-        self.last_weights = weights / weights.max()
-        return [self._storage[i] for i in indices]
+        self.last_indices = rng.choice(self._size, size=batch_size, p=probabilities)
+        return self.last_indices
 
     def capture_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         meta, arrays = super().capture_state()
         meta["max_priority"] = self._max_priority
-        arrays["priorities"] = np.asarray(self._priorities, dtype=np.float64)
+        arrays["priorities"] = self._columns["priorities"][self._write_order()]
         return meta, arrays
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         super().restore_state(meta, arrays)
-        self._priorities = [float(p) for p in arrays["priorities"]]
+        # The base restore writes the rows in order from row 0.
+        self._columns["priorities"][: self._size] = arrays["priorities"]
         self._max_priority = float(meta["max_priority"])
         # Sampling bookkeeping is transient: a checkpoint is taken between
         # iterations, never between sample() and update_priorities().
         self.last_indices = None
-        self.last_weights = None
 
     def update_priorities(self, td_errors: np.ndarray) -> None:
         """Refresh the priorities of the most recently sampled batch."""
@@ -96,7 +83,9 @@ class PrioritizedReplayBuffer(ReplayBuffer):
                 f"{td_errors.shape[0]} TD errors for "
                 f"{self.last_indices.shape[0]} sampled transitions"
             )
-        for index, error in zip(self.last_indices, td_errors):
+        priorities = self._columns["priorities"]
+        rows = (self._start + self.last_indices) % self.capacity
+        for row, error in zip(rows, td_errors):
             priority = float(error)
-            self._priorities[int(index)] = priority
+            priorities[row] = priority
             self._max_priority = max(self._max_priority, priority)

@@ -1,25 +1,55 @@
-"""Replay buffers: uniform per-task storage plus a per-task registry.
+"""Replay buffers: per-task rings of step columns plus a per-task registry.
 
 Algorithm 1 of the paper keeps one replay buffer per seen task
 (``B^k``) and samples minibatches from each in turn.  ``ReplayRegistry``
-is that per-task map; each :class:`ReplayBuffer` stores transitions in a
-ring and remembers recent *trajectories* for the Inter-Task Scheduler's
-progress probes.
+is that per-task map.  Each :class:`ReplayBuffer` stores its steps as
+column arrays, one row per visited state, in a ring, and remembers
+summaries of recent episodes for the Inter-Task Scheduler's progress
+probes.
+
+Episodes are written whole and end on their terminal step, so a
+non-terminal row's next state is the ring's next row.  A terminal row's
+bootstrap is masked by ``done``, so the row after it only has to be
+finite.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.analysis import tsan
-from repro.rl.transition import Trajectory, Transition
+from repro.rl.trajectory import EpisodeSummary, Trajectory
+
+#: The ring's columns, as checkpointed under ``ring/<name>``.
+RING_COLUMNS = ("states", "actions", "rewards", "dones", "returns")
+
+
+@dataclass(frozen=True)
+class ReplayBatch:
+    """A minibatch of stored steps as columns; row ``i`` is one step.
+
+    ``returns`` holds each step's observed return-to-go ``R̂``.
+    ``next_states`` is the ring row after each step: the step's successor
+    state, or any finite row when ``dones`` marks the step terminal.
+    """
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    dones: np.ndarray
+    returns: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.actions)
 
 
 class ReplayBuffer:
-    """Bounded uniform-sampling transition store with a trajectory tail."""
+    """Bounded uniform-sampling step ring with an episode-summary tail."""
 
     def __init__(self, capacity: int, trajectory_window: int = 32) -> None:
         if capacity < 1:
@@ -27,27 +57,65 @@ class ReplayBuffer:
         if trajectory_window < 1:
             raise ValueError(f"trajectory_window must be >= 1, got {trajectory_window}")
         self.capacity = capacity
-        self._storage: deque[Transition] = deque(maxlen=capacity)
-        self._recent_trajectories: deque[Trajectory] = deque(maxlen=trajectory_window)
-
-    def add(self, transition: Transition) -> None:
-        self._storage.append(transition)
+        # Columns grow on demand up to ``capacity`` rows; unwritten rows
+        # are zeros, so a terminal row's successor is always finite.
+        self._columns = self._empty_columns()
+        self._start = 0  # row of the oldest kept step
+        self._size = 0
+        self._recent_trajectories: deque[EpisodeSummary] = deque(
+            maxlen=trajectory_window
+        )
 
     def add_trajectory(self, trajectory: Trajectory) -> None:
-        """Store a whole episode: transitions into the ring, tail for ITS.
+        """Store a whole episode: its steps into the ring, its summary for ITS.
 
         Buffer mutation is single-writer by contract: the trainer's
         Buffer Filling Phase commits one episode at a time (ARCHITECTURE
         §10).  The sanitizer note lets the runtime lockset check catch
         any concurrent writer.
         """
-        tsan.note(self, "_storage", write=True)
-        for transition in trajectory.transitions:
-            self.add(transition)  # via add() so subclasses track metadata
-        self._recent_trajectories.append(trajectory)
+        tsan.note(self, "_columns", write=True)
+        if trajectory.length:
+            dones = np.zeros(trajectory.length, dtype=bool)
+            dones[-1] = True
+            self._write(
+                {
+                    "states": trajectory.states,
+                    "actions": trajectory.actions,
+                    "rewards": trajectory.rewards,
+                    "dones": dones,
+                    "returns": trajectory.returns,
+                }
+            )
+        self._recent_trajectories.append(
+            EpisodeSummary(
+                trajectory.task_id, trajectory.selected_features, trajectory.final_reward
+            )
+        )
 
-    def recent_trajectories(self, n: int | None = None) -> list[Trajectory]:
-        """The most recent episodes (the ``load`` module of Eqn. 4a)."""
+    def _write(self, rows: dict[str, np.ndarray]) -> None:
+        """Append rows to every column, evicting the oldest past capacity."""
+        n = len(rows["actions"])
+        keep = min(n, self.capacity)
+        end = self._size + keep
+        allocated = len(self._columns["actions"])
+        if allocated < min(end, self.capacity):
+            # Not yet full, so the kept rows start at row 0.
+            grown_rows = min(self.capacity, max(end, 2 * allocated))
+            for name, values in rows.items():
+                grown = np.zeros((grown_rows,) + values.shape[1:], dtype=values.dtype)
+                if self._size:
+                    grown[: self._size] = self._columns[name][: self._size]
+                self._columns[name] = grown
+        targets = (self._start + self._size + np.arange(keep)) % self.capacity
+        for name, values in rows.items():
+            self._columns[name][targets] = values[n - keep :]
+        evicted = max(0, end - self.capacity)
+        self._start = (self._start + evicted) % self.capacity
+        self._size = end - evicted
+
+    def recent_trajectories(self, n: int | None = None) -> list[EpisodeSummary]:
+        """Summaries of the most recent episodes (the ``load`` module of Eqn. 4a)."""
         trajectories = list(self._recent_trajectories)
         if n is not None:
             if n < 1:
@@ -55,116 +123,88 @@ class ReplayBuffer:
             trajectories = trajectories[-n:]
         return trajectories
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        """Uniform sample with replacement, as in standard DQN."""
+    def sample(self, batch_size: int, rng: np.random.Generator) -> ReplayBatch:
+        """A minibatch of stored steps, drawn with replacement."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if not self._storage:
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        indices = rng.integers(0, len(self._storage), size=batch_size)
-        return [self._storage[i] for i in indices]
+        return self.batch(self._draw(batch_size, rng))
+
+    def _draw(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+        """Uniform indices in write order, as in standard DQN."""
+        return rng.integers(0, self._size, size=batch_size)
+
+    def batch(self, indices: np.ndarray) -> ReplayBatch:
+        """The steps at ``indices`` in write order (0 is the oldest kept)."""
+        columns = self._columns
+        rows = (self._start + indices) % self.capacity
+        following = (rows + 1) % len(columns["actions"])
+        return ReplayBatch(
+            states=columns["states"][rows],
+            actions=columns["actions"][rows],
+            rewards=columns["rewards"][rows],
+            next_states=columns["states"][following],
+            dones=columns["dones"][rows],
+            returns=columns["returns"][rows],
+        )
+
+    def _empty_columns(self) -> dict[str, np.ndarray]:
+        """Zero-row columns; the first write sizes them."""
+        return {
+            "states": np.zeros((0, 0)),
+            "actions": np.zeros(0, dtype=np.int64),
+            "rewards": np.zeros(0),
+            "dones": np.zeros(0, dtype=bool),
+            "returns": np.zeros(0),
+        }
+
+    def _write_order(self) -> np.ndarray:
+        """Every kept row, oldest first."""
+        return (self._start + np.arange(self._size)) % self.capacity
 
     def __len__(self) -> int:
-        return len(self._storage)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self._storage
+        return self._size
 
     # ------------------------------------------------------------------
     # Durable checkpointing
     # ------------------------------------------------------------------
     def capture_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """Snapshot the ring and the trajectory tail as ``(meta, arrays)``.
+        """Snapshot the ring and the episode-summary tail as ``(meta, arrays)``.
 
-        Transitions are stacked into flat arrays (bit-exact float64 round
-        trip through ``.npz``); the recent-trajectory tail — which feeds
-        the ITS progress probes — is stored as concatenated step arrays
-        with per-trajectory offsets.
+        Each column is saved in write order under ``ring/<name>`` (a
+        bit-exact float64 round trip through ``.npz``); the tail, which
+        feeds the ITS progress probes, is JSON metadata.
         """
-        meta: dict = {"size": len(self._storage)}
-        arrays = _pack_transitions(list(self._storage), prefix="ring/")
-        trajectories = list(self._recent_trajectories)
-        meta["trajectories"] = [
-            {
-                "task_id": t.task_id,
-                "selected_features": list(t.selected_features),
-                "final_reward": t.final_reward,
-                "length": t.length,
-            }
-            for t in trajectories
-        ]
-        flat = [step for t in trajectories for step in t.transitions]
-        arrays.update(_pack_transitions(flat, prefix="tail/"))
-        return meta, arrays
+        meta: dict = {
+            "size": self._size,
+            "trajectories": [asdict(t) for t in self._recent_trajectories],
+        }
+        order = self._write_order()
+        return meta, {
+            f"ring/{name}": self._columns[name][order] for name in RING_COLUMNS
+        }
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-        """Restore a snapshot captured by :meth:`capture_state`."""
-        self._storage.clear()
-        for transition in _unpack_transitions(arrays, prefix="ring/"):
-            self._storage.append(transition)
+        """Restore a snapshot captured by :meth:`capture_state`.
+
+        Keys a snapshot may carry beyond the ring columns and the tail's
+        task, subset and reward (older snapshots also stored successor
+        states, tail step arrays and tail lengths) are not read.
+        """
+        self._columns = self._empty_columns()
+        self._start = self._size = 0
+        if len(arrays["ring/actions"]):
+            self._write({name: arrays[f"ring/{name}"] for name in RING_COLUMNS})
         self._recent_trajectories.clear()
-        steps = _unpack_transitions(arrays, prefix="tail/")
-        cursor = 0
-        for record in meta.get("trajectories", []):
-            length = int(record["length"])
-            trajectory = Trajectory(
+        self._recent_trajectories.extend(
+            EpisodeSummary(
                 task_id=int(record["task_id"]),
-                transitions=steps[cursor : cursor + length],
-                selected_features=tuple(
-                    int(i) for i in record["selected_features"]
-                ),
+                selected_features=tuple(int(i) for i in record["selected_features"]),
                 final_reward=float(record["final_reward"]),
             )
-            cursor += length
-            self._recent_trajectories.append(trajectory)
-
-
-def _pack_transitions(
-    transitions: list[Transition], prefix: str = ""
-) -> dict[str, np.ndarray]:
-    """Stack a transition list into flat arrays keyed ``{prefix}{field}``."""
-    if transitions:
-        states = np.stack([t.state for t in transitions])
-        next_states = np.stack([t.next_state for t in transitions])
-    else:
-        states = np.zeros((0, 0))
-        next_states = np.zeros((0, 0))
-    returns = np.array(
-        [np.nan if t.return_to_go is None else t.return_to_go for t in transitions],
-        dtype=np.float64,
-    )
-    return {
-        f"{prefix}states": states,
-        f"{prefix}actions": np.array([t.action for t in transitions], dtype=np.int64),
-        f"{prefix}rewards": np.array([t.reward for t in transitions], dtype=np.float64),
-        f"{prefix}next_states": next_states,
-        f"{prefix}dones": np.array([t.done for t in transitions], dtype=bool),
-        f"{prefix}returns": returns,
-    }
-
-
-def _unpack_transitions(
-    arrays: dict[str, np.ndarray], prefix: str = ""
-) -> list[Transition]:
-    """Inverse of :func:`_pack_transitions`."""
-    actions = arrays[f"{prefix}actions"]
-    states = arrays[f"{prefix}states"]
-    next_states = arrays[f"{prefix}next_states"]
-    rewards = arrays[f"{prefix}rewards"]
-    dones = arrays[f"{prefix}dones"]
-    returns = arrays[f"{prefix}returns"]
-    return [
-        Transition(
-            state=states[i],
-            action=int(actions[i]),
-            reward=float(rewards[i]),
-            next_state=next_states[i],
-            done=bool(dones[i]),
-            return_to_go=None if np.isnan(returns[i]) else float(returns[i]),
+            for record in meta.get("trajectories", [])
         )
-        for i in range(len(actions))
-    ]
 
 
 class ReplayRegistry:

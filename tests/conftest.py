@@ -13,6 +13,8 @@ import pytest
 from repro.core.config import ClassifierConfig, EnvConfig, PAFeatConfig
 from repro.core.pafeat import PAFeat
 from repro.data.synthetic import SyntheticSpec, generate_suite
+from repro.rl.replay import ReplayBatch, ReplayBuffer
+from repro.rl.trajectory import Trajectory
 
 
 @pytest.fixture
@@ -69,6 +71,51 @@ def tiny_suite():
 def tiny_split(tiny_suite):
     """Deterministic 70/30 row split of the tiny suite."""
     return tiny_suite.split_rows(0.7, np.random.default_rng(0))
+
+
+def make_episode(
+    actions=(),
+    rewards=None,
+    states=None,
+    *,
+    task_id=0,
+    gamma=0.99,
+    state_dim=2,
+    selected_features=None,
+    final_reward=0.0,
+) -> Trajectory:
+    """A finished episode, built as ``FEATTrainer.run_episode`` builds one.
+
+    ``rewards`` default to zeros and ``states`` to zero rows of width
+    ``state_dim``.  The subset defaults to the positions the select
+    actions took, scanning from position 0.  ``gamma`` discounts the
+    stored returns-to-go.
+    """
+    actions = list(actions)
+    if rewards is None:
+        rewards = [0.0] * len(actions)
+    if states is None:
+        states = np.zeros((len(actions), state_dim))
+    if selected_features is None:
+        selected_features = [step for step, action in enumerate(actions) if action]
+    return Trajectory(
+        task_id=task_id,
+        states=states,
+        actions=actions,
+        rewards=rewards,
+        gamma=gamma,
+        selected_features=tuple(selected_features),
+        final_reward=final_reward,
+    )
+
+
+def episode_batch(*episodes: Trajectory, rows=None) -> ReplayBatch:
+    """Every step of ``episodes`` (or the write-order ``rows``) as one batch."""
+    buffer = ReplayBuffer(max(1, sum(episode.length for episode in episodes)))
+    for episode in episodes:
+        buffer.add_trajectory(episode)
+    indices = np.arange(len(buffer)) if rows is None else np.asarray(rows, dtype=int)
+    return buffer.batch(indices)
 
 
 def fast_config(**overrides) -> PAFeatConfig:

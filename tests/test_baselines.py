@@ -20,8 +20,7 @@ from repro.baselines import (
 from repro.baselines.popart import PopArtAgent, _RunningStats
 from repro.core.config import ClassifierConfig
 from repro.rl.schedules import ConstantSchedule
-from repro.rl.transition import Transition
-from tests.conftest import fast_config
+from tests.conftest import episode_batch, fast_config, make_episode
 
 
 class TestFeatureBudget:
@@ -141,8 +140,8 @@ class TestPopArt:
             target_sync_every=10,
             rng=np.random.default_rng(0),
         )
-        batch_a = [Transition(np.ones(4), 1, 10.0, np.zeros(4), True)]
-        batch_b = [Transition(np.ones(4), 1, 0.1, np.zeros(4), True)]
+        batch_a = episode_batch(make_episode([1], rewards=[10.0], state_dim=4))
+        batch_b = episode_batch(make_episode([1], rewards=[0.1], state_dim=4))
         agent.update(batch_a, task_id=0)
         agent.update(batch_b, task_id=1)
         assert agent._stats[0].mean > agent._stats[1].mean
@@ -158,7 +157,7 @@ class TestPopArt:
             target_sync_every=10,
             rng=np.random.default_rng(0),
         )
-        batch = [Transition(np.ones(4), 1, 1.0, np.zeros(4), True)]
+        batch = episode_batch(make_episode([1], rewards=[1.0], state_dim=4))
         assert np.isfinite(agent.update(batch))
         assert not agent._stats
 

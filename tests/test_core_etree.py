@@ -1,30 +1,10 @@
 """Tests for the Experience-Tree (E-Tree) and UCT selection."""
 
-import numpy as np
 import pytest
 
 from repro.core.etree import ETree, ETreeNode
 from repro.core.state import EnvState
-from repro.rl.transition import Trajectory, Transition
-
-
-def trajectory_from_actions(actions, final_reward=0.5, task_id=0):
-    trajectory = Trajectory(task_id=task_id, final_reward=final_reward)
-    selected = []
-    for position, action in enumerate(actions):
-        if action == 1:
-            selected.append(position)
-        trajectory.append(
-            Transition(
-                state=np.zeros(2),
-                action=action,
-                reward=0.0,
-                next_state=np.zeros(2),
-                done=position == len(actions) - 1,
-            )
-        )
-    trajectory.selected_features = tuple(selected)
-    return trajectory
+from tests.conftest import make_episode
 
 
 class TestETreeNode:
@@ -45,20 +25,20 @@ class TestETreeNode:
 class TestETreeConstruction:
     def test_add_trajectory_grows_prefix_path(self):
         tree = ETree(n_features=4)
-        tree.add_trajectory(trajectory_from_actions([1, 0, 1, 0]))
+        tree.add_trajectory(make_episode([1, 0, 1, 0]))
         assert tree.n_nodes == 5  # root + one node per action
 
     def test_shared_prefix_not_duplicated(self):
         tree = ETree(n_features=4)
-        tree.add_trajectory(trajectory_from_actions([1, 0, 1, 0]))
-        tree.add_trajectory(trajectory_from_actions([1, 0, 0, 0]))
+        tree.add_trajectory(make_episode([1, 0, 1, 0]))
+        tree.add_trajectory(make_episode([1, 0, 0, 0]))
         # Shared prefix of length 2, then the paths diverge for 2 steps.
         assert tree.n_nodes == 5 + 2
 
     def test_visits_accumulate_along_path(self):
         tree = ETree(n_features=3)
-        tree.add_trajectory(trajectory_from_actions([1, 1, 1]))
-        tree.add_trajectory(trajectory_from_actions([1, 1, 1]))
+        tree.add_trajectory(make_episode([1, 1, 1]))
+        tree.add_trajectory(make_episode([1, 1, 1]))
         node = tree.root
         while not node.is_leaf():
             node = node.children[1]
@@ -66,17 +46,17 @@ class TestETreeConstruction:
 
     def test_value_includes_size_penalty(self):
         tree = ETree(n_features=4, size_penalty=0.4)
-        trajectory = trajectory_from_actions([1, 1, 0, 0], final_reward=0.8)
+        trajectory = make_episode([1, 1, 0, 0], final_reward=0.8)
         assert tree.trajectory_value(trajectory) == pytest.approx(0.8 - 0.4 * 2 / 4)
 
     def test_node_cap_respected(self):
         tree = ETree(n_features=8, max_nodes=3)
-        tree.add_trajectory(trajectory_from_actions([1] * 8))
+        tree.add_trajectory(make_episode([1] * 8))
         assert tree.n_nodes == 3
 
     def test_states_track_selected_prefix(self):
         tree = ETree(n_features=3)
-        tree.add_trajectory(trajectory_from_actions([1, 0, 1]))
+        tree.add_trajectory(make_episode([1, 0, 1]))
         node = tree.root.children[1]
         assert node.state == EnvState(selected=(0,), position=1)
         node = node.children[0]
@@ -85,7 +65,7 @@ class TestETreeConstruction:
     def test_add_from_custom_start_extends_prefix(self):
         tree = ETree(n_features=4)
         start = EnvState(selected=(0,), position=2)
-        trajectory = trajectory_from_actions([1, 0])  # actions at positions 2, 3
+        trajectory = make_episode([1, 0])  # actions at positions 2, 3
         tree.add_trajectory(trajectory, start=start)
         # Prefix path for the start state (2 nodes) exists.
         assert tree.root.children[1].children[0].state == start
@@ -107,8 +87,8 @@ class TestUCTSelection:
     def test_selection_prefers_high_value_branch(self, rng):
         tree = ETree(n_features=2, exploration_constant=0.01)
         for _ in range(20):
-            tree.add_trajectory(trajectory_from_actions([1, 0], final_reward=0.9))
-            tree.add_trajectory(trajectory_from_actions([0, 0], final_reward=0.1))
+            tree.add_trajectory(make_episode([1, 0], final_reward=0.9))
+            tree.add_trajectory(make_episode([0, 0], final_reward=0.1))
         state = tree.select_state(rng)
         # The good branch starts by selecting feature 0.
         assert 0 in state.selected or state == EnvState((), 0)
@@ -116,7 +96,7 @@ class TestUCTSelection:
     def test_selection_stops_at_frontier(self, rng):
         """A node with an untried branch is a valid restart frontier."""
         tree = ETree(n_features=4)
-        tree.add_trajectory(trajectory_from_actions([1, 1, 1, 1], final_reward=0.9))
+        tree.add_trajectory(make_episode([1, 1, 1, 1], final_reward=0.9))
         state = tree.select_state(rng)
         # Only one path exists, every node has an untaken branch: selection
         # should stop at a prefix of that path, not run past the tree.
@@ -125,7 +105,7 @@ class TestUCTSelection:
     def test_returned_state_is_restorable(self, rng):
         tree = ETree(n_features=5)
         for actions in ([1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [1, 1, 0, 0, 1]):
-            tree.add_trajectory(trajectory_from_actions(actions, final_reward=0.5))
+            tree.add_trajectory(make_episode(actions, final_reward=0.5))
         state = tree.select_state(rng)
         assert all(f < state.position for f in state.selected)
 
@@ -133,8 +113,8 @@ class TestUCTSelection:
 class TestBestTerminalSubset:
     def test_best_leaf_found(self):
         tree = ETree(n_features=2, size_penalty=0.0)
-        tree.add_trajectory(trajectory_from_actions([1, 0], final_reward=0.9))
-        tree.add_trajectory(trajectory_from_actions([0, 1], final_reward=0.2))
+        tree.add_trajectory(make_episode([1, 0], final_reward=0.9))
+        tree.add_trajectory(make_episode([0, 1], final_reward=0.2))
         subset, value = tree.best_terminal_subset()
         assert subset == (0,)
         assert value == pytest.approx(0.9)

@@ -12,12 +12,12 @@ from repro.core.its import (
 )
 from repro.core.state import EnvState
 from repro.rl.replay import ReplayRegistry
-from repro.rl.transition import Trajectory
+from tests.conftest import make_episode
 
 
 def trajectory_with(subset, final_reward, task_id=0):
-    return Trajectory(
-        task_id=task_id, selected_features=tuple(subset), final_reward=final_reward
+    return make_episode(
+        task_id=task_id, selected_features=subset, final_reward=final_reward
     )
 
 
@@ -166,14 +166,7 @@ class TestIntraTaskExplorer:
 
     def test_customised_start_after_recording(self):
         explorer = self.make_explorer()
-        trajectory = Trajectory(task_id=0, final_reward=0.9)
-        from repro.rl.transition import Transition
-
-        for position, action in enumerate([1, 1, 0, 0]):
-            trajectory.append(
-                Transition(np.zeros(2), action, 0.0, np.zeros(2), position == 3)
-            )
-        trajectory.selected_features = (0, 1)
+        trajectory = make_episode([1, 1, 0, 0], final_reward=0.9)
         explorer.record(0, trajectory, EnvState((), 0))
         assert explorer.tree(0).n_nodes > 1
         # With invoke_probability=1 the explorer must consult the tree.
@@ -183,7 +176,7 @@ class TestIntraTaskExplorer:
 
     def test_zero_invoke_probability_always_default(self):
         explorer = self.make_explorer(invoke_probability=0.0)
-        trajectory = Trajectory(task_id=0, final_reward=0.9, selected_features=(0,))
+        trajectory = make_episode(final_reward=0.9, selected_features=(0,))
         explorer.record(0, trajectory, EnvState((), 0))
         for _ in range(10):
             assert explorer.initial_state(0) == EnvState((), 0)

@@ -32,7 +32,9 @@ from repro.io.checkpoint import (
     TrainingInterrupted,
 )
 from repro.io.faults import CrashAt, SimulatedCrash, flip_bit, truncate_file
-from tests.conftest import fast_config
+from repro.core.config import AgentConfig
+from repro.rl.replay import ReplayBuffer
+from tests.conftest import episode_batch, fast_config, make_episode
 
 pytestmark = pytest.mark.fault
 
@@ -86,6 +88,41 @@ def _assert_same_weights(expected, actual):
     assert set(expected) == set(actual)
     for name in expected:
         np.testing.assert_array_equal(expected[name], actual[name])
+
+
+def _wrapped_buffer():
+    """A 12-row ring after three 5-step episodes: it has wrapped once."""
+    buffer = ReplayBuffer(capacity=12, trajectory_window=4)
+    rng = np.random.default_rng(3)
+    for episode in range(3):
+        buffer.add_trajectory(
+            make_episode(
+                rng.integers(2, size=5),
+                rewards=rng.normal(size=5),
+                states=rng.normal(size=(5, 4)),
+                task_id=episode,
+                selected_features=(0, episode),
+                final_reward=float(rng.normal()),
+            )
+        )
+    return buffer
+
+
+def _assert_same_stream(buffer, clone):
+    """Equal seeds draw identical batches from ``buffer`` and ``clone``.
+
+    A terminal step's next state is masked filler, so only the others are
+    compared.
+    """
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    for _ in range(3):
+        batch_a, batch_b = buffer.sample(8, rng_a), clone.sample(8, rng_b)
+        for name in ("states", "actions", "rewards", "dones", "returns"):
+            np.testing.assert_array_equal(getattr(batch_a, name), getattr(batch_b, name))
+        live = ~batch_a.dones
+        np.testing.assert_array_equal(
+            batch_a.next_states[live], batch_b.next_states[live]
+        )
 
 
 class TestResumeEquivalence:
@@ -193,6 +230,51 @@ class TestResumeEquivalence:
     def test_resume_requires_checkpoint_dir(self, config, train_tasks):
         with pytest.raises(ValueError, match="checkpoint_dir"):
             PAFeat(config).fit(train_tasks, resume=True)
+
+    @pytest.mark.parametrize("prioritized", [False, True])
+    def test_crash_resume_with_wrapped_rings_is_bit_identical(
+        self, train_tasks, prioritized, tmp_path
+    ):
+        # A default-start episode on the tiny suite takes at least 7 steps
+        # (12 features, a budget of 7), so a 5-row ring wraps on its first
+        # episode: every buffer in the first checkpoint has wrapped.
+        capacity = 5
+        config = fast_config(
+            n_iterations=N_ITERATIONS,
+            agent=AgentConfig(replay_capacity=capacity, prioritized_replay=prioritized),
+        )
+        straight = PAFeat(config).fit(train_tasks)
+        directory = tmp_path / "ckpts"
+        with pytest.raises(SimulatedCrash):
+            PAFeat(config).fit(
+                train_tasks,
+                checkpoint_dir=directory,
+                checkpoint_every=CHECKPOINT_EVERY,
+                stop_check=CrashAt(7),
+            )
+        first = CheckpointManager(directory).latest_valid()
+        assert first is not None and first.iteration == CHECKPOINT_EVERY
+        buffers = first.meta["trainer"]["replay"]["buffers"]
+        assert sorted(int(task) for task in buffers) == sorted(
+            task.label_index for task in train_tasks.seen_tasks
+        )
+        for task, buffer_meta in buffers.items():
+            assert buffer_meta["trajectories"]
+            ring_actions = first.arrays[f"trainer/replay/{task}/ring/actions"]
+            assert len(ring_actions) == capacity
+
+        resumed = PAFeat(config).fit(
+            train_tasks,
+            checkpoint_dir=directory,
+            checkpoint_every=CHECKPOINT_EVERY,
+            resume=True,
+        )
+        _assert_same_weights(
+            straight.trainer.agent.save_policy(), resumed.trainer.agent.save_policy()
+        )
+        assert [resumed.select(task) for task in train_tasks.unseen_tasks] == [
+            straight.select(task) for task in train_tasks.unseen_tasks
+        ]
 
 
 class TestCorruptionFallback:
@@ -338,74 +420,52 @@ class TestStateRoundTrips:
     """Component-level capture/restore exactness (cheap unit checks)."""
 
     def test_replay_buffer_round_trip_preserves_sampling_stream(self):
-        from repro.rl.replay import ReplayBuffer
-        from repro.rl.transition import Trajectory, Transition
-
-        buffer = ReplayBuffer(capacity=64, trajectory_window=4)
-        rng = np.random.default_rng(3)
-        for episode in range(3):
-            trajectory = Trajectory(task_id=episode)
-            for step in range(5):
-                trajectory.append(
-                    Transition(
-                        state=rng.normal(size=4),
-                        action=int(rng.integers(2)),
-                        reward=float(rng.normal()),
-                        next_state=rng.normal(size=4),
-                        done=step == 4,
-                        return_to_go=float(rng.normal()) if step % 2 else None,
-                    )
-                )
-            trajectory.selected_features = (0, episode)
-            trajectory.final_reward = float(rng.normal())
-            buffer.add_trajectory(trajectory)
-
+        buffer = _wrapped_buffer()
         meta, arrays = buffer.capture_state()
-        clone = ReplayBuffer(capacity=64, trajectory_window=4)
+        clone = ReplayBuffer(capacity=12, trajectory_window=4)
         clone.restore_state(meta, arrays)
 
         assert len(clone) == len(buffer)
         original_tail = buffer.recent_trajectories()
         restored_tail = clone.recent_trajectories()
-        assert [t.final_reward for t in restored_tail] == [
-            t.final_reward for t in original_tail
+        assert restored_tail == original_tail
+        _assert_same_stream(buffer, clone)
+
+    def test_replay_buffer_restore_ignores_the_transition_layout_keys(self):
+        # Snapshots of the per-transition layout also carry successor
+        # states, the tail's step arrays and each tail episode's length.
+        buffer = _wrapped_buffer()
+        meta, arrays = buffer.capture_state()
+        legacy_arrays = dict(arrays)
+        legacy_arrays["ring/next_states"] = np.full_like(arrays["ring/states"], 7.0)
+        for name in ("states", "next_states"):
+            legacy_arrays[f"tail/{name}"] = np.ones((20, 4))
+        for name, dtype in (
+            ("actions", np.int64),
+            ("rewards", np.float64),
+            ("dones", bool),
+            ("returns", np.float64),
+        ):
+            legacy_arrays[f"tail/{name}"] = np.ones(20, dtype=dtype)
+        legacy_meta = dict(meta)
+        legacy_meta["trajectories"] = [
+            {**record, "length": 5} for record in meta["trajectories"]
         ]
-        assert [t.selected_features for t in restored_tail] == [
-            t.selected_features for t in original_tail
-        ]
-        batch_a = buffer.sample(8, np.random.default_rng(9))
-        batch_b = clone.sample(8, np.random.default_rng(9))
-        for a, b in zip(batch_a, batch_b):
-            np.testing.assert_array_equal(a.state, b.state)
-            assert a.action == b.action and a.reward == b.reward
-            assert a.return_to_go == b.return_to_go
+        clone = ReplayBuffer(capacity=12, trajectory_window=4)
+        clone.restore_state(legacy_meta, legacy_arrays)
+        assert clone.recent_trajectories() == buffer.recent_trajectories()
+        _assert_same_stream(buffer, clone)
 
     def test_etree_round_trip_preserves_selection(self):
         from repro.core.etree import ETree
         from repro.core.state import EnvState
-        from repro.rl.transition import Trajectory, Transition
 
         tree = ETree(n_features=6)
         rng = np.random.default_rng(11)
         for episode in range(12):
-            trajectory = Trajectory(task_id=0)
-            position, selected = 0, ()
-            for _ in range(6):
-                action = int(rng.integers(2))
-                trajectory.append(
-                    Transition(
-                        state=np.zeros(2),
-                        action=action,
-                        reward=0.0,
-                        next_state=np.zeros(2),
-                        done=position == 5,
-                    )
-                )
-                if action:
-                    selected = selected + (position,)
-                position += 1
-            trajectory.selected_features = selected
-            trajectory.final_reward = float(rng.random())
+            trajectory = make_episode(
+                rng.integers(2, size=6), final_reward=float(rng.random())
+            )
             tree.add_trajectory(trajectory, start=EnvState(selected=(), position=0))
 
         meta, arrays = tree.capture_state()
@@ -419,7 +479,6 @@ class TestStateRoundTrips:
     def test_agent_round_trip_preserves_behaviour(self):
         from repro.rl.agent import DuelingDQNAgent
         from repro.rl.schedules import LinearDecay
-        from repro.rl.transition import Transition
 
         def build():
             return DuelingDQNAgent(
@@ -435,16 +494,14 @@ class TestStateRoundTrips:
 
         agent = build()
         rng = np.random.default_rng(7)
-        batch = [
-            Transition(
-                state=rng.normal(size=6),
-                action=int(rng.integers(2)),
-                reward=float(rng.normal()),
-                next_state=rng.normal(size=6),
-                done=False,
-            )
-            for _ in range(16)
-        ]
+        batch = episode_batch(
+            make_episode(
+                rng.integers(2, size=17),
+                rewards=rng.normal(size=17),
+                states=rng.normal(size=(17, 6)),
+            ),
+            rows=range(16),
+        )
         for _ in range(7):
             agent.update(batch)
         for _ in range(5):

@@ -1,15 +1,19 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.numerics import normalized
 from repro.core.etree import ETree
 from repro.core.state import EnvState, encode_state, state_dim
 from repro.data.synthetic import SyntheticSpec, generate_suite
+from repro.rl.prioritized import PrioritizedReplayBuffer
 from repro.rl.replay import ReplayBuffer
-from repro.rl.transition import Trajectory, Transition
+from tests.conftest import make_episode
 
 
 # ---------------------------------------------------------------------------
@@ -17,19 +21,6 @@ from repro.rl.transition import Trajectory, Transition
 # ---------------------------------------------------------------------------
 
 action_lists = st.lists(st.integers(0, 1), min_size=1, max_size=8)
-
-
-def build_trajectory(actions, final_reward):
-    trajectory = Trajectory(task_id=0, final_reward=final_reward)
-    selected = []
-    for position, action in enumerate(actions):
-        if action == 1:
-            selected.append(position)
-        trajectory.append(
-            Transition(np.zeros(1), action, 0.0, np.zeros(1), position == len(actions) - 1)
-        )
-    trajectory.selected_features = tuple(selected)
-    return trajectory
 
 
 class TestETreeProperties:
@@ -42,7 +33,7 @@ class TestETreeProperties:
     def test_parent_visits_at_least_child_visits(self, episodes):
         tree = ETree(n_features=8)
         for actions, reward in episodes:
-            tree.add_trajectory(build_trajectory(actions, reward))
+            tree.add_trajectory(make_episode(actions, final_reward=reward))
         stack = [tree.root]
         while stack:
             node = stack.pop()
@@ -61,7 +52,7 @@ class TestETreeProperties:
     def test_states_consistent_with_action_prefix(self, episodes):
         tree = ETree(n_features=8)
         for actions, reward in episodes:
-            tree.add_trajectory(build_trajectory(actions, reward))
+            tree.add_trajectory(make_episode(actions, final_reward=reward))
         stack = [(tree.root, [])]
         while stack:
             node, prefix = stack.pop()
@@ -83,7 +74,7 @@ class TestETreeProperties:
     def test_selected_state_always_valid(self, episodes, seed):
         tree = ETree(n_features=8)
         for actions, reward in episodes:
-            tree.add_trajectory(build_trajectory(actions, reward))
+            tree.add_trajectory(make_episode(actions, final_reward=reward))
         state = tree.select_state(np.random.default_rng(seed))
         assert 0 <= state.position <= 8
         assert all(f < state.position for f in state.selected)
@@ -135,6 +126,53 @@ class TestStateEncodingProperties:
 # ---------------------------------------------------------------------------
 
 
+class ListReplay:
+    """Reference replay with the list semantics the column ring replaced.
+
+    Steps are ``(state, action, reward, next_state, done, return)`` tuples
+    in a bounded deque, each carrying its own successor state; priorities
+    are a parallel deque evicted with the steps.
+    """
+
+    def __init__(self, capacity, prioritized, alpha=0.6, epsilon=1e-3):
+        self.steps = deque(maxlen=capacity)
+        self.priorities = deque(maxlen=capacity) if prioritized else None
+        self.alpha, self.epsilon = alpha, epsilon
+        self.max_priority = 1.0
+        self.last_indices = None
+
+    def add(self, episode, final_state):
+        for i in range(episode.length):
+            last = i == episode.length - 1
+            next_state = final_state if last else episode.states[i + 1]
+            self.steps.append(
+                (
+                    episode.states[i],
+                    episode.actions[i],
+                    episode.rewards[i],
+                    next_state,
+                    last,
+                    episode.returns[i],
+                )
+            )
+            if self.priorities is not None:
+                self.priorities.append(self.max_priority)
+
+    def sample(self, batch_size, rng):
+        if self.priorities is None:
+            indices = rng.integers(0, len(self.steps), size=batch_size)
+        else:
+            scaled = (np.asarray(self.priorities) + self.epsilon) ** self.alpha
+            indices = rng.choice(len(self.steps), size=batch_size, p=normalized(scaled))
+        self.last_indices = indices
+        return [self.steps[i] for i in indices]
+
+    def update_priorities(self, errors):
+        for index, error in zip(self.last_indices, errors):
+            self.priorities[index] = float(error)
+            self.max_priority = max(self.max_priority, float(error))
+
+
 class TestReplayProperties:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -146,13 +184,65 @@ class TestReplayProperties:
     def test_ring_semantics(self, capacity, n_items, batch, seed):
         buffer = ReplayBuffer(capacity)
         for i in range(n_items):
-            buffer.add(Transition(np.zeros(1), 0, float(i), np.zeros(1), False))
+            buffer.add_trajectory(make_episode([0], rewards=[float(i)]))
         assert len(buffer) == min(capacity, n_items)
         if n_items:
             sample = buffer.sample(batch, np.random.default_rng(seed))
             assert len(sample) == batch
             oldest_kept = max(0, n_items - capacity)
-            assert all(t.reward >= oldest_kept for t in sample)
+            assert (sample.rewards >= oldest_kept).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        capacity=st.integers(1, 30),
+        lengths=st.lists(st.integers(0, 10), min_size=1, max_size=12),
+        batch=st.integers(1, 16),
+        prioritized=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_column_ring_matches_list_reference(
+        self, capacity, lengths, batch, prioritized, seed
+    ):
+        # Capacities below one episode's length are included: the ring
+        # then keeps that episode's tail, terminal step last.
+        buffer = (
+            PrioritizedReplayBuffer(capacity) if prioritized else ReplayBuffer(capacity)
+        )
+        reference = ListReplay(capacity, prioritized)
+        ring_rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        data_rng = np.random.default_rng(seed + 1)
+        for index, length in enumerate(lengths):
+            # Row j is [episode, j]; row `length` is the terminal state,
+            # which only the reference stores.
+            states = np.column_stack(
+                [np.full(length + 1, index), np.arange(length + 1)]
+            ).astype(float)
+            episode = make_episode(
+                data_rng.integers(0, 2, size=length),
+                rewards=data_rng.normal(size=length),
+                states=states[:-1],
+                gamma=0.9,
+            )
+            buffer.add_trajectory(episode)
+            reference.add(episode, states[-1])
+            assert len(buffer) == len(reference.steps)
+            if not len(buffer):
+                continue
+            sampled = buffer.sample(batch, ring_rng)
+            expected = reference.sample(batch, list_rng)
+            np.testing.assert_array_equal(sampled.states, [step[0] for step in expected])
+            np.testing.assert_array_equal(sampled.actions, [step[1] for step in expected])
+            np.testing.assert_array_equal(sampled.rewards, [step[2] for step in expected])
+            np.testing.assert_array_equal(sampled.dones, [step[4] for step in expected])
+            np.testing.assert_array_equal(sampled.returns, [step[5] for step in expected])
+            for row, step in enumerate(expected):
+                if not step[4]:
+                    np.testing.assert_array_equal(sampled.next_states[row], step[3])
+            assert np.isfinite(sampled.next_states).all()
+            if prioritized:
+                errors = data_rng.random(batch)
+                buffer.update_priorities(errors)
+                reference.update_priorities(errors)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +302,7 @@ class TestTrajectoryProperties:
         gamma=st.floats(0.0, 1.0),
     )
     def test_returns_satisfy_bellman_recursion(self, rewards, gamma):
-        trajectory = Trajectory(task_id=0)
-        for i, reward in enumerate(rewards):
-            trajectory.append(
-                Transition(np.zeros(1), 0, reward, np.zeros(1), i == len(rewards) - 1)
-            )
-        returns = trajectory.returns(gamma)
+        returns = make_episode([0] * len(rewards), rewards=rewards, gamma=gamma).returns
         for i in range(len(rewards) - 1):
             assert returns[i] == pytest.approx(rewards[i] + gamma * returns[i + 1])
         assert returns[-1] == pytest.approx(rewards[-1])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.schedules import ConstantSchedule
-from repro.rl.transition import Transition
+from tests.conftest import episode_batch, make_episode
 
 
 def make_agent(epsilon=0.0, gamma=0.9, **kwargs):
@@ -22,15 +22,21 @@ def make_agent(epsilon=0.0, gamma=0.9, **kwargs):
     )
 
 
-def transition_between(state, action, reward, next_state, done, return_to_go=None):
-    return Transition(
-        state=np.asarray(state, dtype=float),
-        action=action,
-        reward=reward,
-        next_state=np.asarray(next_state, dtype=float),
-        done=done,
-        return_to_go=return_to_go,
+def terminal_step(state, action, reward):
+    """A one-step episode: ``action`` from ``state`` ends it with ``reward``."""
+    return make_episode([action], rewards=[reward], states=[state])
+
+
+def step_before(state, action, reward, next_state):
+    """The first step of a two-step episode that moves on to ``next_state``.
+
+    The second step earns nothing, so the stored return-to-go is
+    ``reward`` and does not lift the bootstrap target.
+    """
+    episode = make_episode(
+        [action, 0], rewards=[reward, 0.0], states=[state, next_state], gamma=0.0
     )
+    return episode_batch(episode, rows=[0])
 
 
 class TestActionSelection:
@@ -58,10 +64,9 @@ class TestActionSelection:
     def test_zero_epsilon_is_deterministic_when_q_separated(self):
         agent = make_agent(epsilon=0.0)
         # Train Q to prefer action 1 strongly in this state.
-        batch = [
-            transition_between(np.ones(4), 1, 10.0, np.zeros(4), True),
-            transition_between(np.ones(4), 0, -10.0, np.zeros(4), True),
-        ]
+        batch = episode_batch(
+            terminal_step(np.ones(4), 1, 10.0), terminal_step(np.ones(4), 0, -10.0)
+        )
         for _ in range(100):
             agent.update(batch)
         actions = {agent.act(np.ones(4)) for _ in range(20)}
@@ -71,7 +76,7 @@ class TestActionSelection:
 class TestUpdates:
     def test_update_reduces_td_error(self):
         agent = make_agent()
-        batch = [transition_between(np.ones(4), 1, 1.0, np.zeros(4), True)]
+        batch = episode_batch(terminal_step(np.ones(4), 1, 1.0))
         first_loss = agent.update(batch)
         for _ in range(50):
             last_loss = agent.update(batch)
@@ -79,25 +84,35 @@ class TestUpdates:
 
     def test_terminal_target_is_reward(self):
         agent = make_agent()
-        batch = [transition_between(np.ones(4), 1, 0.7, np.zeros(4), True)]
+        batch = episode_batch(terminal_step(np.ones(4), 1, 0.7))
         for _ in range(300):
             agent.update(batch)
         assert agent.q_values(np.ones(4))[0][1] == pytest.approx(0.7, abs=0.05)
 
     def test_bootstrap_propagates_future_value(self):
         agent = make_agent(gamma=1.0)
-        terminal = transition_between([0, 1, 0, 0], 1, 1.0, [0, 0, 1, 0], True)
-        first = transition_between([1, 0, 0, 0], 1, 0.0, [0, 1, 0, 0], False)
+        # One episode [1,0,0,0] -> [0,1,0,0] -> end, with the reward on the
+        # last step; gamma=0 returns-to-go leave the first target to the
+        # bootstrap.
+        episode = make_episode(
+            [1, 1], rewards=[0.0, 1.0], states=[[1, 0, 0, 0], [0, 1, 0, 0]], gamma=0.0
+        )
+        batch = episode_batch(episode, rows=[1, 0])
         for _ in range(400):
-            agent.update([terminal, first])
+            agent.update(batch)
         # Q(first, 1) should approach gamma * max_a Q(second) ≈ 1.0.
         assert agent.q_values(np.array([1.0, 0, 0, 0]))[0][1] > 0.5
 
     def test_return_to_go_tightens_target(self):
         agent = make_agent(gamma=1.0)
-        batch = [
-            transition_between(np.ones(4), 1, 0.0, np.zeros(4), False, return_to_go=2.0)
-        ]
+        # The later step's reward of 2 reaches the first step's stored
+        # return-to-go undiscounted.
+        batch = episode_batch(
+            make_episode(
+                [1, 0], rewards=[0.0, 2.0], states=[np.ones(4), np.zeros(4)], gamma=1.0
+            ),
+            rows=[0],
+        )
         for _ in range(300):
             agent.update(batch)
         # Bootstrap alone would give ~0 (untrained next-state Q ≈ 0); the
@@ -106,11 +121,11 @@ class TestUpdates:
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError, match="non-empty"):
-            make_agent().update([])
+            make_agent().update(episode_batch(make_episode([1], state_dim=4), rows=[]))
 
     def test_update_counts(self):
         agent = make_agent()
-        batch = [transition_between(np.ones(4), 0, 0.0, np.zeros(4), True)]
+        batch = episode_batch(terminal_step(np.ones(4), 0, 0.0))
         agent.update(batch)
         assert agent.update_count == 1
 
@@ -118,7 +133,7 @@ class TestUpdates:
 class TestTargetNetwork:
     def test_target_sync_after_interval(self):
         agent = make_agent()
-        batch = [transition_between(np.ones(4), 1, 1.0, np.zeros(4), True)]
+        batch = episode_batch(terminal_step(np.ones(4), 1, 1.0))
         for _ in range(agent.target_sync_every):
             agent.update(batch)
         online = agent.online.forward(np.ones((1, 4)))
@@ -127,7 +142,7 @@ class TestTargetNetwork:
 
     def test_target_differs_between_syncs(self):
         agent = make_agent()
-        batch = [transition_between(np.ones(4), 1, 1.0, np.zeros(4), True)]
+        batch = episode_batch(terminal_step(np.ones(4), 1, 1.0))
         agent.update(batch)  # one update, no sync yet (sync at 5)
         online = agent.online.forward(np.ones((1, 4)))
         target = agent.target.forward(np.ones((1, 4)))
@@ -137,13 +152,13 @@ class TestTargetNetwork:
 class TestPolicySnapshots:
     def test_save_load_round_trip(self):
         agent = make_agent()
-        batch = [transition_between(np.ones(4), 1, 1.0, np.zeros(4), True)]
+        batch = episode_batch(terminal_step(np.ones(4), 1, 1.0))
         for _ in range(20):
             agent.update(batch)
         snapshot = agent.save_policy()
         q_before = agent.q_values(np.ones(4)).copy()
         for _ in range(20):
-            agent.update([transition_between(np.ones(4), 1, -5.0, np.zeros(4), True)])
+            agent.update(episode_batch(terminal_step(np.ones(4), 1, -5.0)))
         assert not np.allclose(agent.q_values(np.ones(4)), q_before)
         agent.load_policy(snapshot)
         np.testing.assert_allclose(agent.q_values(np.ones(4)), q_before)
@@ -151,7 +166,7 @@ class TestPolicySnapshots:
     def test_load_resyncs_target(self):
         agent = make_agent()
         snapshot = agent.save_policy()
-        agent.update([transition_between(np.ones(4), 1, 1.0, np.zeros(4), True)])
+        agent.update(episode_batch(terminal_step(np.ones(4), 1, 1.0)))
         agent.load_policy(snapshot)
         np.testing.assert_allclose(
             agent.online.forward(np.ones((1, 4))),
@@ -167,7 +182,7 @@ class TestValidation:
     def test_double_dqn_flag_changes_bootstrap(self):
         plain = make_agent(double_dqn=False)
         double = make_agent(double_dqn=True)
-        batch = [transition_between(np.ones(4), 1, 1.0, np.full(4, 0.5), False)]
+        batch = step_before(np.ones(4), 1, 1.0, np.full(4, 0.5))
         # Just exercising both paths; they should both train without error.
         assert np.isfinite(plain.update(batch))
         assert np.isfinite(double.update(batch))

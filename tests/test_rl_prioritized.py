@@ -5,58 +5,48 @@ import pytest
 
 from repro.core.pafeat import PAFeat
 from repro.rl.prioritized import PrioritizedReplayBuffer
-from repro.rl.transition import Transition
-from tests.conftest import fast_config
+from tests.conftest import episode_batch, fast_config, make_episode
 
 
-def make_transition(reward=0.0):
-    return Transition(np.zeros(2), 0, reward, np.zeros(2), False)
+def add_steps(buffer, n):
+    """Store ``n`` one-step episodes whose rewards are 0, 1, ..., n - 1."""
+    for i in range(n):
+        buffer.add_trajectory(make_episode([0], rewards=[float(i)]))
 
 
 class TestPrioritizedBuffer:
     def test_new_items_get_max_priority(self):
         buffer = PrioritizedReplayBuffer(10)
-        buffer.add(make_transition())
-        assert buffer._priorities == [1.0]
+        add_steps(buffer, 1)
+        assert buffer.capture_state()[1]["priorities"].tolist() == [1.0]
 
     def test_priorities_follow_ring_eviction(self):
         buffer = PrioritizedReplayBuffer(3)
-        for i in range(7):
-            buffer.add(make_transition(reward=float(i)))
-        assert len(buffer._priorities) == len(buffer) == 3
+        add_steps(buffer, 7)
+        assert len(buffer.capture_state()[1]["priorities"]) == len(buffer) == 3
 
     def test_high_priority_sampled_more(self, rng):
         buffer = PrioritizedReplayBuffer(4, alpha=1.0)
-        for i in range(4):
-            buffer.add(make_transition(reward=float(i)))
+        add_steps(buffer, 4)
         buffer.sample(4, rng)
-        # Give transition with reward 3 a huge priority, the rest tiny.
+        # Give the step with reward 3 a huge priority, the rest tiny.
         buffer.last_indices = np.arange(4)
         buffer.update_priorities(np.array([1e-6, 1e-6, 1e-6, 10.0]))
         counts = np.zeros(4)
         for _ in range(200):
             batch = buffer.sample(1, rng)
-            counts[int(batch[0].reward)] += 1
+            counts[int(batch.rewards[0])] += 1
         assert counts[3] > 150
-
-    def test_importance_weights_normalised(self, rng):
-        buffer = PrioritizedReplayBuffer(8)
-        for i in range(8):
-            buffer.add(make_transition(reward=float(i)))
-        buffer.sample(4, rng)
-        assert buffer.last_weights is not None
-        assert buffer.last_weights.max() == pytest.approx(1.0)
-        assert np.all(buffer.last_weights > 0)
 
     def test_update_before_sample_raises(self):
         buffer = PrioritizedReplayBuffer(4)
-        buffer.add(make_transition())
+        add_steps(buffer, 1)
         with pytest.raises(RuntimeError, match="before sample"):
             buffer.update_priorities(np.array([1.0]))
 
     def test_mismatched_error_count_raises(self, rng):
         buffer = PrioritizedReplayBuffer(4)
-        buffer.add(make_transition())
+        add_steps(buffer, 1)
         buffer.sample(2, rng)
         with pytest.raises(ValueError, match="TD errors"):
             buffer.update_priorities(np.array([1.0]))
@@ -64,8 +54,6 @@ class TestPrioritizedBuffer:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             PrioritizedReplayBuffer(4, alpha=2.0)
-        with pytest.raises(ValueError):
-            PrioritizedReplayBuffer(4, beta=-0.1)
         with pytest.raises(ValueError):
             PrioritizedReplayBuffer(4, epsilon=0.0)
 
@@ -80,10 +68,11 @@ class TestAgentTDErrors:
             epsilon_schedule=ConstantSchedule(0.0), target_sync_every=5,
             rng=np.random.default_rng(0),
         )
-        batch = [
-            Transition(np.ones(3), 1, 1.0, np.zeros(3), True),
-            Transition(np.zeros(3), 0, -1.0, np.ones(3), False),
-        ]
+        batch = episode_batch(
+            make_episode([1], rewards=[1.0], states=np.ones((1, 3))),
+            make_episode([0, 1], rewards=[-1.0, 0.0], states=[[0, 0, 0], [1, 1, 1]]),
+            rows=[0, 1],
+        )
         errors = agent.td_errors(batch)
         assert errors.shape == (2,)
         assert np.all(errors >= 0)
@@ -97,7 +86,7 @@ class TestAgentTDErrors:
             epsilon_schedule=ConstantSchedule(0.0), target_sync_every=5,
             rng=np.random.default_rng(0),
         )
-        batch = [Transition(np.ones(3), 1, 1.0, np.zeros(3), True)]
+        batch = episode_batch(make_episode([1], rewards=[1.0], states=np.ones((1, 3))))
         before = agent.td_errors(batch)[0]
         for _ in range(100):
             agent.update(batch)
@@ -118,3 +107,18 @@ class TestEndToEnd:
         )
         assert isinstance(buffer, PrioritizedReplayBuffer)
         assert model.select(train.unseen_tasks[0])
+
+    def test_further_train_refreshes_priorities(self, tiny_split):
+        # further_train runs the trainer's update round, so the task's
+        # stored steps stop sharing the initial priority once it runs.
+        from repro.core.config import AgentConfig
+
+        train, _ = tiny_split
+        model = PAFeat(
+            fast_config(n_iterations=6, agent=AgentConfig(prioritized_replay=True))
+        ).fit(train)
+        task = train.unseen_tasks[0]
+        model.further_train(task, n_iterations=8)
+        buffer = model.trainer.registry.buffer(task.label_index)
+        _, arrays = buffer.capture_state()
+        assert len(np.unique(arrays["priorities"])) > 1
