@@ -5,9 +5,9 @@ A realistic production split:
 1. an offline job trains PA-FEAT and writes a model artifact to disk;
 2. an online service loads the artifact (no training code needed) and
    answers arriving tasks in milliseconds;
-3. an analyst asks *why* a feature was chosen — the diagnostics replay the
-   greedy episode with the correlation / redundancy / Q-gap behind every
-   decision.
+3. an analyst asks *why* a feature was chosen — the diagnostics run the
+   greedy episode ``select`` runs and show the correlation / redundancy /
+   Q-gap behind every decision.
 
 Run with::
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import FeatureSelector
+from repro.core.batch import served_subsets
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.feat import FEATTrainer
@@ -101,7 +102,5 @@ class SADRLFSSelector(FeatureSelector):
         )
         trainer.train(self.config.n_iterations)
         self.last_trainer = trainer
-        subset = trainer.infer_subset(env)
-        if not subset:
-            subset = (int(np.argmax(representation)),)
-        return subset
+        subset = trainer.greedy_subsets()[task.label_index]
+        return served_subsets([subset], [representation])[0]

@@ -2,10 +2,11 @@
 
 Tools a practitioner reaches for once a selector is trained:
 
-* :func:`explain_selection` — replay the greedy episode for a task and
-  report, per scanned feature, the state the agent saw (correlation,
-  percentile, redundancy, remaining budget) and the Q-gap behind its
-  decision.
+* :func:`explain_selection` — the greedy episode ``select`` runs for a
+  task, reported per scanned feature: the state the agent saw
+  (correlation, percentile, redundancy) and the Q-gap behind its
+  decision.  It is the lockstep kernel's episode (:mod:`repro.core.batch`)
+  at B=1, read through an agent view that records each step's Q row.
 * :func:`policy_feature_scores` — a per-feature "importance" vector from
   the policy's point of view: the advantage of selecting each feature when
   it comes under the cursor.
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.env import FeatureSelectionEnv
+from repro.core.batch import batched_greedy_subsets
 from repro.core.pafeat import PAFeat
 from repro.data.stats import pearson_representation
 from repro.data.tasks import Task
+from repro.rl.agent import DuelingDQNAgent
 
 
 @dataclass(frozen=True)
@@ -45,33 +47,38 @@ class Decision:
         return self.q_select - self.q_deselect
 
 
-def _inference_env(model: PAFeat, task: Task) -> FeatureSelectionEnv:
-    representation = pearson_representation(task.features, task.labels)
-    return FeatureSelectionEnv(
-        task.label_index,
-        representation,
-        None,
-        model.config.env,
-        feature_corr=model._feature_corr,
-    )
+class _QRecorder:
+    """The agent as the kernel reads it, keeping each step's Q row."""
+
+    def __init__(self, agent: DuelingDQNAgent) -> None:
+        self.agent = agent
+        self.state_dim = agent.state_dim
+        self.q_rows: list[np.ndarray] = []
+
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
+        self.q_rows.append(self.agent.q_values(states)[0])
+        return self.agent.act_batch(states)
 
 
 def explain_selection(model: PAFeat, task: Task) -> list[Decision]:
-    """Replay the greedy episode for ``task`` with per-step annotations."""
-    agent = model.inference_agent()
-    env = _inference_env(model, task)
-    representation = env.task_representation
-    state = env.reset()
+    """The greedy episode ``select`` runs for ``task``, one decision per step.
+
+    The ``selected`` flags are the policy's own subset: when it picks
+    nothing they are all False, where ``select`` serves the single
+    most-correlated feature instead.
+    """
+    recorder = _QRecorder(model.inference_agent())
+    representation = pearson_representation(task.features, task.labels)
+    feature_corr = model._feature_corr
+    subset = batched_greedy_subsets(
+        recorder, [representation], model.config.env, feature_corr=feature_corr
+    )[0]
     decisions: list[Decision] = []
-    while not env.done:
-        position = env.position
-        q_values = agent.q_values(state)[0]
-        action = int(np.argmax(q_values))
+    for position, q_values in enumerate(recorder.q_rows):
+        chosen = [feature for feature in subset if feature < position]
         redundancy = 0.0
-        if env.feature_corr is not None and env.selected:
-            redundancy = float(
-                np.max(env.feature_corr[position, np.asarray(env.selected)])
-            )
+        if feature_corr is not None and chosen:
+            redundancy = float(np.max(feature_corr[position, chosen]))
         decisions.append(
             Decision(
                 position=position,
@@ -81,10 +88,9 @@ def explain_selection(model: PAFeat, task: Task) -> list[Decision]:
                 redundancy=redundancy,
                 q_deselect=float(q_values[0]),
                 q_select=float(q_values[1]),
-                selected=action == 1,
+                selected=position in subset,
             )
         )
-        state, _, _, _ = env.step(action)
     return decisions
 
 

@@ -1,8 +1,14 @@
-"""Greedy inference for unseen tasks: B episodes in lockstep.
+"""Greedy episodes: B episodes in lockstep.
 
-This kernel is all of unseen-task selection.  :meth:`repro.core.pafeat.
-PAFeat.select` runs it at B=1; :meth:`~repro.core.pafeat.PAFeat.
-select_all_unseen` and the serving engine run it at larger B.
+This kernel is the one greedy executor.  :meth:`repro.core.pafeat.PAFeat.
+select` runs it at B=1; :meth:`~repro.core.pafeat.PAFeat.select_all_unseen`
+and the serving engine run it at larger B; training-time greedy scoring
+(:meth:`repro.core.feat.FEATTrainer.greedy_subsets`: best-policy
+snapshots, ``greedy_seen_score`` and ``further_train``) runs it over the
+trainer's environments; SADRLFS and the representation study run it on
+their own agents and representations; and
+:func:`repro.core.analysis.explain_selection` runs it at B=1 through an
+agent view that records each step's Q row.
 
 The scan MDP makes lockstep trivial: every episode starts at position 0
 and advances the cursor by exactly one feature per step, so B episodes
@@ -10,26 +16,27 @@ stay *position-synchronised* for their entire lifetime.  The kernel keeps
 their encodings in one :class:`~repro.core.state.ScanEncoder` — the same
 incremental encoder :class:`~repro.core.env.FeatureSelectionEnv` steps
 through — and per feature step issues a single batched greedy forward
-(:meth:`repro.rl.agent.DuelingDQNAgent.act_batch`) over the still-active
-rows.  m forwards total, regardless of B.  Rows leave the batch when
-their episode truncates on the ``max_feature_ratio`` budget.  Until the
-first one does, the active rows are all rows and the kernel addresses
-them with a plain slice, so a step copies nothing; after that, with an
-index array.
+(the agent's ``act_batch``) over the still-active rows.  m forwards total,
+regardless of B.  Rows leave the batch when their episode truncates on
+the ``max_feature_ratio`` budget.  Until the first one does, the active
+rows are all rows and the kernel addresses them with a plain slice, so a
+step copies nothing; after that, with an index array.
 
-Action choice is ``act_batch``'s argmax over the Q rows: it advances no
-action counter, draws no random numbers, and breaks exact Q ties to the
-lowest action, so selecting is side-effect free and deterministic.
-Termination (cursor past the end, or the selected count reaching
-``floor(max_feature_ratio · m)``) mirrors the environment, and a cold
-policy that deselects everything falls back to the single
-most-correlated feature so downstream evaluation is always defined.
-Training-time greedy scoring (:func:`repro.core.feat.greedy_subset`)
-steps the environment with ``act(greedy=True)`` instead, which breaks
-ties the same way, so the two return the same subset; a property test
-(``tests/test_serve_engine.py``) pins that across random suites, seeds,
-feature counts straddling numpy's pairwise-summation block size, and an
-exact-tie case.
+Action choice is :meth:`repro.rl.agent.DuelingDQNAgent.act_batch`'s
+argmax over the Q rows: it advances no action counter, draws no random
+numbers, and breaks exact Q ties to the lowest action, so an episode is
+side-effect free and deterministic.  Termination (cursor past the end, or
+the selected count reaching ``floor(max_feature_ratio · m)``) mirrors the
+environment.  The kernel returns each episode's own subset, empty when
+the policy chose nothing; :func:`served_subsets` applies the serving
+fallback (the single most-correlated feature) that ``select``,
+``select_all_unseen``, the serving engine, SADRLFS and the representation
+study answer with.  :func:`repro.core.feat.greedy_subset`, which steps a
+``FeatureSelectionEnv`` with ``act_batch``, is the env-stepping reference
+the kernel is tested against: a property test
+(``tests/test_serve_engine.py``) pins ``batched == greedy_subset`` across
+random agents, budgets, feature counts straddling numpy's
+pairwise-summation block size, and an exact-tie case.
 
 The serving layer (:mod:`repro.serve.engine`) wraps this kernel with
 chunking, registries and metrics; it lives here in ``core`` because the
@@ -38,7 +45,7 @@ layer contract places serving above the facade, not below it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 from repro.errors import DataValidationError
@@ -47,12 +54,17 @@ from repro.analysis.contracts import check_state_batch
 from repro.core.config import EnvConfig
 from repro.core.state import ScanEncoder, feature_count
 
-if TYPE_CHECKING:
-    from repro.rl.agent import DuelingDQNAgent
+
+class GreedyAgent(Protocol):
+    """What the kernel reads of an agent: its state width and greedy rule."""
+
+    state_dim: int
+
+    def act_batch(self, states: np.ndarray) -> np.ndarray: ...
 
 
 def check_representations(
-    agent: "DuelingDQNAgent", representations: Sequence[np.ndarray]
+    agent: GreedyAgent, representations: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
     """Task representations as float vectors of the agent's feature count.
 
@@ -73,7 +85,7 @@ def check_representations(
 
 
 def batched_greedy_subsets(
-    agent: "DuelingDQNAgent",
+    agent: GreedyAgent,
     representations: Sequence[np.ndarray],
     config: EnvConfig,
     feature_corr: np.ndarray | None = None,
@@ -81,9 +93,9 @@ def batched_greedy_subsets(
     """Greedy subsets for a batch of task representations, in lockstep.
 
     ``representations`` holds one |Pearson| task-representation vector per
-    task, each over the agent's feature space.  Returns one subset per
-    task, in input order; the answer for a task does not depend on the
-    other tasks in the batch.
+    task, each over the agent's feature space.  Returns each episode's own
+    subset, ``()`` when the policy selected nothing, in input order; the
+    answer for a task does not depend on the other tasks in the batch.
     """
     reps = check_representations(agent, representations)
     if not reps:
@@ -112,7 +124,19 @@ def batched_greedy_subsets(
             break
         encoder.move(position + 1, rows)
     masks = encoder.states[:, m : 2 * m]
+    return [tuple(np.flatnonzero(mask).tolist()) for mask in masks]
+
+
+def served_subsets(
+    subsets: Sequence[tuple[int, ...]], representations: Sequence[np.ndarray]
+) -> list[tuple[int, ...]]:
+    """The subsets tasks are answered with.
+
+    Each policy subset as it is or, where the policy chose nothing, the
+    task's single most-correlated feature, so downstream evaluation is
+    always defined.
+    """
     return [
-        tuple(np.flatnonzero(mask).tolist()) or (int(np.argmax(rep)),)
-        for mask, rep in zip(masks, reps)
+        subset or (int(np.argmax(rep)),)
+        for subset, rep in zip(subsets, representations)
     ]

@@ -19,8 +19,6 @@ Intra-Task Explorer restarts episodes from valuable visited states.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 from repro.errors import LifecycleError
 
@@ -28,12 +26,6 @@ from repro.analysis.contracts import check_state_batch
 from repro.core.config import EnvConfig
 from repro.core.state import EnvState, ScanEncoder, state_dim
 from repro.rl.reward import RewardFunction
-
-
-def _zero_reward(subset: Iterable[int]) -> float:
-    """Reward stub for inference-only environments."""
-    del subset
-    return 0.0
 
 
 class FeatureSelectionEnv:
@@ -45,7 +37,7 @@ class FeatureSelectionEnv:
         self,
         task_id: int,
         task_representation: np.ndarray,
-        reward_fn: RewardFunction | None,
+        reward_fn: RewardFunction,
         config: EnvConfig,
         feature_corr: np.ndarray | None = None,
     ) -> None:
@@ -66,9 +58,7 @@ class FeatureSelectionEnv:
         self.feature_corr = (
             None if feature_corr is None else np.asarray(feature_corr, dtype=np.float64)
         )
-        # ``reward_fn=None`` builds a reward-free environment: unseen-task
-        # inference only reads states and never trains on the rewards.
-        self.reward_fn = reward_fn if reward_fn is not None else _zero_reward
+        self.reward_fn = reward_fn
         self.config = config
         self.max_selectable = self._scan.budget
         self._selected: list[int] = []

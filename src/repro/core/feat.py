@@ -18,10 +18,11 @@ uses a random restart policy, RR wraps the per-step reward.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.batch import batched_greedy_subsets
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.state import EnvState
@@ -331,8 +332,10 @@ class FEATTrainer:
         end.  The default score reads cached rewards, but the held-out
         kernel scorer PA-FEAT installs is a large share of a fit's time.
         DQN on small reward gaps can drift late in training — keeping the
-        best seen-task policy removes that failure mode without touching
-        the learning dynamics.
+        best seen-task policy removes that failure mode.  Scoring changes
+        no weights and draws no random numbers, but its greedy episodes
+        tick the epsilon schedule's clock (see :meth:`greedy_subsets`), so
+        later rollouts explore slightly less than they would without it.
 
         The evaluation cadence is keyed on the *global* iteration counter
         (``len(self.history)``), so a run resumed from a checkpoint
@@ -443,9 +446,7 @@ class FEATTrainer:
 
     def _checkpoint_score(self) -> float:
         """Score the current greedy policy for best-snapshot selection."""
-        subsets = {
-            task_id: self.infer_subset(env) for task_id, env in self.envs.items()
-        }
+        subsets = self.greedy_subsets()
         if self.checkpoint_scorer is not None:
             return self.checkpoint_scorer(subsets)
         return self.greedy_seen_score(subsets)
@@ -455,9 +456,7 @@ class FEATTrainer:
     ) -> float:
         """Mean shaped score of the greedy policy across all seen tasks."""
         if subsets is None:
-            subsets = {
-                task_id: self.infer_subset(env) for task_id, env in self.envs.items()
-            }
+            subsets = self.greedy_subsets()
         scores = []
         for task_id, env in self.envs.items():
             subset = subsets[task_id]
@@ -469,24 +468,59 @@ class FEATTrainer:
     # ------------------------------------------------------------------
     # Greedy scoring during training
     # ------------------------------------------------------------------
-    def infer_subset(self, env: FeatureSelectionEnv) -> tuple[int, ...]:
-        """One greedy episode on a training environment → subset."""
-        return greedy_subset(self.agent, env)
+    def greedy_subsets(
+        self, task_ids: Sequence[int] | None = None
+    ) -> dict[int, tuple[int, ...]]:
+        """The greedy policy's own subset on each of ``task_ids``' envs.
+
+        ``task_ids`` defaults to every env, in env order.  The episodes run
+        in the lockstep kernel (:mod:`repro.core.batch`), one call for all
+        envs that share a budget ratio and ``feature_corr`` (a PA-FEAT
+        fit's envs all do).  A subset the policy left empty stays empty;
+        the scorers count it as 0.
+
+        Each greedy step adds one tick to ``agent.action_count``, the
+        epsilon schedule's clock, as stepping an env with one action
+        query per step would: the ticks are part of every fit's
+        fingerprint, and dropping them would move every later exploration
+        draw.
+        """
+        ids = list(self.envs) if task_ids is None else list(task_ids)
+        groups: dict[tuple[float, int], list[int]] = {}
+        for task_id in ids:
+            env = self.envs[task_id]
+            key = (env.config.max_feature_ratio, id(env.feature_corr))
+            groups.setdefault(key, []).append(task_id)
+        subsets: dict[int, tuple[int, ...]] = {}
+        for group in groups.values():
+            envs = [self.envs[task_id] for task_id in group]
+            found = batched_greedy_subsets(
+                self.agent,
+                [env.task_representation for env in envs],
+                envs[0].config,
+                feature_corr=envs[0].feature_corr,
+            )
+            for task_id, env, subset in zip(group, envs, found):
+                subsets[task_id] = subset
+                # An episode ends on the budget's last pick or past the
+                # last feature: one step per position it scanned.
+                full = len(subset) == env.max_selectable
+                self.agent.action_count += subset[-1] + 1 if full else env.n_features
+        return {task_id: subsets[task_id] for task_id in ids}
 
 
 def greedy_subset(agent: DuelingDQNAgent, env: FeatureSelectionEnv) -> tuple[int, ...]:
     """Run one greedy episode of ``agent`` on ``env`` and return the subset.
 
-    Training-time greedy scoring: best-policy checkpoints, ``further_train``
-    and the FEAT-family baselines.  Its ``act(greedy=True)`` calls advance
-    the agent's action counter, which the training fingerprint depends on;
-    they break exact Q ties to the lowest action, as the lockstep kernel
-    does, so this scores the subset ``select`` would serve.  Unseen-task
-    selection runs the side-effect-free lockstep kernel
-    (:mod:`repro.core.batch`) instead.
+    The env-stepping reference for the lockstep kernel
+    (:mod:`repro.core.batch`), which runs every greedy episode in the
+    library: the kernel tests compare against it.  It steps ``env`` with
+    :meth:`~repro.rl.agent.DuelingDQNAgent.act_batch`, so it leaves the
+    agent's action counter and RNG as they were; ``env.position`` ends at
+    the episode's step count.
     """
     state = env.reset()
     while not env.done:
-        action = agent.act(state, greedy=True)
+        action = int(agent.act_batch(state)[0])
         state, _, _, _ = env.step(action)
     return env.selected

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 from repro.errors import DataValidationError, NotFittedError
 
-from repro.core.batch import batched_greedy_subsets
+from repro.core.batch import batched_greedy_subsets, served_subsets
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.feat import FEATTrainer, UniformTaskSampler
@@ -299,14 +299,15 @@ class PAFeat:
         is side-effect free — the agent's action counter and RNG are left
         as they were — and breaks exact Q ties to the lowest action.  A
         cold policy that deselects everything gets the single
-        most-correlated feature.
+        most-correlated feature (:func:`repro.core.batch.served_subsets`).
         """
         agent = self.inference_agent()
-        representation = pearson_representation(task.features, task.labels)
-        return batched_greedy_subsets(
-            agent, [representation], self.config.env,
+        representations = [pearson_representation(task.features, task.labels)]
+        subsets = batched_greedy_subsets(
+            agent, representations, self.config.env,
             feature_corr=self._feature_corr,
-        )[0]
+        )
+        return served_subsets(subsets, representations)[0]
 
     def select_all_unseen(
         self,
@@ -343,7 +344,7 @@ class PAFeat:
                 agent, representations, self.config.env,
                 feature_corr=self._feature_corr,
             )
-            for task, subset in zip(group, subsets):
+            for task, subset in zip(group, served_subsets(subsets, representations)):
                 results[task.name] = subset
         return results
 
@@ -378,12 +379,13 @@ class PAFeat:
                 feature_corr=self._feature_corr,
             )
         env = trainer.envs[task.label_index]
+        task_ids = [task.label_index]
 
         records: list[FurtherTrainRecord] = []
         best_snapshot = trainer.agent.save_policy()
         # Seed "best so far" with the zero-shot result so refinement can
         # only improve on what fast selection already delivers.
-        best_subset = trainer.infer_subset(env)
+        best_subset = trainer.greedy_subsets(task_ids)[task.label_index]
         if best_subset:
             zero_shot_score = env.reward_fn(best_subset)
             best_value = zero_shot_score - self.config.env.size_penalty * len(
@@ -397,7 +399,7 @@ class PAFeat:
             for _ in range(self.config.updates_per_iteration):
                 trainer.update_round(task.label_index, self._rng)
             if (iteration + 1) % checkpoint_every == 0 or iteration == n_iterations - 1:
-                subset = trainer.infer_subset(env)
+                subset = trainer.greedy_subsets(task_ids)[task.label_index]
                 score = env.reward_fn(subset) if subset else 0.0
                 # Anytime semantics: each checkpoint reports the best subset
                 # found so far (shaped by the lean-subset penalty), and the

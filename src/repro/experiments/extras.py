@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.batch import batched_greedy_subsets, served_subsets
 from repro.core.config import ITEConfig
 from repro.core.pafeat import PAFeat
 from repro.data.stats import mutual_information_scores, pearson_representation
@@ -91,35 +92,35 @@ def task_representation_study(
 
     The PA-FEAT state embeds the Pearson vector; here a trained model is
     queried with both representations for each unseen task and the SVM
-    quality of the resulting subsets is compared.  Because the Q-network
-    was *trained* on Pearson representations, MI representations probe how
-    sensitive transfer is to the representation's scale and shape.
+    quality of the resulting subsets is compared.  Both arms run the
+    episode ``select`` runs (the model's agent, env config and feature
+    redundancy matrix), so the Pearson arm is what PA-FEAT serves.
+    Because the Q-network was *trained* on Pearson representations, MI
+    representations probe how sensitive transfer is to the
+    representation's scale and shape.
     """
     suite = load_suite(dataset, scale)
     train, test = suite.split_rows(0.7, np.random.default_rng(seed))
     model = PAFeat(make_config(scale, seed=seed)).fit(train)
-    assert model.trainer is not None
+    agent = model.inference_agent()
     test_by_index = {task.label_index: task for task in test.unseen_tasks}
-
-    from repro.core.env import FeatureSelectionEnv
-
-    def select_with(representation: np.ndarray, task: Task) -> tuple[int, ...]:
-        env = FeatureSelectionEnv(task.label_index, representation, None, model.config.env)
-        subset = model.trainer.infer_subset(env)
-        return subset or (int(np.argmax(representation)),)
 
     pearson_scores, mi_scores = [], []
     for task in train.unseen_tasks:
         pearson = pearson_representation(task.features, task.labels)
         mi = mutual_information_scores(task.features, task.labels)
         mi = mi / (mi.max() + 1e-12)  # rescale into the Pearson range
+        representations = [pearson, mi]
+        subsets = batched_greedy_subsets(
+            agent, representations, model.config.env,
+            feature_corr=model._feature_corr,
+        )
+        pearson_subset, mi_subset = served_subsets(subsets, representations)
         test_task = test_by_index[task.label_index]
         pearson_scores.append(
-            evaluate_selection(select_with(pearson, task), task, test_task, seed)["f1"]
+            evaluate_selection(pearson_subset, task, test_task, seed)["f1"]
         )
-        mi_scores.append(
-            evaluate_selection(select_with(mi, task), task, test_task, seed)["f1"]
-        )
+        mi_scores.append(evaluate_selection(mi_subset, task, test_task, seed)["f1"])
     return RepresentationStudyResult(
         pearson_f1=float(np.mean(pearson_scores)),
         mutual_information_f1=float(np.mean(mi_scores)),

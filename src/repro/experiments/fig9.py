@@ -1,9 +1,9 @@
 """Fig. 9 — further training on unseen tasks.
 
 After the multi-task fit, each unseen task is trained on directly (paper
-Section IV-D) and the greedy subset is checkpointed along the way; every
-checkpointed subset is evaluated with the downstream SVM, producing the
-Avg F1 / Avg AUC growth curves.
+Section IV-D), starting from the fitted model, and the greedy subset is
+checkpointed along the way; every checkpointed subset is evaluated with
+the downstream SVM, producing the Avg F1 / Avg AUC growth curves.
 
 Expected shape: both curves rise from the zero-shot level and saturate.
 """
@@ -11,10 +11,13 @@ Expected shape: both curves rise from the zero-shot level and saturate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.pafeat import PAFeat
+from repro.core.config import PAFeatConfig
+from repro.core.pafeat import FurtherTrainRecord, PAFeat
+from repro.data.tasks import Task, TaskSuite
 from repro.analysis.reporting import render_series
 from repro.experiments.runner import evaluate_selection, load_suite, make_config
 
@@ -29,6 +32,30 @@ class FurtherTrainCurve:
     avg_auc: list[float] = field(default_factory=list)
 
 
+def refine_tasks(
+    train: TaskSuite,
+    config: PAFeatConfig,
+    tasks: Sequence[Task],
+    further_iterations: int,
+    checkpoint_every: int,
+) -> dict[str, list[FurtherTrainRecord]]:
+    """Each task's further-training records, each refined from the fit.
+
+    ``further_train`` keeps a task's refinement in the model: weights,
+    Adam moments, target network, replay and RNG streams move on, and the
+    model's seed sequence seeds the next task's reward classifier
+    differently.  Refined in turn on one model, task k would start where
+    task k-1 stopped, so every task refines its own fit of ``config``,
+    which the determinism contract makes the same fitted model.
+    """
+    return {
+        task.name: PAFeat(config)
+        .fit(train)
+        .further_train(task, further_iterations, checkpoint_every=checkpoint_every)
+        for task in tasks
+    }
+
+
 def run(
     dataset: str = "water-quality",
     scale: str = "mini",
@@ -41,7 +68,8 @@ def run(
     """Fit, then further-train each unseen task and trace quality."""
     suite = load_suite(dataset, scale)
     train, test = suite.split_rows(0.7, np.random.default_rng(seed))
-    model = PAFeat(make_config(scale, mfr=mfr, seed=seed)).fit(train)
+    config = make_config(scale, mfr=mfr, seed=seed)
+    model = PAFeat(config).fit(train)
 
     test_by_index = {task.label_index: task for task in test.unseen_tasks}
     tasks = train.unseen_tasks[:max_tasks] if max_tasks else train.unseen_tasks
@@ -56,11 +84,9 @@ def run(
         per_task_f1[task.name] = [scores["f1"]]
         per_task_auc[task.name] = [scores["auc"]]
 
+    refined = refine_tasks(train, config, tasks, further_iterations, checkpoint_every)
     for task in tasks:
-        records = model.further_train(
-            task, further_iterations, checkpoint_every=checkpoint_every
-        )
-        for record in records:
+        for record in refined[task.name]:
             if record.iteration not in checkpoints:
                 checkpoints.append(record.iteration)
             scores = evaluate_selection(

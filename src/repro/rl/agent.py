@@ -68,20 +68,18 @@ class DuelingDQNAgent:
         check_state_batch("agent.q_values", states, self.state_dim)
         return self.online.infer(states)
 
-    def act(self, state: np.ndarray, greedy: bool = False) -> int:
-        """Epsilon-greedy action; ``greedy=True`` disables exploration.
+    def act(self, state: np.ndarray) -> int:
+        """Epsilon-greedy action for one state: the training rollout policy.
 
-        A greedy call takes the lowest action on an exact Q tie, as
-        :meth:`act_batch` does, and draws nothing from the RNG.
+        Advances the action counter (the epsilon schedule's clock) and
+        draws from the exploration RNG; greedy actions come from
+        :meth:`act_batch`.
         """
         self.action_count += 1
-        if not greedy:
-            epsilon = self.epsilon_schedule(self.action_count)
-            if self._rng.random() < epsilon:
-                return int(self._rng.integers(self.n_actions))
+        epsilon = self.epsilon_schedule(self.action_count)
+        if self._rng.random() < epsilon:
+            return int(self._rng.integers(self.n_actions))
         q = self.q_values(state)[0]
-        if greedy:
-            return int(q.argmax())
         # Break exact ties randomly so early (all-zero-Q) policies explore.
         best = np.flatnonzero(q == q.max())
         if len(best) == 1:
@@ -91,14 +89,14 @@ class DuelingDQNAgent:
     def act_batch(self, states: np.ndarray) -> np.ndarray:
         """Greedy actions for a batch of states in one forward pass.
 
-        The inference entry point (``PAFeat.select``, serving, lockstep
-        greedy episodes): one ``(B, state_dim)`` forward instead of B
-        scalar :meth:`act` calls.  Deliberately side-effect free — it
-        neither advances the epsilon schedule's action counter nor draws
-        from the exploration RNG, so inference traffic cannot perturb
-        training state.  Exact Q ties break to the lowest action index
-        (``argmax``), exactly as ``act(greedy=True)`` breaks them, so the
-        two pick the same action on every row.
+        The one greedy rule: every greedy episode (``PAFeat.select``,
+        serving, training-time scoring, explanations) runs the lockstep
+        kernel of :mod:`repro.core.batch`, which calls this once per scan
+        position with one ``(B, state_dim)`` forward.  Deliberately
+        side-effect free — it neither advances the epsilon schedule's
+        action counter nor draws from the exploration RNG, so inference
+        traffic cannot perturb training state.  Exact Q ties break to the
+        lowest action index (``argmax``).
         """
         q = self.q_values(states)
         return np.asarray(q.argmax(axis=1), dtype=np.int64)

@@ -17,8 +17,10 @@ it:
   groups of at most ``max_batch_size`` episodes, keeping the
   ``(B, state_dim)`` activations cache-sized.
 
-A task's subset does not depend on the batch it rides in, so results equal
-per-task :meth:`repro.core.pafeat.PAFeat.select` exactly.
+A task's subset does not depend on the batch it rides in, and the engine
+answers with the same empty-subset fallback
+(:func:`repro.core.batch.served_subsets`), so results equal per-task
+:meth:`repro.core.pafeat.PAFeat.select` exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.batch import batched_greedy_subsets, check_representations
+from repro.core.batch import (
+    batched_greedy_subsets,
+    check_representations,
+    served_subsets,
+)
 from repro.core.config import EnvConfig
 from repro.core.state import feature_count
 from repro.io.resilience import Deadline, DeadlineExceeded
@@ -90,14 +96,11 @@ class BatchedGreedyEngine:
                     f"batched selection exceeded its deadline after "
                     f"{len(results)}/{len(reps)} tasks"
                 )
-            results.extend(
-                batched_greedy_subsets(
-                    self.agent,
-                    reps[start : start + self.max_batch_size],
-                    self.env_config,
-                    feature_corr=self.feature_corr,
-                )
+            chunk = reps[start : start + self.max_batch_size]
+            subsets = batched_greedy_subsets(
+                self.agent, chunk, self.env_config, feature_corr=self.feature_corr
             )
+            results.extend(served_subsets(subsets, chunk))
         return results
 
     def select_tasks(self, tasks: Iterable["Task"]) -> dict[str, tuple[int, ...]]:

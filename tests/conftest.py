@@ -73,6 +73,12 @@ def tiny_split(tiny_suite):
     return tiny_suite.split_rows(0.7, np.random.default_rng(0))
 
 
+def zero_reward(subset) -> float:
+    """A reward function for envs whose tests read states, not rewards."""
+    del subset
+    return 0.0
+
+
 def make_episode(
     actions=(),
     rewards=None,

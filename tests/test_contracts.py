@@ -171,11 +171,12 @@ def test_agent_accepts_nan_state_when_disabled(contracts_off, rng):
 def test_env_encode_passes_contract_on_real_episode(contracts_on):
     from repro.core.config import EnvConfig
     from repro.core.env import FeatureSelectionEnv
+    from tests.conftest import zero_reward
 
     env = FeatureSelectionEnv(
         task_id=0,
         task_representation=np.linspace(0.1, 0.9, 5),
-        reward_fn=None,
+        reward_fn=zero_reward,
         config=EnvConfig(),
     )
     state = env.reset()

@@ -10,6 +10,11 @@ from repro.core.analysis import (
     q_gap_statistics,
     render_explanation,
 )
+from repro.core.batch import batched_greedy_subsets, served_subsets
+from repro.core.env import FeatureSelectionEnv
+from repro.core.pafeat import PAFeat
+from repro.data.stats import pearson_representation
+from tests.conftest import fast_config, zero_reward
 
 
 class TestExplainSelection:
@@ -22,13 +27,53 @@ class TestExplainSelection:
 
     def test_selected_flags_match_model_select(self, fitted_tiny_model, tiny_split):
         train, _ = tiny_split
+        model = fitted_tiny_model
+        for task in train.unseen_tasks:
+            decisions = explain_selection(model, task)
+            explained = tuple(d.position for d in decisions if d.selected)
+            representations = [pearson_representation(task.features, task.labels)]
+            raw = batched_greedy_subsets(
+                model.inference_agent(), representations, model.config.env,
+                feature_corr=model._feature_corr,
+            )
+            assert explained == raw[0]
+            assert served_subsets(raw, representations)[0] == model.select(task)
+
+    def test_q_rows_are_the_reference_episodes(self, fitted_tiny_model, tiny_split):
+        """Each decision's Q row is the agent's Q at the state an
+        env-stepping greedy episode reaches at that position."""
+        train, test = tiny_split
+        model = fitted_tiny_model
+        agent = model.inference_agent()
+        for task in train.unseen_tasks + test.unseen_tasks:
+            env = FeatureSelectionEnv(
+                0,
+                pearson_representation(task.features, task.labels),
+                zero_reward,
+                model.config.env,
+                feature_corr=model._feature_corr,
+            )
+            state = env.reset()
+            expected = []
+            while not env.done:
+                expected.append(tuple(agent.q_values(state)[0].tolist()))
+                state, _, _, _ = env.step(int(agent.act_batch(state)[0]))
+            decisions = explain_selection(model, task)
+            assert [(d.q_deselect, d.q_select) for d in decisions] == expected
+
+    def test_empty_policy_explains_all_skip(self, tiny_split):
+        """A zeroed head ties every Q: the episode selects nothing, which the
+        explanation shows, while select serves the most-correlated feature."""
+        train, _ = tiny_split
+        model = PAFeat(fast_config(n_iterations=2)).fit(train)
+        for parameter in model.inference_agent().online.layers[-1].parameters():
+            parameter.value[...] = 0.0
         task = train.unseen_tasks[0]
-        decisions = explain_selection(fitted_tiny_model, task)
-        explained = tuple(d.position for d in decisions if d.selected)
-        subset = fitted_tiny_model.select(task)
-        # select() falls back to argmax-corr if the episode picked nothing.
-        if explained:
-            assert explained == subset
+        decisions = explain_selection(model, task)
+        assert len(decisions) == task.n_features
+        assert not any(d.selected for d in decisions)
+        representation = pearson_representation(task.features, task.labels)
+        assert model.select(task) == (int(np.argmax(representation)),)
 
     def test_annotations_in_valid_ranges(self, fitted_tiny_model, tiny_split):
         train, _ = tiny_split

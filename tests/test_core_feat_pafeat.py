@@ -69,11 +69,11 @@ class TestFEATTrainer:
         trajectory = trainer.run_episode(task_id, start=start)
         assert 0 in trajectory.selected_features
 
-    def test_infer_subset_respects_budget(self, trainer):
-        task_id = trainer.registry.non_empty_task_ids()[0]
-        env = trainer.envs[task_id]
-        subset = trainer.infer_subset(env)
-        assert len(subset) <= env.max_selectable
+    def test_greedy_subsets_respect_budget(self, trainer):
+        subsets = trainer.greedy_subsets()
+        assert list(subsets) == list(trainer.envs)
+        for task_id, subset in subsets.items():
+            assert len(subset) <= trainer.envs[task_id].max_selectable
 
     def test_invalid_restart_policy_raises(self, trainer):
         with pytest.raises(ValueError, match="restart_policy"):

@@ -8,6 +8,7 @@ from repro.core.env import FeatureSelectionEnv
 from repro.core.state import EnvState, N_SCAN_SCALARS, encode_state, state_dim
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.rl.reward import build_task_reward
+from tests.conftest import zero_reward
 
 
 class TestEnvState:
@@ -179,8 +180,8 @@ class TestFeatureSelectionEnv:
         _, reward, _, info = env.step(1)
         assert reward == pytest.approx(info["score"])
 
-    def test_reward_free_inference_env(self):
-        env = FeatureSelectionEnv(0, np.full(4, 0.5), None, EnvConfig())
+    def test_zero_reward_env_charges_only_the_size_penalty(self):
+        env = FeatureSelectionEnv(0, np.full(4, 0.5), zero_reward, EnvConfig())
         env.reset()
         _, reward, _, info = env.step(1)
         assert reward <= 0.0  # only the size penalty applies

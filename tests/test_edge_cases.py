@@ -11,7 +11,7 @@ from repro.data.table import StructuredTable
 from repro.data.tasks import TaskSuite
 from repro.eval.metrics import roc_auc_score
 from repro.eval.svm import evaluate_subset_with_svm
-from tests.conftest import fast_config
+from tests.conftest import fast_config, zero_reward
 
 
 class TestNonFiniteInputs:
@@ -98,7 +98,7 @@ class TestStatisticsDegenerate:
 class TestBudgetExtremes:
     def test_mfr_one_allows_every_feature(self, rng):
         env = FeatureSelectionEnv(
-            0, np.full(5, 0.5), None, EnvConfig(max_feature_ratio=1.0)
+            0, np.full(5, 0.5), zero_reward, EnvConfig(max_feature_ratio=1.0)
         )
         env.reset()
         while not env.done:
@@ -107,7 +107,7 @@ class TestBudgetExtremes:
 
     def test_tiny_mfr_keeps_at_least_one(self, rng):
         env = FeatureSelectionEnv(
-            0, np.full(10, 0.5), None, EnvConfig(max_feature_ratio=0.01)
+            0, np.full(10, 0.5), zero_reward, EnvConfig(max_feature_ratio=0.01)
         )
         env.reset()
         _, _, done, _ = env.step(1)
@@ -115,7 +115,7 @@ class TestBudgetExtremes:
         assert env.selected == (0,)
 
     def test_single_feature_environment(self):
-        env = FeatureSelectionEnv(0, np.array([0.9]), None, EnvConfig())
+        env = FeatureSelectionEnv(0, np.array([0.9]), zero_reward, EnvConfig())
         env.reset()
         _, _, done, info = env.step(1)
         assert done

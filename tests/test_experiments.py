@@ -167,3 +167,17 @@ class TestExperimentModules:
 
         with pytest.raises(ValueError, match="metric"):
             run_sweep("water-quality", metric="rmse", scale="smoke")
+
+    def test_fig9_refines_each_task_from_the_fitted_model(self, tiny_split):
+        """A task's further-training records do not depend on which tasks
+        were refined before it."""
+        from repro.experiments import fig9
+        from tests.conftest import fast_config
+
+        train, _ = tiny_split
+        config = fast_config()
+        first, second = train.unseen_tasks
+        together = fig9.refine_tasks(train, config, [first, second], 8, 4)
+        alone = fig9.refine_tasks(train, config, [second], 8, 4)
+        assert together[second.name] == alone[second.name]
+        assert [record.iteration for record in alone[second.name]] == [4, 8]

@@ -41,19 +41,23 @@ def step_before(state, action, reward, next_state):
 
 class TestActionSelection:
     def test_greedy_returns_argmax(self):
-        agent = make_agent(epsilon=1.0)  # epsilon ignored when greedy
-        state = np.ones(4)
-        q = agent.q_values(state)[0]
-        assert agent.act(state, greedy=True) == int(np.argmax(q))
+        agent = make_agent(epsilon=1.0)  # act_batch never explores
+        states = np.stack([np.ones(4), np.linspace(-1.0, 1.0, 4)])
+        q = agent.q_values(states)
+        assert agent.act_batch(states).tolist() == np.argmax(q, axis=1).tolist()
 
         # An exact tie (a zeroed dueling head makes Q = 0 for every action)
-        # takes the lowest action, as act_batch does, and draws no RNG.
+        # takes the lowest action, draws no RNG and leaves the epsilon
+        # schedule's clock where it was.
         for parameter in agent.online.layers[-1].parameters():
             parameter.value[...] = 0.0
-        assert np.all(agent.q_values(state)[0] == 0.0)
+        assert np.all(agent.q_values(states) == 0.0)
         rng_state = agent._rng.bit_generator.state
-        assert {agent.act(state, greedy=True) for _ in range(20)} == {0}
+        count = agent.action_count
+        for _ in range(20):
+            assert agent.act_batch(states).tolist() == [0, 0]
         assert agent._rng.bit_generator.state == rng_state
+        assert agent.action_count == count
 
     def test_full_exploration_is_uniform(self):
         agent = make_agent(epsilon=1.0)

@@ -24,6 +24,7 @@ from repro.core.state import EnvState, ScanEncoder, encode_state, state_dim
 from repro.nn.dueling import DuelingNetwork
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.schedules import ConstantSchedule
+from tests.conftest import zero_reward
 
 FEATURE_COUNTS = [1, 2, 7, 8, 9, 127, 128, 129, 200]
 
@@ -158,7 +159,8 @@ class TestMatchesReference:
         for mfr in (1.0, 0.25):
             rep = representations(rng, 1, m)[0]
             env = FeatureSelectionEnv(
-                0, rep, None, EnvConfig(max_feature_ratio=mfr), feature_corr=corr
+                0, rep, zero_reward, EnvConfig(max_feature_ratio=mfr),
+                feature_corr=corr,
             )
             for episode in range(4):
                 start = (

@@ -1,13 +1,15 @@
-"""Batched lockstep inference must be bit-exact with sequential selection.
+"""Every greedy episode is the lockstep kernel's, bit-exact with env stepping.
 
-The serving engine's whole value proposition is "same answers, fewer
-forwards", so the core test is a property: for random agents, random task
+The kernel's whole value proposition is "same answers, fewer forwards",
+so the core test is a property: for random agents, random task
 representations, random budgets, with and without a feature-correlation
 matrix, :func:`repro.core.batch.batched_greedy_subsets` returns exactly
-what per-task :func:`repro.core.feat.greedy_subset` (plus the
-empty-subset fallback) returns.  Feature counts straddle numpy's pairwise
-summation block size (128) so the kernel's ``add.reduce`` vectorisation is
-exercised on both sides of the blocking boundary.
+what per-task :func:`repro.core.feat.greedy_subset`, the env-stepping
+reference, returns.  Feature counts straddle numpy's pairwise summation
+block size (128) so the kernel's ``add.reduce`` vectorisation is
+exercised on both sides of the blocking boundary.  A second property
+pins training-time greedy scoring, :meth:`repro.core.feat.FEATTrainer.
+greedy_subsets`, to the same reference, action-counter ticks included.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import batched_greedy_subsets
-from repro.core.config import EnvConfig
+from repro.core.batch import batched_greedy_subsets, served_subsets
+from repro.core.config import EnvConfig, PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
-from repro.core.feat import greedy_subset
+from repro.core.feat import FEATTrainer, greedy_subset
 from repro.core.state import state_dim
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.schedules import ConstantSchedule
 from repro.serve import BatchedGreedyEngine
+from tests.conftest import zero_reward
 
 
 def make_agent(n_features: int, seed: int) -> DuelingDQNAgent:
@@ -41,12 +44,11 @@ def make_agent(n_features: int, seed: int) -> DuelingDQNAgent:
 
 
 def sequential_select(agent, representation, config, feature_corr):
-    """The reference path: PAFeat.select minus the representation step."""
-    env = FeatureSelectionEnv(0, representation, None, config, feature_corr=feature_corr)
-    subset = greedy_subset(agent, env)
-    if not subset:
-        subset = (int(np.argmax(representation)),)
-    return subset
+    """The reference path: one env-stepping greedy episode."""
+    env = FeatureSelectionEnv(
+        0, representation, zero_reward, config, feature_corr=feature_corr
+    )
+    return greedy_subset(agent, env)
 
 
 class TestBitExactParity:
@@ -59,7 +61,7 @@ class TestBitExactParity:
         n_tasks=st.integers(1, 9),
     )
     # Dead ReLUs give Q = [0, 0] at position 6 of the second task: an exact
-    # tie, which act(greedy=True) must break the way act_batch does.
+    # tie, which both paths must break to the lowest action.
     @example(seed=863, n_features=10, mfr=1.0, with_corr=True, n_tasks=2)
     def test_batched_equals_sequential(self, seed, n_features, mfr, with_corr, n_tasks):
         rng = np.random.default_rng(seed)
@@ -108,6 +110,71 @@ class TestBitExactParity:
         assert fitted_tiny_model.select_all_unseen(batch_size=2) == expected
 
 
+class TestTrainerGreedySubsets:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_features=st.integers(1, 24),
+        mfr=st.floats(0.01, 1.0),
+        other_mfr=st.floats(0.01, 1.0),
+        with_corr=st.booleans(),
+        n_tasks=st.integers(1, 7),
+        deselect=st.booleans(),
+    )
+    # The dead-ReLU tie of TestBitExactParity, at position 6 of task 11.
+    @example(
+        seed=863, n_features=10, mfr=1.0, other_mfr=1.0, with_corr=True,
+        n_tasks=2, deselect=False,
+    )
+    # A budget of one feature on every env.
+    @example(
+        seed=5, n_features=12, mfr=0.01, other_mfr=0.1, with_corr=True,
+        n_tasks=4, deselect=False,
+    )
+    def test_each_env_gets_its_reference_episode_and_ticks(
+        self, seed, n_features, mfr, other_mfr, with_corr, n_tasks, deselect
+    ):
+        """One kernel call per (budget ratio, feature_corr) group of envs
+        returns each env's ``greedy_subset`` in env order, and ticks the
+        action counter once per reference step."""
+        rng = np.random.default_rng(seed)
+        agent = make_agent(n_features, seed + 1)
+        if deselect:
+            # A zeroed head ties every Q: the policy selects nothing.
+            for parameter in agent.online.layers[-1].parameters():
+                parameter.value[...] = 0.0
+        feature_corr = None
+        if with_corr:
+            corr = np.abs(rng.normal(size=(n_features, n_features)))
+            feature_corr = (corr + corr.T) / 2
+        configs = [
+            EnvConfig(max_feature_ratio=mfr),
+            EnvConfig(max_feature_ratio=other_mfr),
+        ]
+        envs = {
+            10 + task: FeatureSelectionEnv(
+                10 + task,
+                np.abs(rng.normal(size=n_features)),
+                zero_reward,
+                configs[task % 2],
+                feature_corr=feature_corr if task % 4 < 2 else None,
+            )
+            for task in range(n_tasks)
+        }
+        trainer = FEATTrainer(envs, agent, PAFeatConfig(), np.random.default_rng(0))
+        expected, steps = [], 0
+        for task_id, env in envs.items():
+            expected.append((task_id, greedy_subset(agent, env)))
+            steps += env.position
+        count = agent.action_count
+        assert list(trainer.greedy_subsets().items()) == expected
+        assert agent.action_count == count + steps
+        if deselect:
+            assert all(subset == () for _, subset in expected)
+        backwards = list(envs)[::-1]
+        assert list(trainer.greedy_subsets(backwards)) == backwards
+
+
 class _DeselectEverythingAgent:
     """A stub policy that never selects — exercises the empty fallback."""
 
@@ -119,16 +186,24 @@ class _DeselectEverythingAgent:
 
 
 class TestFallbackAndValidation:
+    REPRESENTATIONS = [np.array([0.1, 0.9, 0.3]), np.array([0.7, 0.2, 0.4])]
+
     def test_empty_subset_falls_back_to_most_correlated(self):
-        config = EnvConfig(max_feature_ratio=0.5)
-        representations = [
-            np.array([0.1, 0.9, 0.3]),
-            np.array([0.7, 0.2, 0.4]),
-        ]
-        subsets = batched_greedy_subsets(
-            _DeselectEverythingAgent(3), representations, config
+        assert served_subsets([(), (2,)], self.REPRESENTATIONS) == [(1,), (2,)]
+        assert served_subsets([(0, 2), ()], self.REPRESENTATIONS) == [(0, 2), (0,)]
+        # The serving engine answers with the fallback, as select does.
+        engine = BatchedGreedyEngine(
+            _DeselectEverythingAgent(3), EnvConfig(max_feature_ratio=0.5)
         )
-        assert subsets == [(1,), (0,)]
+        assert engine.select_representations(self.REPRESENTATIONS) == [(1,), (0,)]
+
+    def test_kernel_returns_the_policys_empty_subset(self):
+        subsets = batched_greedy_subsets(
+            _DeselectEverythingAgent(3),
+            self.REPRESENTATIONS,
+            EnvConfig(max_feature_ratio=0.5),
+        )
+        assert subsets == [(), ()]
 
     def test_empty_batch_is_empty_result(self):
         assert batched_greedy_subsets(make_agent(4, 0), [], EnvConfig()) == []
