@@ -33,6 +33,7 @@ from repro.core.ite import IntraTaskExplorer
 from repro.core.its import InterTaskScheduler
 from repro.data.stats import feature_redundancy_matrix, pearson_representation
 from repro.data.tasks import Task, TaskSuite
+from repro.eval.metrics import binary_labels
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.obs.telemetry import TelemetryWriter
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -86,8 +87,9 @@ class PAFeat:
     ) -> "PAFeat":
         """Generalise knowledge from the suite's seen tasks (Algorithm 1).
 
-        Argument checks run before fit touches the model, so a rejected
-        call leaves an already-fitted model as it was.
+        Argument checks, every seen task's labels being binary among
+        them, run before fit touches the model, so a rejected call leaves
+        an already-fitted model as it was.
         ``rollout_workers`` accepts only ``1``: the Buffer Filling Phase
         runs its episodes serially (ARCHITECTURE §10).  The keyword is
         kept for existing callers.
@@ -120,6 +122,8 @@ class PAFeat:
         """
         if not suite.seen_tasks:
             raise DataValidationError("suite has no seen tasks to learn from")
+        for task in suite.seen_tasks:
+            binary_labels(task.labels, f"labels of seen task {task.name!r}")
         config = self.config
         total = n_iterations if n_iterations is not None else config.n_iterations
         if total < 1:

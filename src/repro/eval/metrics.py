@@ -9,6 +9,20 @@ scores (AUC).
 from __future__ import annotations
 
 import numpy as np
+from repro.errors import DataValidationError
+
+
+def binary_labels(labels: np.ndarray, name: str = "y_true") -> np.ndarray:
+    """``labels`` flattened to int64; :class:`DataValidationError` naming
+    ``name`` if any is not 0 or 1.  ``np.unique`` runs only to word the error.
+    """
+    labels = np.asarray(labels).reshape(-1)
+    if not ((labels == 0) | (labels == 1)).all():
+        unique = set(np.unique(labels).tolist())
+        raise DataValidationError(
+            f"{name} must be binary in {{0, 1}}, got values {sorted(unique)}"
+        )
+    return labels.astype(np.int64)
 
 
 def _validate_pair(y_true: np.ndarray, y_other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -18,10 +32,7 @@ def _validate_pair(y_true: np.ndarray, y_other: np.ndarray) -> tuple[np.ndarray,
         raise ValueError(f"shape mismatch: {y_true.shape} vs {y_other.shape}")
     if y_true.size == 0:
         raise ValueError("metrics are undefined on empty inputs")
-    unique = set(np.unique(y_true).tolist())
-    if not unique <= {0, 1}:
-        raise ValueError(f"y_true must be binary in {{0, 1}}, got values {sorted(unique)}")
-    return y_true.astype(np.int64), y_other
+    return binary_labels(y_true), y_other
 
 
 def confusion_counts(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[int, int, int, int]:
@@ -69,6 +80,9 @@ def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
     negative, with ties counting one half.  Degenerate inputs (a single
     class) return 0.5 — the chance level — rather than raising, because the
     RL reward is called on arbitrary label splits during training.
+
+    Loop-free, since every reward miss calls it: a tie group starts where
+    a sorted score differs from the one before (NaNs rank alone, ±0.0 tie).
     """
     y_true, y_score = _validate_pair(y_true, y_score)
     n_pos = int(np.sum(y_true == 1))
@@ -77,14 +91,12 @@ def roc_auc_score(y_true: np.ndarray, y_score: np.ndarray) -> float:
         return 0.5
     order = np.argsort(y_score, kind="mergesort")
     sorted_scores = y_score[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
+    )
+    ends = np.append(starts[1:], y_true.size) - 1
     ranks = np.empty(y_true.size, dtype=np.float64)
-    i = 0
-    while i < y_true.size:
-        j = i
-        while j + 1 < y_true.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     rank_sum_pos = float(np.sum(ranks[y_true == 1]))
     u_statistic = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u_statistic / (n_pos * n_neg)

@@ -2,7 +2,7 @@
 
 The paper trains small multi-layer perceptrons (a Dueling Q-network and a
 masked-input classifier) with PyTorch.  This package provides the same
-building blocks — dense layers, activations, dropout, losses, SGD/Adam and a
+building blocks — dense layers, activations, dropout, losses, Adam and a
 dueling value/advantage head — implemented with explicit NumPy forward and
 backward passes so the reproduction has no dependency on a GPU framework.
 
@@ -33,7 +33,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import BCELoss, CrossEntropyLoss, HuberLoss, MSELoss
 from repro.nn.network import MLP, load_state_dict, state_dict
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 
 __all__ = [
     "Adam",
@@ -51,7 +51,6 @@ __all__ = [
     "Optimizer",
     "Parameter",
     "ReLU",
-    "SGD",
     "Sequential",
     "Sigmoid",
     "Tanh",

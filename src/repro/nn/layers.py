@@ -3,7 +3,10 @@
 Each :class:`Layer` caches whatever it needs during ``forward`` and consumes
 it during ``backward``.  Gradients accumulate on :class:`Parameter` objects;
 optimizers read ``parameter.grad`` and write ``parameter.value`` in place so
-layers and optimizers stay decoupled.
+layers and optimizers stay decoupled.  An optimizer owns that memory: at
+construction it rebinds both arrays to views of its flat buffers
+(:class:`~repro.nn.optim.Optimizer`), so everything else writes them in
+place and never rebinds them.
 """
 
 from __future__ import annotations

@@ -10,7 +10,13 @@ from repro.nn.layers import Parameter
 
 
 class Optimizer:
-    """Base optimizer holding a parameter list."""
+    """Base optimizer owning its parameters' memory.
+
+    Construction moves every parameter's value and gradient into one flat
+    buffer each and rebinds ``Parameter.value``/``.grad`` to views of them,
+    so a step, :meth:`zero_grad` and the clip rescale are one elementwise
+    pass.  Nothing may rebind ``value`` or ``grad`` afterwards.
+    """
 
     def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
         if lr <= 0.0:
@@ -19,6 +25,23 @@ class Optimizer:
         if not self.parameters:
             raise ValueError("optimizer requires at least one parameter")
         self.lr = lr
+        bounds = np.cumsum([0] + [p.value.size for p in self.parameters]).tolist()
+        self._slices = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self._values = np.concatenate([p.value.ravel() for p in self.parameters])
+        # Transient: zeroed before every backward pass, never checkpointed.
+        self._grads = np.concatenate(  # repolint: disable=CKPT201
+            [p.grad.ravel() for p in self.parameters]
+        )
+        for parameter, value, grad in zip(
+            self.parameters, self._views(self._values), self._views(self._grads)
+        ):
+            parameter.value, parameter.grad = value, grad
+
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """``flat`` cut into one view per parameter, shaped like its value."""
+        return [
+            flat[where].reshape(p.shape) for p, where in zip(self.parameters, self._slices)
+        ]
 
     def step(self) -> None:
         raise NotImplementedError
@@ -31,52 +54,29 @@ class Optimizer:
         """Restore a snapshot from :meth:`capture_state`."""
 
     def zero_grad(self) -> None:
-        for parameter in self.parameters:
-            parameter.zero_grad()
+        self._grads[...] = 0.0
 
     def clip_grad_norm(self, max_norm: float) -> float:
-        """Globally rescale gradients to at most ``max_norm``; returns the norm."""
+        """Globally rescale gradients to at most ``max_norm``; returns the norm.
+
+        The norm sums per-parameter squared sums in parameter order, so it
+        rounds exactly as a per-array loop does.
+        """
         if max_norm <= 0.0:
             raise ValueError(f"max_norm must be positive, got {max_norm}")
-        total = np.sqrt(sum(float(np.sum(p.grad**2)) for p in self.parameters))
+        squares = np.square(self._grads)
+        total = np.sqrt(sum(float(np.add.reduce(squares[where])) for where in self._slices))
         if total > max_norm:
-            scale = max_norm / (total + 1e-12)
-            for parameter in self.parameters:
-                parameter.grad *= scale
+            self._grads *= max_norm / (total + 1e-12)
         return total
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional classical momentum."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def capture_state(self) -> tuple[dict, dict[str, np.ndarray]]:
-        arrays = {f"velocity/{i}": v.copy() for i, v in enumerate(self._velocity)}
-        return {"n_parameters": len(self.parameters)}, arrays
-
-    def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-        _check_parameter_count(meta, self.parameters)
-        for i, velocity in enumerate(self._velocity):
-            velocity[...] = arrays[f"velocity/{i}"]
-
-    def step(self) -> None:
-        for parameter, velocity in zip(self.parameters, self._velocity):
-            if self.momentum > 0.0:
-                velocity *= self.momentum
-                velocity -= self.lr * parameter.grad
-                parameter.value += velocity
-            else:
-                parameter.value -= self.lr * parameter.grad
-
-
 class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015) with bias correction."""
+    """Adam optimizer (Kingma & Ba, 2015) with bias correction.
+
+    ``m`` and ``v`` are flat; checkpoints key them per parameter (``m/i``,
+    ``v/i``), shaped like parameter ``i``.
+    """
 
     def __init__(
         self,
@@ -92,12 +92,12 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = beta1, beta2
         self.eps = eps
         self._step_count = 0
-        self._m = [np.zeros_like(p.value) for p in self.parameters]
-        self._v = [np.zeros_like(p.value) for p in self.parameters]
+        self._m = np.zeros_like(self._values)
+        self._v = np.zeros_like(self._values)
 
     def capture_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         arrays: dict[str, np.ndarray] = {}
-        for i, (m, v) in enumerate(zip(self._m, self._v)):
+        for i, (m, v) in enumerate(zip(self._views(self._m), self._views(self._v))):
             arrays[f"m/{i}"] = m.copy()
             arrays[f"v/{i}"] = v.copy()
         meta = {"step_count": self._step_count, "n_parameters": len(self.parameters)}
@@ -106,7 +106,7 @@ class Adam(Optimizer):
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         _check_parameter_count(meta, self.parameters)
         self._step_count = int(meta["step_count"])
-        for i, (m, v) in enumerate(zip(self._m, self._v)):
+        for i, (m, v) in enumerate(zip(self._views(self._m), self._views(self._v))):
             m[...] = arrays[f"m/{i}"]
             v[...] = arrays[f"v/{i}"]
 
@@ -114,15 +114,14 @@ class Adam(Optimizer):
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for parameter, m, v in zip(self.parameters, self._m, self._v):
-            grad = parameter.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            parameter.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        grad, m, v = self._grads, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad**2
+        m_hat = m / bias1
+        v_hat = v / bias2
+        self._values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _check_parameter_count(meta: dict, parameters: Sequence[Parameter]) -> None:

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.analysis import tsan
 from repro.analysis.contracts import check_scalar_range
+from repro.eval.metrics import binary_labels
 from repro.nn.classifier import MaskedMLPClassifier
 
 
@@ -33,10 +34,11 @@ def build_task_reward(
     evaluates subsets on the held-out remainder.  Scoring on the training
     rows themselves produces a degenerate landscape — an overfit classifier
     scores ~1.0 for almost any subset — so validation scoring is what makes
-    Eqn. 2 informative about subset quality.
+    Eqn. 2 informative about subset quality.  Non-binary ``labels`` raise
+    :class:`~repro.errors.DataValidationError` before any pretraining.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels).reshape(-1)
+    labels = binary_labels(labels, "labels")
     if not 0.0 < validation_fraction < 1.0:
         raise ValueError(
             f"validation_fraction must be in (0, 1), got {validation_fraction}"

@@ -160,6 +160,36 @@ class TestRejectedFit:
         _assert_same_weights(weights, trainer.agent.save_policy())
         assert fitted.select(task) == subset
 
+    def test_non_binary_labels_leave_the_model_untouched(self, fitted, tiny_split):
+        from repro.data.table import StructuredTable
+        from repro.data.tasks import TaskSuite
+        from repro.errors import DataValidationError
+
+        train, _ = tiny_split
+        trainer = fitted.trainer
+        weights = trainer.agent.save_policy()
+        task = train.unseen_tasks[0]
+        subset = fitted.select(task)
+        # A suite of another width whose second seen task has a third class.
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 2, size=(60, 3))
+        labels[::7, 1] = 2
+        bad = TaskSuite(
+            "bad",
+            StructuredTable(
+                rng.normal(size=(60, train.n_features - 2)),
+                labels,
+                label_names=["a", "b", "c"],
+            ),
+            [0, 1],
+            [2],
+        )
+        with pytest.raises(DataValidationError, match="seen task 'b' must be binary"):
+            fitted.fit(bad)
+        assert fitted.trainer is trainer
+        _assert_same_weights(weights, trainer.agent.save_policy())
+        assert fitted.select(task) == subset
+
 
 class TestPAFeatSelect:
     def test_select_returns_valid_subset(self, fitted_tiny_model, tiny_split):

@@ -196,6 +196,17 @@ class TestRewardFunction:
     def test_all_features_score_uses_full_set(self, reward):
         assert reward.all_features_score == reward((0, 1, 2))
 
+    def test_non_binary_labels_raise_before_pretraining(self):
+        from repro.errors import DataValidationError
+
+        x, labels = linearly_separable(50)
+        labels[3] = 2
+        classifier = MaskedMLPClassifier(3, n_epochs=2)
+        with pytest.raises(DataValidationError, match=r"labels must be binary .*\[0, 1, 2\]"):
+            build_task_reward(x, labels, classifier)
+        with pytest.raises(RuntimeError, match="before fit"):
+            classifier.predict_proba(x)
+
     def test_validation_split_keeps_scores_honest(self):
         """With pure-noise features, validation AUC must stay near chance."""
         rng = np.random.default_rng(9)

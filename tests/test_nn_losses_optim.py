@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.layers import Linear, Parameter
 from repro.nn.losses import BCELoss, CrossEntropyLoss, HuberLoss, MSELoss
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
 class TestMSELoss:
@@ -90,34 +90,6 @@ class TestCrossEntropyLoss:
             loss.forward(np.zeros((2, 3)), np.array([0, 1, 2]))
 
 
-class TestSGD:
-    def test_plain_step_descends(self):
-        parameter = Parameter("w", np.array([1.0]))
-        parameter.grad[...] = np.array([2.0])
-        SGD([parameter], lr=0.1).step()
-        np.testing.assert_allclose(parameter.value, [0.8])
-
-    def test_momentum_accumulates(self):
-        parameter = Parameter("w", np.array([0.0]))
-        optimizer = SGD([parameter], lr=0.1, momentum=0.9)
-        parameter.grad[...] = np.array([1.0])
-        optimizer.step()
-        first = parameter.value.copy()
-        parameter.grad[...] = np.array([1.0])
-        optimizer.step()
-        second_delta = parameter.value - first
-        assert abs(second_delta[0]) > 0.1  # momentum adds to the raw step
-
-    def test_invalid_momentum_raises(self):
-        parameter = Parameter("w", np.zeros(1))
-        with pytest.raises(ValueError, match="momentum"):
-            SGD([parameter], lr=0.1, momentum=1.0)
-
-    def test_requires_parameters(self):
-        with pytest.raises(ValueError, match="at least one parameter"):
-            SGD([], lr=0.1)
-
-
 class TestAdam:
     def test_minimises_quadratic(self):
         parameter = Parameter("w", np.array([5.0]))
@@ -135,6 +107,10 @@ class TestAdam:
         optimizer.step()
         # Bias correction makes the first step ~lr regardless of grad scale.
         assert abs(1.0 - parameter.value[0]) == pytest.approx(0.01, rel=1e-3)
+
+    def test_requires_parameters(self):
+        with pytest.raises(ValueError, match="at least one parameter"):
+            Adam([], lr=0.1)
 
     def test_invalid_betas(self):
         parameter = Parameter("w", np.zeros(1))
