@@ -13,20 +13,20 @@ size:
 lint:
 	$(PYTHON) -m tools.repolint src/
 
-## Fast path: only .py files git reports as modified/untracked (SHA-keyed
-## result cache on, so unchanged files replay their findings).
+## Fast path: per-file rules over only the .py files git reports as
+## modified/untracked; program rules still parse the whole package.
 lint-changed:
 	$(PYTHON) -m tools.repolint --changed src/
 
-## ASYNC9xx rules plus the concurrency certificate (must be clean).
+## The concurrency certificate (must be clean).  `make lint` already runs
+## ASYNC901-905 with every other rule; the certificate applies no pragmas.
 lint-concurrency:
-	$(PYTHON) -m tools.repolint --select ASYNC901,ASYNC902,ASYNC903,ASYNC904,ASYNC905 src/
 	$(PYTHON) -m tools.repolint report --anchor src --out concurrency-certificate.json
 	$(PYTHON) -c "import json; c = json.load(open('concurrency-certificate.json'))['concurrency_certificate']; assert c['clean'], c['findings']; print('concurrency certificate clean:', len(c['functions']), 'functions')"
 
-## EXC10xx rules plus the exception certificate (must be clean).
+## The exception certificate (must be clean).  `make lint` already runs
+## EXC1001-1005 with every other rule; the certificate applies no pragmas.
 lint-exceptions:
-	$(PYTHON) -m tools.repolint --select EXC1001,EXC1002,EXC1003,EXC1004,EXC1005 src/
 	$(PYTHON) -m tools.repolint report --anchor src --out exception-certificate.json
 	$(PYTHON) -c "import json; c = json.load(open('exception-certificate.json'))['exception_certificate']; assert c['clean'], c['findings']; print('exception certificate clean:', len(c['boundaries']), 'boundaries,', len(c['broad_handlers']), 'broad handlers')"
 

@@ -4,12 +4,11 @@ The full-tree ``repolint`` pass (per-file rules plus the import-graph,
 call-graph, concurrency and exception passes) must stay fast enough to run
 pre-commit and in CI on every push.
 
-The ``lint_cache`` section measures the two caching layers on top of the
-cold pass: the shared parse-once :class:`SourceCache` (every rule and the
-program passes reuse one AST per file) and the SHA-keyed
-:class:`ResultCache` warm re-run, with the speedup relative to the cold
-wall time.  ``report`` times the package parse and the analysis artifact
-that ``python -m tools.repolint report`` writes.
+The ``parse_once`` section counts what the run's :class:`SourceCache`
+saves: every rule and the program passes share one AST per file, so a
+file that is both a lint target and a package module is parsed once.
+``report`` times the package parse and the analysis artifact that
+``python -m tools.repolint report`` writes.
 
 Writes ``BENCH_static.json`` at the repo root::
 
@@ -29,6 +28,7 @@ for entry in (str(REPO_ROOT), str(REPO_ROOT / "src")):
         sys.path.insert(0, entry)
 
 from tools.repolint import analyze_paths, build_program  # noqa: E402
+from tools.repolint.engine import SourceCache  # noqa: E402
 from tools.repolint.report import build_report  # noqa: E402
 
 LINT_TARGETS = (REPO_ROOT / "src", REPO_ROOT / "tools")
@@ -57,42 +57,10 @@ def bench_lint() -> dict:
     }
 
 
-def bench_lint_cache(cold_wall_s: float) -> dict:
-    import tempfile
-
-    from tools.repolint.cache import ResultCache, SourceCache
-
+def bench_parse_once() -> dict:
     source_cache = SourceCache()
-    shared_wall, _ = best_of(
-        3, lambda: analyze_paths(list(LINT_TARGETS), source_cache=SourceCache())
-    )
     analyze_paths(list(LINT_TARGETS), source_cache=source_cache)
-
-    with tempfile.TemporaryDirectory() as scratch:
-        cache_path = Path(scratch) / "cache.json"
-        analyze_paths(
-            list(LINT_TARGETS), result_cache=ResultCache(cache_path)
-        )  # populate
-        warm_cache = ResultCache(cache_path)
-        warm_wall, _ = best_of(
-            3,
-            lambda: analyze_paths(
-                list(LINT_TARGETS), result_cache=ResultCache(cache_path)
-            ),
-        )
-        analyze_paths(list(LINT_TARGETS), result_cache=warm_cache)
-
-    return {
-        "shared_parse_wall_s": round(shared_wall, 4),
-        "parses": source_cache.parses,
-        "parse_hits": source_cache.hits,
-        "warm_result_cache_wall_s": round(warm_wall, 4),
-        "result_cache_hits": warm_cache.hits,
-        "result_cache_misses": warm_cache.misses,
-        "warm_speedup_vs_cold": (
-            round(cold_wall_s / warm_wall, 2) if warm_wall else None
-        ),
-    }
+    return {"parses": source_cache.parses, "parse_hits": source_cache.hits}
 
 
 def bench_report() -> dict:
@@ -108,11 +76,10 @@ def bench_report() -> dict:
 
 
 def main() -> None:
-    lint = bench_lint()
     payload = {
         "generated_by": "benchmarks/bench_repolint.py",
-        "lint": lint,
-        "lint_cache": bench_lint_cache(lint["wall_s"]),
+        "lint": bench_lint(),
+        "parse_once": bench_parse_once(),
         "report": bench_report(),
     }
     out = REPO_ROOT / "BENCH_static.json"

@@ -322,7 +322,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     registry = ModelRegistry(args.checkpoint_dir)
     version = registry.load()
-    for path, reason in registry.skipped:
+    for path, reason in registry.recent_skips():
         print(f"skipped corrupt model version {path.name}: {reason}", file=sys.stderr)
     server = SelectionServer(
         registry,

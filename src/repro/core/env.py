@@ -111,7 +111,7 @@ class FeatureSelectionEnv:
         # The encoding must be a fresh array: it escapes into replay-buffer
         # transitions, so returning the encoder's row would alias every
         # stored state to the latest step.
-        encoded = np.copy(self._scan.states[0])  # repolint: disable=HOT701
+        encoded = np.copy(self._scan.states[0])
         return check_state_batch("env.encode", encoded, self.state_dim)
 
     def step(self, action: int) -> tuple[np.ndarray, float, bool, dict]:

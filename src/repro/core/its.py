@@ -18,7 +18,6 @@ resources.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,9 +28,6 @@ from repro.analysis.numerics import normalized, stable_softmax
 from repro.core.config import ITSConfig
 from repro.rl.replay import ReplayRegistry
 from repro.rl.trajectory import EpisodeSummary
-
-# Bound on the persisted probe-telemetry history (collect_progress calls).
-PROGRESS_HISTORY_WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,6 @@ class InterTaskScheduler:
         self.n_features = n_features
         self.config = config
         self.last_progress: list[TaskProgress] = []
-        # Rolling telemetry of the distance-ratio / uncertainty probes —
-        # persisted in checkpoints so a resumed run keeps its progress
-        # picture across restarts (and dashboards keep their history).
-        self.progress_history: deque[list[TaskProgress]] = deque(
-            maxlen=PROGRESS_HISTORY_WINDOW
-        )
         # Per-task episode allocation tally, guarded by the lock below.
         # Episodes are planned serially, but the counter is also readable
         # from telemetry threads, so updates go through a TrackedLock and
@@ -134,7 +124,6 @@ class InterTaskScheduler:
                 )
             )
         self.last_progress = progress
-        self.progress_history.append(progress)
         return progress
 
     def probabilities(self, registry: ReplayRegistry) -> np.ndarray:
@@ -179,18 +168,16 @@ class InterTaskScheduler:
         """Snapshot the probe telemetry (JSON-able; the ITS holds no RNG)."""
         return {
             "last_progress": [asdict(p) for p in self.last_progress],
-            "progress_history": [
-                [asdict(p) for p in snapshot] for snapshot in self.progress_history
-            ],
             "visit_counts": {str(t): int(n) for t, n in self.visits().items()},
         }
 
     def restore_state(self, meta: dict) -> None:
-        """Restore telemetry captured by :meth:`capture_state`."""
+        """Restore telemetry captured by :meth:`capture_state`.
+
+        A ``progress_history`` list, written by older releases, is ignored:
+        nothing read it.
+        """
         self.last_progress = [TaskProgress(**p) for p in meta.get("last_progress", [])]
-        self.progress_history.clear()
-        for snapshot in meta.get("progress_history", []):
-            self.progress_history.append([TaskProgress(**p) for p in snapshot])
         with self._visit_lock:
             self.visit_counts = {t: 0 for t in self.task_ids}
             for key, count in meta.get("visit_counts", {}).items():

@@ -83,10 +83,6 @@ def set_rng_state(rng: np.random.Generator, state: dict) -> None:
 # Atomic artifact I/O
 # ---------------------------------------------------------------------------
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:

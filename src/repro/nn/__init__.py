@@ -2,7 +2,7 @@
 
 The paper trains small multi-layer perceptrons (a Dueling Q-network and a
 masked-input classifier) with PyTorch.  This package provides the same
-building blocks — dense layers, activations, dropout, losses, Adam and a
+building blocks — dense layers, activations, losses, Adam and a
 dueling value/advantage head — implemented with explicit NumPy forward and
 backward passes so the reproduction has no dependency on a GPU framework.
 
@@ -22,7 +22,6 @@ from repro.nn.classifier import MaskedMLPClassifier
 from repro.nn.dueling import DuelingHead, DuelingNetwork
 from repro.nn.initializers import he_init, xavier_init, zeros_init
 from repro.nn.layers import (
-    Dropout,
     Layer,
     Linear,
     Parameter,
@@ -31,15 +30,13 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.losses import BCELoss, CrossEntropyLoss, HuberLoss, MSELoss
+from repro.nn.losses import BCELoss, HuberLoss, MSELoss
 from repro.nn.network import MLP, load_state_dict, state_dict
 from repro.nn.optim import Adam, Optimizer
 
 __all__ = [
     "Adam",
     "BCELoss",
-    "CrossEntropyLoss",
-    "Dropout",
     "DuelingHead",
     "DuelingNetwork",
     "HuberLoss",

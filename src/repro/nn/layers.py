@@ -218,36 +218,6 @@ class Sigmoid(Layer):
         return grad_output * self._out * (1.0 - self._out)
 
 
-class Dropout(Layer):
-    """Inverted dropout: ``forward`` draws a mask; ``infer`` is the identity."""
-
-    def __init__(self, p: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self.p == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def infer_batch(self, x: np.ndarray) -> np.ndarray:
-        # Inverted dropout is the identity at inference: no mask is drawn,
-        # the shared RNG is untouched and no mask state is (re)written.
-        return x
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
 class Sequential(Layer):
     """Composes layers in order; backward runs them in reverse."""
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from repro.errors import LifecycleError
 
-from repro.analysis.numerics import safe_log, stable_softmax
+from repro.analysis.numerics import safe_log
 
 
 class Loss:
@@ -95,30 +95,3 @@ class BCELoss(Loss):
             raise LifecycleError("backward called before forward")
         denom = self._pred * (1.0 - self._pred) * self._pred.size
         return (self._pred - self._target) / denom
-
-
-class CrossEntropyLoss(Loss):
-    """Softmax cross-entropy on raw logits with integer class targets."""
-
-    def __init__(self) -> None:
-        self._probs: np.ndarray | None = None
-        self._target: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        logits = np.atleast_2d(np.asarray(pred, dtype=np.float64))
-        target = np.asarray(target, dtype=np.int64).reshape(-1)
-        if target.shape[0] != logits.shape[0]:
-            raise ValueError(
-                f"batch mismatch: {logits.shape[0]} logits vs {target.shape[0]} targets"
-            )
-        probs = stable_softmax(logits, axis=1)
-        self._probs, self._target = probs, target
-        picked = probs[np.arange(len(target)), target]
-        return float(-np.mean(safe_log(picked)))
-
-    def backward(self) -> np.ndarray:
-        if self._probs is None or self._target is None:
-            raise LifecycleError("backward called before forward")
-        grad = self._probs.copy()
-        grad[np.arange(len(self._target)), self._target] -= 1.0
-        return grad / len(self._target)

@@ -6,13 +6,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.layers import Dropout, Layer, Linear, ReLU, Sequential, Sigmoid, Tanh
+from repro.nn.layers import Layer, Linear, ReLU, Sequential, Sigmoid, Tanh
 
 _ACTIVATIONS = {"relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid}
 
 
 class MLP(Sequential):
-    """Multi-layer perceptron: Linear → activation (→ Dropout) per hidden layer.
+    """Multi-layer perceptron: Linear → activation per hidden layer.
 
     ``sizes`` gives the full layer widths, e.g. ``[in, 64, 64, out]``.  The
     output layer is linear (no activation) unless ``output_activation`` is
@@ -25,7 +25,6 @@ class MLP(Sequential):
         rng: np.random.Generator,
         activation: str = "relu",
         output_activation: str | None = None,
-        dropout: float = 0.0,
         name: str = "mlp",
     ) -> None:
         if len(sizes) < 2:
@@ -42,8 +41,6 @@ class MLP(Sequential):
             )
             if not is_output:
                 layers.append(_ACTIVATIONS[activation]())
-                if dropout > 0.0:
-                    layers.append(Dropout(dropout, rng))
             elif output_activation is not None:
                 layers.append(_ACTIVATIONS[output_activation]())
         super().__init__(layers)

@@ -8,7 +8,7 @@ Task-agnostic pieces live here; everything specific to feature selection
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.replay import ReplayBatch, ReplayBuffer, ReplayRegistry
 from repro.rl.reward import RewardFunction, build_task_reward
-from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
+from repro.rl.schedules import ConstantSchedule, LinearDecay
 from repro.rl.seeding import task_rng, task_seed_sequence
 from repro.rl.trajectory import EpisodeSummary, Trajectory
 
@@ -16,7 +16,6 @@ __all__ = [
     "ConstantSchedule",
     "DuelingDQNAgent",
     "EpisodeSummary",
-    "ExponentialDecay",
     "LinearDecay",
     "ReplayBatch",
     "ReplayBuffer",

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class Schedule:
     """Maps a step counter to a value (e.g. epsilon)."""
@@ -40,17 +38,3 @@ class LinearDecay(Schedule):
     def value(self, step: int) -> float:
         fraction = min(1.0, step / self.decay_steps)
         return self.start + fraction * (self.end - self.start)
-
-
-class ExponentialDecay(Schedule):
-    """Decay ``start`` towards ``end`` with time constant ``tau`` steps."""
-
-    def __init__(self, start: float, end: float, tau: float) -> None:
-        if tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {tau}")
-        self.start = start
-        self.end = end
-        self.tau = tau
-
-    def value(self, step: int) -> float:
-        return self.end + (self.start - self.end) * math.exp(-step / self.tau)

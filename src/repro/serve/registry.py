@@ -151,7 +151,7 @@ class ModelRegistry:
         """Load the newest version that verifies; raise when none does.
 
         Walks newest-first; a version whose manifest, checksums or weights
-        fail validation is recorded in :attr:`skipped` and passed over.
+        fail validation is recorded in :meth:`recent_skips` and passed over.
         """
         candidates = self.candidate_versions()
         if not candidates:
@@ -174,7 +174,7 @@ class ModelRegistry:
         """Hot-swap to a newer valid version when one exists.
 
         Returns True when the served model changed.  Corrupt newer
-        versions are skipped (recorded in :attr:`skipped`); the current
+        versions are skipped (recorded in :meth:`recent_skips`); the current
         model keeps serving.  With no model loaded yet this behaves like
         :meth:`load` but returns the swap flag instead of raising.
         """
@@ -248,16 +248,6 @@ class ModelRegistry:
         return current
 
     # -- skip history ---------------------------------------------------
-    @property
-    def skipped(self) -> list[tuple[Path, str]]:
-        """Snapshot of the recent skip records (kept for API compat)."""
-        return self.recent_skips()
-
-    @property
-    def skips_total(self) -> int:
-        """Lifetime count of skipped candidates."""
-        return self.skip_count()
-
     def recent_skips(self) -> list[tuple[Path, str]]:
         """Copy of the bounded ``(path, reason)`` skip history."""
         with self._swap_lock:

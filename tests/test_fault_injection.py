@@ -90,6 +90,39 @@ def _assert_same_weights(expected, actual):
         np.testing.assert_array_equal(expected[name], actual[name])
 
 
+def _assert_same_model(straight_run, model, train_tasks):
+    expected_weights, expected_subsets = straight_run
+    _assert_same_weights(expected_weights, model.trainer.agent.save_policy())
+    assert {
+        task.name: model.select(task) for task in train_tasks.unseen_tasks
+    } == expected_subsets
+
+
+def _resume_after_meta_edit(config, train_tasks, directory, edit):
+    """Crash a checkpointed fit at iteration 7, rewrite the newest
+    checkpoint's meta with ``edit`` and resume from it."""
+    with pytest.raises(SimulatedCrash):
+        PAFeat(config).fit(
+            train_tasks,
+            checkpoint_dir=directory,
+            checkpoint_every=CHECKPOINT_EVERY,
+            stop_check=CrashAt(7),
+        )
+    manager = CheckpointManager(directory)
+    loaded = manager.latest_valid()
+    assert loaded is not None and loaded.iteration == CHECKPOINT_EVERY
+    meta = dict(loaded.meta)
+    edit(meta)
+    manager.save(loaded.iteration, meta, loaded.arrays)
+    assert manager.latest_valid().meta == meta
+    return PAFeat(config).fit(
+        train_tasks,
+        checkpoint_dir=directory,
+        checkpoint_every=CHECKPOINT_EVERY,
+        resume=True,
+    )
+
+
 def _wrapped_buffer():
     """A 12-row ring after three 5-step episodes: it has wrapped once."""
     buffer = ReplayBuffer(capacity=12, trajectory_window=4)
@@ -193,39 +226,37 @@ class TestResumeEquivalence:
     ):
         # Older releases could fill buffers through a process pool, whose
         # checkpoints carry a "rollout" meta entry; a resume ignores it.
-        directory = tmp_path / "ckpts"
-        with pytest.raises(SimulatedCrash):
-            PAFeat(config).fit(
-                train_tasks,
-                checkpoint_dir=directory,
-                checkpoint_every=CHECKPOINT_EVERY,
-                stop_check=CrashAt(7),
-            )
-        manager = CheckpointManager(directory)
-        loaded = manager.latest_valid()
-        assert loaded is not None and loaded.iteration == CHECKPOINT_EVERY
-        meta = dict(loaded.meta)
-        meta["rollout"] = {
-            "seed": config.seed,
-            "n_workers": 2,
-            "episodes_planned": CHECKPOINT_EVERY * config.episodes_per_iteration,
-            "degraded": False,
-            "degrade_reason": None,
-        }
-        manager.save(loaded.iteration, meta, loaded.arrays)
-        assert "rollout" in manager.latest_valid().meta
+        def add_rollout(meta):
+            meta["rollout"] = {
+                "seed": config.seed,
+                "n_workers": 2,
+                "episodes_planned": CHECKPOINT_EVERY * config.episodes_per_iteration,
+                "degraded": False,
+                "degrade_reason": None,
+            }
 
-        resumed = PAFeat(config).fit(
-            train_tasks,
-            checkpoint_dir=directory,
-            checkpoint_every=CHECKPOINT_EVERY,
-            resume=True,
+        resumed = _resume_after_meta_edit(
+            config, train_tasks, tmp_path / "ckpts", add_rollout
         )
-        expected_weights, expected_subsets = straight_run
-        _assert_same_weights(expected_weights, resumed.trainer.agent.save_policy())
-        assert {
-            task.name: resumed.select(task) for task in train_tasks.unseen_tasks
-        } == expected_subsets
+        _assert_same_model(straight_run, resumed, train_tasks)
+
+    def test_resume_ignores_a_scheduler_progress_history(
+        self, config, train_tasks, straight_run, tmp_path
+    ):
+        # Older releases kept the scheduler's probes of the last 256
+        # planned episodes in its checkpoint meta; nothing read them, and a
+        # resume ignores them.
+        def add_progress_history(meta):
+            scheduler = dict(meta["scheduler"])
+            assert "progress_history" not in scheduler
+            assert scheduler["last_progress"]
+            scheduler["progress_history"] = [scheduler["last_progress"]] * 3
+            meta["scheduler"] = scheduler
+
+        resumed = _resume_after_meta_edit(
+            config, train_tasks, tmp_path / "ckpts", add_progress_history
+        )
+        _assert_same_model(straight_run, resumed, train_tasks)
 
     def test_resume_requires_checkpoint_dir(self, config, train_tasks):
         with pytest.raises(ValueError, match="checkpoint_dir"):

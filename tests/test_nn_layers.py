@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import (
-    Dropout,
     Linear,
     Parameter,
     ReLU,
@@ -115,29 +114,6 @@ class TestActivations:
         for activation in (ReLU(), Tanh(), Sigmoid()):
             with pytest.raises(RuntimeError):
                 activation.backward(np.ones(1))
-
-
-class TestDropout:
-    def test_inactive_at_inference(self, rng):
-        dropout = Dropout(0.5, rng)
-        x = rng.standard_normal((4, 4))
-        np.testing.assert_array_equal(dropout.infer(x), x)
-
-    def test_preserves_expectation_in_training(self, rng):
-        dropout = Dropout(0.5, rng)
-        x = np.ones((200, 200))
-        out = dropout.forward(x)
-        assert abs(out.mean() - 1.0) < 0.05
-
-    def test_backward_reuses_mask(self, rng):
-        dropout = Dropout(0.5, rng)
-        out = dropout.forward(np.ones((10, 10)))
-        grad = dropout.backward(np.ones((10, 10)))
-        np.testing.assert_array_equal(grad, out)
-
-    def test_invalid_probability_raises(self, rng):
-        with pytest.raises(ValueError, match="dropout probability"):
-            Dropout(1.0, rng)
 
 
 class TestSequential:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, Parameter
-from repro.nn.losses import BCELoss, CrossEntropyLoss, HuberLoss, MSELoss
+from repro.nn.losses import BCELoss, HuberLoss, MSELoss
 from repro.nn.optim import Adam
 
 
@@ -70,24 +70,6 @@ class TestBCELoss:
         loss = BCELoss()
         value = loss.forward(np.array([[0.0]]), np.array([[1.0]]))
         assert np.isfinite(value)
-
-
-class TestCrossEntropyLoss:
-    def test_uniform_logits_give_log_n(self):
-        loss = CrossEntropyLoss()
-        value = loss.forward(np.zeros((1, 4)), np.array([2]))
-        assert value == pytest.approx(np.log(4.0))
-
-    def test_gradient_sums_to_zero_per_row(self):
-        loss = CrossEntropyLoss()
-        loss.forward(np.array([[1.0, 2.0, 3.0]]), np.array([0]))
-        grad = loss.backward()
-        assert grad.sum() == pytest.approx(0.0, abs=1e-12)
-
-    def test_batch_mismatch_raises(self):
-        loss = CrossEntropyLoss()
-        with pytest.raises(ValueError, match="batch mismatch"):
-            loss.forward(np.zeros((2, 3)), np.array([0, 1, 2]))
 
 
 class TestAdam:

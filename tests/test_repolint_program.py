@@ -1,4 +1,4 @@
-"""Whole-program repolint passes: layers, module state, call graph, hot paths.
+"""Whole-program repolint passes: layers, module state, call graph, config.
 
 Snippet-level tests build hermetic multi-module programs through
 ``analyze_source(..., config=..., extra_sources=...)`` (program rules only
@@ -240,77 +240,6 @@ def test_par602_allows_instance_state():
 
 
 # ---------------------------------------------------------------------------
-# HOT701 — hot-path allocations
-# ---------------------------------------------------------------------------
-
-def hot_config(qualname: str = "pkg.core.hot.step"):
-    return layered_config(hot_functions=frozenset({qualname}))
-
-
-def test_hot701_flags_numpy_allocation_in_hot_function():
-    src = (
-        "import numpy as np\n"
-        "def step(n):\n"
-        "    return np.zeros(n)\n"
-    )
-    findings = analyze_source(
-        src, Path("pkg/core/hot.py"), module="pkg.core.hot", config=hot_config()
-    )
-    assert "HOT701" in codes(findings)
-
-
-def test_hot701_flags_growth_only_inside_loops():
-    in_loop = (
-        "def step(items):\n"
-        "    out = []\n"
-        "    for item in items:\n"
-        "        out.append(item)\n"
-        "    return out\n"
-    )
-    findings = analyze_source(
-        in_loop, Path("pkg/core/hot.py"), module="pkg.core.hot", config=hot_config()
-    )
-    assert "HOT701" in codes(findings)
-
-    outside = (
-        "def step(items):\n"
-        "    out = []\n"
-        "    out.append(1)\n"
-        "    return out\n"
-    )
-    findings = analyze_source(
-        outside, Path("pkg/core/hot.py"), module="pkg.core.hot", config=hot_config()
-    )
-    assert "HOT701" not in codes(findings)
-
-
-def test_hot701_loop_iter_expression_is_not_in_loop():
-    src = (
-        "def step(items):\n"
-        "    total = 0\n"
-        "    for chunk in [items]:\n"
-        "        total += len(chunk)\n"
-        "    return total\n"
-    )
-    findings = analyze_source(
-        src, Path("pkg/core/hot.py"), module="pkg.core.hot", config=hot_config()
-    )
-    assert "HOT701" not in codes(findings)
-
-
-def test_hot701_ignores_functions_outside_contract():
-    src = (
-        "import numpy as np\n"
-        "def cold(n):\n"
-        "    return np.zeros(n)\n"
-    )
-    findings = analyze_source(
-        src, Path("pkg/core/hot.py"), module="pkg.core.hot", config=hot_config()
-    )
-    assert "HOT701" not in codes(findings)
-
-
-# ---------------------------------------------------------------------------
 # RES801 — resilience discipline for always-bounded packages
 # ---------------------------------------------------------------------------
 
@@ -543,6 +472,30 @@ def test_import_graph_has_no_cycles_in_real_repo():
     assert find_cycles(program.import_graph) == []
 
 
+def test_every_configured_function_name_resolves():
+    """A ``[tool.repolint]`` name that stops resolving fails silently: a
+    stale extra-edges source or target drops its call edge, so the
+    concurrency and exception passes lose that flow without a finding."""
+    program = real_program()
+    assert program is not None
+    config = program.config
+    named = {
+        "extra-edges": set(config.extra_edges)
+        | {target for targets in config.extra_edges.values() for target in targets},
+        "allow-blocking": set(config.allow_blocking),
+        "sync-points": set(config.concurrency_sync_points),
+        "boundaries": set(config.exception_boundaries),
+    }
+    assert all(named.values()), named
+    functions = program.index.functions
+    stale = {
+        section: sorted(names - functions.keys())
+        for section, names in named.items()
+        if names - functions.keys()
+    }
+    assert stale == {}
+
+
 # ---------------------------------------------------------------------------
 # CLI: formats, report subcommand, --changed from a subdirectory
 # ---------------------------------------------------------------------------
@@ -618,3 +571,5 @@ def test_cli_changed_works_from_subdirectory(tmp_path):
     result = run_cli("--changed", cwd=sub)
     assert result.returncode == 1, result.stdout + result.stderr
     assert "bad.py" in result.stdout
+    # No verdict is persisted between runs.
+    assert not list(tmp_path.rglob(".repolint-cache.json"))

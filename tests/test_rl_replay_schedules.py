@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rl.replay import ReplayBuffer, ReplayRegistry
-from repro.rl.schedules import ConstantSchedule, ExponentialDecay, LinearDecay
+from repro.rl.schedules import ConstantSchedule, LinearDecay
 from tests.conftest import make_episode
 
 
@@ -123,11 +123,6 @@ class TestSchedules:
     def test_linear_midpoint(self):
         assert LinearDecay(1.0, 0.0, 10)(5) == pytest.approx(0.5)
 
-    def test_exponential_decays_towards_end(self):
-        schedule = ExponentialDecay(1.0, 0.1, tau=10)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(1000) == pytest.approx(0.1, abs=1e-6)
-
     def test_negative_step_raises(self):
         with pytest.raises(ValueError, match="step"):
             ConstantSchedule(0.1)(-1)
@@ -135,5 +130,3 @@ class TestSchedules:
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
             LinearDecay(1.0, 0.0, 0)
-        with pytest.raises(ValueError):
-            ExponentialDecay(1.0, 0.0, tau=0.0)

@@ -35,7 +35,7 @@ class TestDiscoveryAndLoad:
         assert version.n_features == 12  # TINY_SPEC feature count
         assert registry.version is version
         assert registry.model.select is not None
-        assert registry.skipped == []
+        assert registry.recent_skips() == []
 
     def test_versioned_root_serves_newest(self, model_artifact, tmp_path):
         root = tmp_path / "versions"
@@ -53,7 +53,7 @@ class TestDiscoveryAndLoad:
         corrupt_weights(root / "v0002")
         registry = ModelRegistry(root)
         assert registry.load().name == "v0001"
-        assert [path.name for path, _ in registry.skipped] == ["v0002"]
+        assert [path.name for path, _ in registry.recent_skips()] == ["v0002"]
 
     def test_all_versions_corrupt_raises(self, model_artifact, tmp_path):
         root = tmp_path / "versions"
@@ -109,7 +109,7 @@ class TestHotSwap:
         assert registry.refresh() is False
         assert registry.version.name == "v0001"
         assert registry.model is old_model
-        assert [path.name for path, _ in registry.skipped] == ["v0002"]
+        assert [path.name for path, _ in registry.recent_skips()] == ["v0002"]
 
 
 class TestRepresentationCache:

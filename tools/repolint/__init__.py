@@ -2,7 +2,7 @@
 
 AST-based, project-specific rules over the PA-FEAT reproduction.  Per-file
 rules check one parsed module at a time; whole-program rules
-(ARCH/PAR/HOT/RES/ASYNC/EXC) parse the entire ``src/repro`` package, build
+(ARCH/PAR/RES/ASYNC/EXC/OBS) parse the entire ``src/repro`` package, build
 import and call graphs and check them against the contracts declared under
 ``[tool.repolint]`` in ``pyproject.toml``:
 
@@ -22,8 +22,6 @@ ARCH501  layer-upward-import         imports against the declared layer order
 ARCH502  import-cycle                import-time cycles between package modules
 ARCH503  undeclared-layer            subpackages missing from the layer contract
 PAR602   module-state-mutation       functions mutating module-level state
-HOT701   hotpath-allocation          per-step numpy allocations / loop growth in
-                                     functions tagged hot
 RES801   unbounded-serve-io          unbounded socket/file I/O in resilience-
                                      scoped packages
 ASYNC901 blocking-call-on-event-loop blocking calls reachable from event-loop
@@ -41,6 +39,10 @@ EXC1004  untyped-raise               raise of bare Exception/RuntimeError outsid
                                      the typed taxonomy
 EXC1005  context-loss                new exception raised in an except block
                                      without ``from``
+OBS1101  bare-print                  bare ``print(...)`` outside the sanctioned
+                                     CLI boundary
+OBS1102  direct-clock                monotonic-clock reads outside the obs
+                                     clock boundary
 LINT001  unused-suppression          ``disable=`` pragmas that no longer
                                      silence any finding
 =======  ==========================  ==================================================

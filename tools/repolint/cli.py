@@ -5,6 +5,9 @@ survives suppression filtering — which is exactly what CI and pre-commit
 need to fail a build on a new violation.  ``--format`` switches the output
 between human text, JSON and SARIF (for GitHub code-scanning upload), and
 the ``report`` subcommand emits the whole-program analysis artifact.
+``--changed`` narrows the per-file targets to the ``.py`` files git
+reports dirty; the program passes still parse the whole package, and no
+verdict is carried over from an earlier run.
 """
 
 from __future__ import annotations
@@ -72,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Project-specific determinism, contract and whole-program "
             "linter: RNG discipline, checkpoint completeness, numerical "
             "safety, API hygiene, import-layer contracts, module-state "
-            "writes, hot-path allocations, and concurrency and exception "
-            "certificates."
+            "writes, and concurrency and exception certificates."
         ),
     )
     parser.add_argument(
@@ -85,22 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--changed",
         action="store_true",
         help="fast path: only scan .py files git reports as modified/untracked",
-    )
-    parser.add_argument(
-        "--cache",
-        dest="cache",
-        action="store_true",
-        default=None,
-        help=(
-            "reuse per-file findings for files whose content hash is "
-            "unchanged (.repolint-cache.json; default: on for --changed)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        dest="cache",
-        action="store_false",
-        help="disable the per-file result cache",
     )
     parser.add_argument(
         "--select",
@@ -237,19 +223,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     else:
         targets = [Path("src")]
 
-    use_cache = args.cache if args.cache is not None else args.changed
-    result_cache = None
-    # Cached findings reflect the full rule set; a --select run must not
-    # read (or poison) them.  for_repo hashes the resolved config into the
-    # cache, so a pyproject contract edit invalidates every entry.
-    if use_cache and targets and not args.select:
-        from tools.repolint.cache import ResultCache
-
-        result_cache = ResultCache.for_repo(Path(targets[0]))
-
-    findings: list[Finding] = analyze_paths(
-        targets, rules=rules, result_cache=result_cache
-    )
+    findings: list[Finding] = analyze_paths(targets, rules=rules)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     rendered = render_findings(findings, args.format)
     if args.output:

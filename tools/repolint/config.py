@@ -1,8 +1,8 @@
 """Whole-program analysis configuration, loaded from ``pyproject.toml``.
 
-The layer contract, extra call edges, concurrency and exception contracts
-and hot-path tags all live under ``[tool.repolint]`` so they version with
-the code they constrain.  Python 3.11+ parses the file with
+The layer contract, extra call edges and the concurrency, exception and
+observability contracts all live under ``[tool.repolint]`` so they version
+with the code they constrain.  Python 3.11+ parses the file with
 :mod:`tomllib`; on 3.10 (still in the CI matrix) a small TOML-subset parser
 handles the constructs this repo's pyproject actually uses — tables,
 strings, integers, booleans and (possibly multiline) arrays.
@@ -31,7 +31,6 @@ class RepolintConfig:
     #: Call edges the AST resolver cannot see (hooks injected at
     #: construction), walked by every call-graph pass.
     extra_edges: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    hot_functions: frozenset[str] = frozenset()
     resilience_packages: tuple[str, ...] = ()
     #: Packages whose classes/coroutines get the attr-level concurrency
     #: analyses (ASYNC902/904); empty means the whole package.
@@ -89,7 +88,6 @@ class RepolintConfig:
         """Build from the ``[tool.repolint]`` table of a parsed pyproject."""
         layers = data.get("layers", {})
         calls = data.get("calls", {})
-        hotpath = data.get("hotpath", {})
         resilience = data.get("resilience", {})
         concurrency = data.get("concurrency", {})
         exceptions = data.get("exceptions", {})
@@ -106,7 +104,6 @@ class RepolintConfig:
                 str(src): tuple(str(dst) for dst in dsts)
                 for src, dsts in dict(calls.get("extra-edges", {})).items()
             },
-            hot_functions=frozenset(str(n) for n in hotpath.get("functions", [])),
             resilience_packages=tuple(
                 str(n) for n in resilience.get("packages", [])
             ),

@@ -13,13 +13,11 @@ environment that can run the repo itself.  Rules come in two shapes:
   builds a :class:`ProgramContext`, runs each program rule once, and keeps
   only the findings that land in requested files.
 
-One :class:`~tools.repolint.cache.SourceCache` is threaded through a whole
-``analyze_paths`` run, so a file that is both a per-file target and a
-member of the analyzed package is read and parsed exactly once; an
-optional :class:`~tools.repolint.cache.ResultCache` additionally skips
-per-file analysis for files whose content hash is unchanged since the
-last run (program passes always recompute — their verdicts depend on
-every other file).
+One :class:`SourceCache` is threaded through a whole ``analyze_paths``
+run, so a file that is both a per-file target and a member of the
+analyzed package is read and parsed exactly once.  Nothing persists
+between runs: every invocation re-checks its files against the current
+rules and config, so a rule edit takes effect on the next run.
 """
 
 from __future__ import annotations
@@ -30,12 +28,9 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from tools.repolint.config import RepolintConfig, find_pyproject, load_config
-
-if TYPE_CHECKING:  # import-cycle guard: cache.py imports Finding from here
-    from tools.repolint.cache import ResultCache, SourceCache
 
 SUPPRESS_PATTERN = re.compile(r"#\s*repolint:\s*disable=([A-Za-z0-9_,\s]+)")
 FILE_SUPPRESS_PATTERN = re.compile(
@@ -209,7 +204,7 @@ class ProgramContext:
         cls,
         package_dir: Path,
         config: RepolintConfig,
-        source_cache: "SourceCache | None" = None,
+        source_cache: SourceCache | None = None,
     ) -> "ProgramContext":
         """Parse every module under the installed package directory.
 
@@ -564,7 +559,7 @@ def analyze_source(
 def analyze_file(
     path: Path | str,
     rules: Sequence[Rule] | None = None,
-    source_cache: "SourceCache | None" = None,
+    source_cache: SourceCache | None = None,
 ) -> list[Finding]:
     path = Path(path)
     if source_cache is not None:
@@ -622,22 +617,58 @@ def locate_package_dir(
 def build_program(
     anchor: Path | str | None = None,
     config: RepolintConfig | None = None,
-    source_cache: "SourceCache | None" = None,
 ) -> ProgramContext | None:
     """ProgramContext for the package owning ``anchor`` (default: cwd)."""
     located = locate_package_dir(anchor, config)
     if located is None:
         return None
     package_dir, config = located
-    return ProgramContext.from_package(package_dir, config, source_cache)
+    return ProgramContext.from_package(package_dir, config)
+
+
+@dataclass
+class ParsedFile:
+    """One file, parsed once and shared by every analysis layer."""
+
+    path: Path
+    source: str
+    tree: ast.Module
+    source_lines: list[str]
+
+
+@dataclass
+class SourceCache:
+    """Per-run ``path → ParsedFile`` memo (no persistence, no eviction)."""
+
+    _files: dict[Path, ParsedFile] = field(default_factory=dict)
+    parses: int = 0  # distinct files actually parsed (for the benchmark)
+    hits: int = 0
+
+    def parse(self, path: Path) -> ParsedFile:
+        """Parsed form of ``path``; OSError/SyntaxError propagate to the
+        caller, which decides between PARSE001 and skipping."""
+        resolved = path.resolve()
+        cached = self._files.get(resolved)
+        if cached is not None:
+            self.hits += 1
+            return cached
+        source = path.read_text(encoding="utf-8")
+        parsed = ParsedFile(
+            path=path,
+            source=source,
+            tree=ast.parse(source),
+            source_lines=source.splitlines(),
+        )
+        self._files[resolved] = parsed
+        self.parses += 1
+        return parsed
 
 
 def analyze_paths(
     paths: Iterable[Path | str],
     rules: Sequence[Rule] | None = None,
     config: RepolintConfig | None = None,
-    source_cache: "SourceCache | None" = None,
-    result_cache: "ResultCache | None" = None,
+    source_cache: SourceCache | None = None,
 ) -> list[Finding]:
     """Per-file rules over every target, plus program rules over the package.
 
@@ -647,12 +678,8 @@ def analyze_paths(
 
     One :class:`SourceCache` (created here when not supplied) is shared by
     the per-file loop and the package parse, so every file is read and
-    parsed at most once per run.  With a :class:`ResultCache`, per-file
-    analysis is skipped outright for files whose content hash matches the
-    previous run; program-pass findings are always recomputed.
+    parsed at most once per run.
     """
-    from tools.repolint.cache import SourceCache
-
     if rules is None:
         rules = default_rules()
     if source_cache is None:
@@ -662,21 +689,9 @@ def analyze_paths(
     findings: list[Finding] = []
     targets = list(iter_python_files(paths))
     for path in targets:
-        cached_sha: str | None = None
-        if result_cache is not None:
-            try:
-                cached_sha = source_cache.parse(path).sha
-            except (OSError, SyntaxError):
-                cached_sha = None
-            if cached_sha is not None:
-                cached = result_cache.lookup(path, cached_sha)
-                if cached is not None:
-                    findings.extend(cached)
-                    continue
-        file_findings = analyze_file(path, rules=file_rules, source_cache=source_cache)
-        if result_cache is not None and cached_sha is not None:
-            result_cache.store(path, cached_sha, file_findings)
-        findings.extend(file_findings)
+        findings.extend(
+            analyze_file(path, rules=file_rules, source_cache=source_cache)
+        )
 
     if program_rules and targets:
         located = locate_package_dir(targets[0], config=config)
@@ -716,8 +731,8 @@ def analyze_paths(
                     )
                     if lint_enabled:
                         # Program-rule pragmas can only be judged after the
-                        # program pass; per-file codes were judged (or
-                        # cached) in the per-file phase.
+                        # program pass; per-file codes were judged in the
+                        # per-file phase.
                         stale = _unused_suppression_findings(
                             file.path,
                             file.source_lines,
@@ -730,6 +745,4 @@ def analyze_paths(
                         findings.extend(
                             _filter_suppressed(stale, suppressed, file_suppressed)
                         )
-    if result_cache is not None:
-        result_cache.save()
     return findings

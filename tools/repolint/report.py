@@ -1,6 +1,6 @@
 """``python -m tools.repolint report``: the whole-program analysis artifact.
 
-One JSON document bundling what the ARCH/HOT/ASYNC/EXC passes computed:
+One JSON document bundling what the ARCH/ASYNC/EXC passes computed:
 the import-layer graph with ranks, detected cycles, the call graph, the
 concurrency certificate — per execution context (event loop / thread /
 executor), every function running there with its blocking operations,
@@ -292,5 +292,4 @@ def build_report(program: ProgramContext) -> dict[str, Any]:
         "call_graph": program.call_graph.to_payload(),
         "concurrency_certificate": _concurrency_certificate(program),
         "exception_certificate": _exception_certificate(program),
-        "hotpath": {"functions": sorted(config.hot_functions)},
     }

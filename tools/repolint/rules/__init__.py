@@ -24,7 +24,6 @@ from tools.repolint.rules.exceptions import (
     SwallowedExceptionRule,
     UntypedRaiseRule,
 )
-from tools.repolint.rules.hotpath import HotPathAllocationRule
 from tools.repolint.rules.lint import UnusedSuppressionRule
 from tools.repolint.rules.numeric import UnguardedExpLogRule, UnguardedSumDivisionRule
 from tools.repolint.rules.obs import BarePrintRule, DirectClockRule
@@ -51,7 +50,6 @@ RULE_CLASSES: list[type[Rule]] = [
     ImportCycleRule,
     UndeclaredLayerRule,
     ModuleStateMutationRule,
-    HotPathAllocationRule,
     UnboundedServeIORule,
     BlockingInLoopRule,
     UnlockedSharedStateRule,
@@ -95,7 +93,6 @@ __all__ = [
     "DeadHandlerRule",
     "DirectClockRule",
     "GlobalNumpyRandomRule",
-    "HotPathAllocationRule",
     "ImportCycleRule",
     "InlineSeedSequenceRule",
     "LayerContractRule",
