@@ -9,9 +9,9 @@ size:
 		printf '%-7s %6d lines\n' "$$dir/" "$$(find $$dir -name '*.py' -exec cat {} + | wc -l)"; \
 	done
 
-## Full static-analysis gate: every repolint rule over src/.
+## Full static-analysis gate: every repolint rule over src/ and tools/.
 lint:
-	$(PYTHON) -m tools.repolint src/
+	$(PYTHON) -m tools.repolint src/ tools/
 
 ## Fast path: per-file rules over only the .py files git reports as
 ## modified/untracked; program rules still parse the whole package.

@@ -17,9 +17,8 @@ import numpy as np
 
 from repro.baselines.base import FeatureSelector
 from repro.core.config import ClassifierConfig
+from repro.core.pafeat import build_reward
 from repro.data.tasks import Task
-from repro.nn.classifier import MaskedMLPClassifier
-from repro.rl.reward import build_task_reward
 from repro.rl.seeding import task_rng
 
 
@@ -75,18 +74,10 @@ class MARLFSSelector(FeatureSelector):
 
     def select(self, task: Task) -> tuple[int, ...]:
         rng = task_rng(self.seed, task.label_index)
-        config = self.classifier_config
-        classifier = MaskedMLPClassifier(
-            n_features=task.n_features,
-            hidden=config.hidden,
-            lr=config.lr,
-            n_epochs=config.n_epochs,
-            batch_size=config.batch_size,
-            mask_augment=config.mask_augment,
-            seed=int(rng.integers(2**31)),
-        )
-        reward_fn = build_task_reward(
-            task.features, task.labels, classifier, seed=int(rng.integers(2**31))
+        classifier_seed = int(rng.integers(2**31))
+        split_seed = int(rng.integers(2**31))
+        _, reward_fn = build_reward(
+            task, self.classifier_config, "auc", classifier_seed, split_seed
         )
 
         agents = [_FeatureAgent(self.learning_rate) for _ in range(task.n_features)]

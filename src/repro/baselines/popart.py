@@ -90,29 +90,10 @@ class PopArtSelector(PAFeat):
     """FEAT + PopArt normalisation, without ITS/ITE (the paper's setup)."""
 
     name = "popart"
+    agent_class = PopArtAgent
 
     def __init__(self, config: PAFeatConfig | None = None) -> None:
         base = config or PAFeatConfig()
         # PopArt replaces ITS (its comparison target); ITE is also off so the
         # difference measured is purely scheduling/normalisation strategy.
         super().__init__(replace(base, use_its=False, use_ite=False))
-
-    def _build_agent(self, n_features: int) -> PopArtAgent:
-        from repro.core.env import FeatureSelectionEnv
-        from repro.core.state import state_dim
-        from repro.rl.schedules import LinearDecay
-
-        config = self.config.agent
-        return PopArtAgent(
-            state_dim=state_dim(n_features),
-            n_actions=FeatureSelectionEnv.N_ACTIONS,
-            hidden=config.hidden,
-            gamma=config.gamma,
-            lr=config.lr,
-            epsilon_schedule=LinearDecay(
-                config.epsilon_start, config.epsilon_end, config.epsilon_decay_steps
-            ),
-            target_sync_every=config.target_sync_every,
-            rng=np.random.default_rng(self._seed_sequence.spawn(1)[0]),
-            grad_clip=config.grad_clip,
-        )

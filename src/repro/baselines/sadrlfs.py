@@ -17,13 +17,9 @@ from repro.core.batch import served_subsets
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.feat import FEATTrainer
-from repro.core.state import state_dim
+from repro.core.pafeat import build_agent, build_reward
 from repro.data.stats import feature_redundancy_matrix, pearson_representation
 from repro.data.tasks import Task
-from repro.nn.classifier import MaskedMLPClassifier
-from repro.rl.reward import build_task_reward
-from repro.rl.agent import DuelingDQNAgent
-from repro.rl.schedules import LinearDecay
 from repro.rl.seeding import task_seed_sequence
 
 
@@ -57,42 +53,17 @@ class SADRLFSSelector(FeatureSelector):
         seed_sequence = task_seed_sequence(self.seed, task.label_index)
         child_seeds = seed_sequence.spawn(4)
 
-        classifier_config = self.config.classifier
-        classifier = MaskedMLPClassifier(
-            n_features=task.n_features,
-            hidden=classifier_config.hidden,
-            lr=classifier_config.lr,
-            n_epochs=classifier_config.n_epochs,
-            batch_size=classifier_config.batch_size,
-            mask_augment=classifier_config.mask_augment,
-            seed=int(child_seeds[0].generate_state(1)[0]),
-        )
-        reward_fn = build_task_reward(
-            task.features, task.labels, classifier,
-            metric=self.config.env.reward_metric,
-            seed=int(child_seeds[0].generate_state(1)[0]),
+        seed = int(child_seeds[0].generate_state(1)[0])
+        _, reward_fn = build_reward(
+            task, self.config.classifier, self.config.env.reward_metric, seed, seed
         )
         representation = pearson_representation(task.features, task.labels)
         env = FeatureSelectionEnv(
             task.label_index, representation, reward_fn, self.config.env,
             feature_corr=feature_redundancy_matrix(task.features),
         )
-
-        agent_config = self.config.agent
-        agent = DuelingDQNAgent(
-            state_dim=state_dim(task.n_features),
-            n_actions=FeatureSelectionEnv.N_ACTIONS,
-            hidden=agent_config.hidden,
-            gamma=agent_config.gamma,
-            lr=agent_config.lr,
-            epsilon_schedule=LinearDecay(
-                agent_config.epsilon_start,
-                agent_config.epsilon_end,
-                agent_config.epsilon_decay_steps,
-            ),
-            target_sync_every=agent_config.target_sync_every,
-            rng=np.random.default_rng(child_seeds[1]),
-            grad_clip=agent_config.grad_clip,
+        agent = build_agent(
+            self.config.agent, task.n_features, np.random.default_rng(child_seeds[1])
         )
         trainer = FEATTrainer(
             {task.label_index: env},

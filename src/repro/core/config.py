@@ -157,7 +157,6 @@ class PAFeatConfig:
         episodes_per_iteration: rollout "resources" N per iteration.
         updates_per_iteration: Q-network minibatch updates K per iteration.
         use_its / use_ite: ablation switches for the two components.
-        train_fraction: per-run row split used to fit reward classifiers.
         checkpoint_every: evaluate the greedy policy on all seen tasks every
             this many iterations and keep the best snapshot (restored after
             training).
@@ -170,7 +169,6 @@ class PAFeatConfig:
     checkpoint_every: int = 10
     use_its: bool = True
     use_ite: bool = True
-    train_fraction: float = 0.7
     seed: int = 0
     env: EnvConfig = field(default_factory=EnvConfig)
     agent: AgentConfig = field(default_factory=AgentConfig)
@@ -192,8 +190,4 @@ class PAFeatConfig:
         if self.checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
             )

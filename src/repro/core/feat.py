@@ -387,18 +387,15 @@ class FEATTrainer:
         """
         from dataclasses import asdict
 
-        from repro.io.checkpoint import rng_state
+        from repro.io.checkpoint import nest, rng_state
 
-        arrays: dict[str, np.ndarray] = {}
         agent_meta, agent_arrays = self.agent.capture_state()
-        for name, value in agent_arrays.items():
-            arrays[f"agent/{name}"] = value
         registry_meta, registry_arrays = self.registry.capture_state()
-        for name, value in registry_arrays.items():
-            arrays[f"replay/{name}"] = value
-        if self._best_snapshot is not None:
-            for name, value in self._best_snapshot.items():
-                arrays[f"best/{name}"] = value
+        arrays = (
+            nest("agent/", agent_arrays)
+            | nest("replay/", registry_arrays)
+            | nest("best/", self._best_snapshot or {})
+        )
         meta = {
             "iteration": len(self.history),
             "history": [asdict(stats) for stats in self.history],
@@ -412,17 +409,10 @@ class FEATTrainer:
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         """Restore a snapshot captured by :meth:`capture_state`."""
-        from repro.io.checkpoint import set_rng_state
+        from repro.io.checkpoint import set_rng_state, unnest
 
-        def sub(prefix: str) -> dict[str, np.ndarray]:
-            return {
-                name[len(prefix):]: value
-                for name, value in arrays.items()
-                if name.startswith(prefix)
-            }
-
-        self.agent.restore_state(meta["agent"], sub("agent/"))
-        self.registry.restore_state(meta["replay"], sub("replay/"))
+        self.agent.restore_state(meta["agent"], unnest("agent/", arrays))
+        self.registry.restore_state(meta["replay"], unnest("replay/", arrays))
         set_rng_state(self._rng, meta["rng"])
         self.history = [
             IterationStats(
@@ -442,7 +432,9 @@ class FEATTrainer:
         self._best_score = (
             -np.inf if meta.get("best_score") is None else float(meta["best_score"])
         )
-        self._best_snapshot = sub("best/") if meta.get("has_best_snapshot") else None
+        self._best_snapshot = (
+            unnest("best/", arrays) if meta.get("has_best_snapshot") else None
+        )
 
     def _checkpoint_score(self) -> float:
         """Score the current greedy policy for best-snapshot selection."""

@@ -77,7 +77,7 @@ class IntraTaskExplorer:
     # ------------------------------------------------------------------
     def capture_state(self) -> tuple[dict, dict[str, "np.ndarray"]]:
         """Snapshot per-task E-Trees, counters and the restart-RNG stream."""
-        from repro.io.checkpoint import rng_state
+        from repro.io.checkpoint import nest, rng_state
 
         meta: dict = {
             "invocations": self.invocations,
@@ -89,13 +89,12 @@ class IntraTaskExplorer:
         for task_id, tree in self._trees.items():
             tree_meta, tree_arrays = tree.capture_state()
             meta["trees"][str(task_id)] = tree_meta
-            for name, value in tree_arrays.items():
-                arrays[f"tree/{task_id}/{name}"] = value
+            arrays |= nest(f"tree/{task_id}/", tree_arrays)
         return meta, arrays
 
     def restore_state(self, meta: dict, arrays: dict[str, "np.ndarray"]) -> None:
         """Restore a snapshot captured by :meth:`capture_state`."""
-        from repro.io.checkpoint import set_rng_state
+        from repro.io.checkpoint import set_rng_state, unnest
 
         self.invocations = int(meta["invocations"])
         self.customised_starts = int(meta["customised_starts"])
@@ -103,14 +102,8 @@ class IntraTaskExplorer:
         self._trees.clear()
         for key, tree_meta in meta.get("trees", {}).items():
             task_id = int(key)
-            prefix = f"tree/{task_id}/"
             self.tree(task_id).restore_state(
-                tree_meta,
-                {
-                    name[len(prefix):]: value
-                    for name, value in arrays.items()
-                    if name.startswith(prefix)
-                },
+                tree_meta, unnest(f"tree/{task_id}/", arrays)
             )
 
     @property

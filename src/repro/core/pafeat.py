@@ -20,27 +20,86 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 from repro.errors import DataValidationError, NotFittedError
 
 from repro.core.batch import batched_greedy_subsets, served_subsets
-from repro.core.config import PAFeatConfig
+from repro.core.config import AgentConfig, ClassifierConfig, PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.feat import FEATTrainer, UniformTaskSampler
 from repro.core.ite import IntraTaskExplorer
 from repro.core.its import InterTaskScheduler
+from repro.core.state import state_dim
 from repro.data.stats import feature_redundancy_matrix, pearson_representation
 from repro.data.tasks import Task, TaskSuite
 from repro.eval.metrics import binary_labels
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.obs.telemetry import TelemetryWriter
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.rl.agent import DuelingDQNAgent
 from repro.rl.reward import RewardFunction, build_task_reward
+from repro.rl.schedules import LinearDecay
 
-if TYPE_CHECKING:
-    from repro.rl.agent import DuelingDQNAgent
+
+def build_agent(
+    config: AgentConfig,
+    n_features: int,
+    rng: np.random.Generator,
+    agent_class: type[DuelingDQNAgent] = DuelingDQNAgent,
+) -> DuelingDQNAgent:
+    """The Dueling-DQN agent (Eqn. 1) for an ``n_features``-feature space.
+
+    The one place an agent is built from an :class:`AgentConfig`: fits
+    (with :attr:`PAFeat.agent_class`), SADRLFS and
+    :func:`repro.io.load_model` all call it.  ``rng`` draws the initial
+    weights of both networks, then the exploration stream.
+    """
+    return agent_class(
+        state_dim=state_dim(n_features),
+        n_actions=FeatureSelectionEnv.N_ACTIONS,
+        hidden=config.hidden,
+        gamma=config.gamma,
+        lr=config.lr,
+        epsilon_schedule=LinearDecay(
+            config.epsilon_start, config.epsilon_end, config.epsilon_decay_steps
+        ),
+        target_sync_every=config.target_sync_every,
+        rng=rng,
+        grad_clip=config.grad_clip,
+    )
+
+
+def build_reward(
+    task: Task,
+    config: ClassifierConfig,
+    metric: str,
+    classifier_seed: int,
+    split_seed: int,
+) -> tuple[MaskedMLPClassifier, RewardFunction]:
+    """Pretrain a task's masked classifier and wrap it as its reward (Eqn. 2).
+
+    The one place a reward classifier is built from a
+    :class:`ClassifierConfig`.  ``classifier_seed`` seeds the classifier;
+    ``split_seed`` draws the row split: the classifier fits on a train
+    portion of the task's rows and the reward scores subsets with
+    ``metric`` on the held-out rest, which keeps the landscape informative
+    (see :func:`repro.rl.reward.build_task_reward`).
+    """
+    classifier = MaskedMLPClassifier(
+        n_features=task.n_features,
+        hidden=config.hidden,
+        lr=config.lr,
+        n_epochs=config.n_epochs,
+        batch_size=config.batch_size,
+        mask_augment=config.mask_augment,
+        seed=classifier_seed,
+    )
+    reward_fn = build_task_reward(
+        task.features, task.labels, classifier, metric=metric, seed=split_seed
+    )
+    return classifier, reward_fn
 
 
 @dataclass
@@ -53,7 +112,13 @@ class FurtherTrainRecord:
 
 
 class PAFeat:
-    """Progress-aware multi-task DRL feature selector."""
+    """Progress-aware multi-task DRL feature selector.
+
+    ``agent_class`` is the agent :meth:`fit` builds; the FEAT-based
+    baselines that change the learner (PopArt) set it.
+    """
+
+    agent_class: type[DuelingDQNAgent] = DuelingDQNAgent
 
     def __init__(self, config: PAFeatConfig | None = None) -> None:
         self.config = config or PAFeatConfig()
@@ -149,19 +214,16 @@ class PAFeat:
         # matrix (the redundancy signal in the state encoding) is computed once.
         self._feature_corr = feature_redundancy_matrix(suite.table.features)
 
-        envs: dict[int, FeatureSelectionEnv] = {}
-        all_features_scores: dict[int, float] = {}
-        for task in suite.seen_tasks:
-            reward_fn = self._build_reward(task)
-            self.reward_fns[task.label_index] = reward_fn
-            representation = pearson_representation(task.features, task.labels)
-            envs[task.label_index] = FeatureSelectionEnv(
-                task.label_index, representation, reward_fn, config.env,
-                feature_corr=self._feature_corr,
-            )
-            all_features_scores[task.label_index] = reward_fn.all_features_score
-
-        agent = self._build_agent(suite.n_features)
+        envs = {task.label_index: self._build_env(task) for task in suite.seen_tasks}
+        all_features_scores = {
+            task_id: env.reward_fn.all_features_score for task_id, env in envs.items()
+        }
+        agent = build_agent(
+            config.agent,
+            suite.n_features,
+            np.random.default_rng(self._seed_sequence.spawn(1)[0]),
+            self.agent_class,
+        )
         task_ids = sorted(envs)
 
         task_sampler = UniformTaskSampler(task_ids)
@@ -314,43 +376,31 @@ class PAFeat:
         return served_subsets(subsets, representations)[0]
 
     def select_all_unseen(
-        self,
-        suite: TaskSuite | None = None,
-        *,
-        batch_size: int | None = None,
+        self, suite: TaskSuite | None = None
     ) -> dict[str, tuple[int, ...]]:
         """Select subsets for every unseen task in the (fitted) suite.
 
-        Runs the unseen tasks' greedy episodes in lockstep through the
-        batched inference kernel (:mod:`repro.core.batch`): one Q-forward
-        per feature step for the whole batch instead of one per task per
-        step, with the same answers as per-task :meth:`select`.
-        ``batch_size`` caps how many episodes run per lockstep group
-        (default: all at once).
+        Runs all the unseen tasks' greedy episodes as one lockstep kernel
+        call (:mod:`repro.core.batch`): one Q-forward per feature step for
+        the whole batch instead of one per task per step, with the same
+        answers as per-task :meth:`select`.
         """
         agent = self.inference_agent()
         suite = suite if suite is not None else self._suite
         if suite is None:
             raise NotFittedError("no suite available; call fit() first")
-        if batch_size is not None and batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         tasks = list(suite.unseen_tasks)
-        if not tasks:
-            return {}
-        chunk = len(tasks) if batch_size is None else batch_size
-        results: dict[str, tuple[int, ...]] = {}
-        for start in range(0, len(tasks), chunk):
-            group = tasks[start : start + chunk]
-            representations = [
-                pearson_representation(task.features, task.labels) for task in group
-            ]
-            subsets = batched_greedy_subsets(
-                agent, representations, self.config.env,
-                feature_corr=self._feature_corr,
-            )
-            for task, subset in zip(group, served_subsets(subsets, representations)):
-                results[task.name] = subset
-        return results
+        representations = [
+            pearson_representation(task.features, task.labels) for task in tasks
+        ]
+        subsets = batched_greedy_subsets(
+            agent, representations, self.config.env,
+            feature_corr=self._feature_corr,
+        )
+        return {
+            task.name: subset
+            for task, subset in zip(tasks, served_subsets(subsets, representations))
+        }
 
     # ------------------------------------------------------------------
     # Optional on-task refinement (paper Section IV-D)
@@ -373,15 +423,8 @@ class PAFeat:
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         trainer = self._require_fitted()
-        reward_fn = self.reward_fns.get(task.label_index)
         if task.label_index not in trainer.envs:
-            reward_fn = self._build_reward(task)
-            self.reward_fns[task.label_index] = reward_fn
-            representation = pearson_representation(task.features, task.labels)
-            trainer.envs[task.label_index] = FeatureSelectionEnv(
-                task.label_index, representation, reward_fn, self.config.env,
-                feature_corr=self._feature_corr,
-            )
+            trainer.envs[task.label_index] = self._build_env(task)
         env = trainer.envs[task.label_index]
         task_ids = [task.label_index]
 
@@ -433,13 +476,11 @@ class PAFeat:
     # ------------------------------------------------------------------
     def _capture_training_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """Full training state across trainer, explorer and scheduler."""
-        from repro.io.checkpoint import rng_state
+        from repro.io.checkpoint import nest, rng_state
 
         trainer = self._require_fitted()
-        arrays: dict[str, np.ndarray] = {}
         trainer_meta, trainer_arrays = trainer.capture_state()
-        for name, value in trainer_arrays.items():
-            arrays[f"trainer/{name}"] = value
+        arrays = nest("trainer/", trainer_arrays)
         meta: dict = {
             "trainer": trainer_meta,
             "model_rng": rng_state(self._rng),
@@ -448,8 +489,7 @@ class PAFeat:
         if self.explorer is not None:
             explorer_meta, explorer_arrays = self.explorer.capture_state()
             meta["explorer"] = explorer_meta
-            for name, value in explorer_arrays.items():
-                arrays[f"explorer/{name}"] = value
+            arrays |= nest("explorer/", explorer_arrays)
         if self.scheduler is not None:
             meta["scheduler"] = self.scheduler.capture_state()
         return meta, arrays
@@ -464,7 +504,7 @@ class PAFeat:
         restored state then overwrites their freshly initialised weights,
         buffers, statistics and RNG streams.
         """
-        from repro.io.checkpoint import CheckpointError, set_rng_state
+        from repro.io.checkpoint import CheckpointError, set_rng_state, unnest
 
         trainer = self._require_fitted()
         if meta.get("n_features") != self._n_features:
@@ -472,22 +512,14 @@ class PAFeat:
                 f"checkpoint was taken on a {meta.get('n_features')}-feature "
                 f"suite; this fit has {self._n_features} features"
             )
-
-        def sub(prefix: str) -> dict[str, np.ndarray]:
-            return {
-                name[len(prefix):]: value
-                for name, value in arrays.items()
-                if name.startswith(prefix)
-            }
-
-        trainer.restore_state(meta["trainer"], sub("trainer/"))
+        trainer.restore_state(meta["trainer"], unnest("trainer/", arrays))
         set_rng_state(self._rng, meta["model_rng"])
         if "explorer" in meta:
             if self.explorer is None:
                 raise CheckpointError(
                     "checkpoint contains ITE state but use_ite is disabled"
                 )
-            self.explorer.restore_state(meta["explorer"], sub("explorer/"))
+            self.explorer.restore_state(meta["explorer"], unnest("explorer/", arrays))
         if "scheduler" in meta:
             if self.scheduler is None:
                 raise CheckpointError(
@@ -577,51 +609,26 @@ class PAFeat:
 
         return scorer
 
-    def _build_reward(self, task: Task) -> RewardFunction:
-        """Pretrain the masked classifier for a task and wrap it (Eqn. 2).
+    def _build_env(self, task: Task) -> FeatureSelectionEnv:
+        """Pretrain the task's reward, record it, and build its environment.
 
-        The classifier fits on a train portion of the task's rows; the
-        reward scores subsets on the held-out remainder, keeping the
-        landscape informative (see :func:`repro.rl.reward.build_task_reward`).
+        The one environment constructor of :meth:`fit` (each seen task)
+        and :meth:`further_train` (a task the trainer has no environment
+        for).  The next child of the model's seed sequence seeds both the
+        classifier and the reward's row split.
         """
-        config = self.config.classifier
         seed = int(self._seed_sequence.spawn(1)[0].generate_state(1)[0])
-        classifier = MaskedMLPClassifier(
-            n_features=task.n_features,
-            hidden=config.hidden,
-            lr=config.lr,
-            n_epochs=config.n_epochs,
-            batch_size=config.batch_size,
-            mask_augment=config.mask_augment,
-            seed=seed,
+        classifier, reward_fn = build_reward(
+            task, self.config.classifier, self.config.env.reward_metric, seed, seed
         )
         self.classifiers[task.label_index] = classifier
-        return build_task_reward(
-            task.features,
-            task.labels,
-            classifier,
-            metric=self.config.env.reward_metric,
-            seed=seed,
-        )
-
-    def _build_agent(self, n_features: int) -> DuelingDQNAgent:
-        from repro.core.state import state_dim
-        from repro.rl.agent import DuelingDQNAgent
-        from repro.rl.schedules import LinearDecay
-
-        config = self.config.agent
-        return DuelingDQNAgent(
-            state_dim=state_dim(n_features),
-            n_actions=FeatureSelectionEnv.N_ACTIONS,
-            hidden=config.hidden,
-            gamma=config.gamma,
-            lr=config.lr,
-            epsilon_schedule=LinearDecay(
-                config.epsilon_start, config.epsilon_end, config.epsilon_decay_steps
-            ),
-            target_sync_every=config.target_sync_every,
-            rng=np.random.default_rng(self._seed_sequence.spawn(1)[0]),
-            grad_clip=config.grad_clip,
+        self.reward_fns[task.label_index] = reward_fn
+        return FeatureSelectionEnv(
+            task.label_index,
+            pearson_representation(task.features, task.labels),
+            reward_fn,
+            self.config.env,
+            feature_corr=self._feature_corr,
         )
 
     def _require_fitted(self) -> FEATTrainer:

@@ -16,11 +16,11 @@ import numpy as np
 
 from repro.core.batch import batched_greedy_subsets, served_subsets
 from repro.core.config import ITEConfig
+from repro.core.env import FeatureSelectionEnv
 from repro.core.pafeat import PAFeat
 from repro.data.stats import mutual_information_scores, pearson_representation
 from repro.data.tasks import Task
 from repro.obs.clock import monotonic
-from repro.rl.reward import RewardFunction
 from repro.experiments.runner import (
     evaluate_selection,
     load_suite,
@@ -57,15 +57,15 @@ def reward_cache_study(
     hit_rates = [fn.hit_rate() for fn in cached_model.reward_fns.values()]
 
     uncached_model = PAFeat(make_config(scale, seed=seed))
-    original_build = uncached_model._build_reward
+    original_build = uncached_model._build_env
 
-    def build_uncached(task: Task) -> RewardFunction:
-        reward_fn = original_build(task)
-        reward_fn.cache_size = 0
-        reward_fn.clear_cache()
-        return reward_fn
+    def build_uncached(task: Task) -> FeatureSelectionEnv:
+        env = original_build(task)
+        env.reward_fn.cache_size = 0
+        env.reward_fn.clear_cache()
+        return env
 
-    uncached_model._build_reward = build_uncached  # type: ignore[method-assign]
+    uncached_model._build_env = build_uncached  # type: ignore[method-assign]
     start = monotonic()
     uncached_model.fit(train)
     uncached_seconds = monotonic() - start

@@ -25,7 +25,10 @@ durable layer underneath :meth:`repro.core.pafeat.PAFeat.fit`:
 The manager is payload-agnostic: it stores a JSON-able ``meta`` dict plus a
 ``{name: ndarray}`` array mapping.  The training stack's
 ``capture_state()`` / ``restore_state()`` methods produce and consume that
-payload (see :meth:`repro.core.feat.FEATTrainer.capture_state`).
+payload (see :meth:`repro.core.feat.FEATTrainer.capture_state`); each
+component's arrays sit under its own prefix (``trainer/agent/online/...``),
+added by :func:`nest` on capture and stripped by :func:`unnest` on restore,
+beside the RNG round trip (:func:`rng_state`).
 """
 
 from __future__ import annotations
@@ -77,6 +80,24 @@ def set_rng_state(rng: np.random.Generator, state: dict) -> None:
             f"but the generator is {type(rng.bit_generator).__name__!r}"
         )
     rng.bit_generator.state = state
+
+
+# ---------------------------------------------------------------------------
+# Array namespaces
+# ---------------------------------------------------------------------------
+
+def nest(prefix: str, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``arrays`` with every name put under ``prefix``, in the same order."""
+    return {f"{prefix}{name}": value for name, value in arrays.items()}
+
+
+def unnest(prefix: str, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The arrays named under ``prefix``, with the prefix stripped off."""
+    return {
+        name[len(prefix):]: value
+        for name, value in arrays.items()
+        if name.startswith(prefix)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -26,15 +26,14 @@ from repro.core.config import (
 from repro.io.checkpoint import (
     atomic_write_json,
     atomic_write_npz,
+    nest,
     sha256_file,
+    unnest,
 )
-from repro.core.env import FeatureSelectionEnv
-from repro.core.pafeat import PAFeat
-from repro.core.state import state_dim
+from repro.core.pafeat import PAFeat, build_agent
 from repro.data.table import StructuredTable
 from repro.data.tasks import TaskSuite
 from repro.nn.network import load_state_dict
-from repro.rl.agent import DuelingDQNAgent
 from repro.rl.schedules import ConstantSchedule
 
 FORMAT_VERSION = 1
@@ -55,6 +54,9 @@ def config_to_dict(config: PAFeatConfig) -> dict:
 def config_from_dict(data: dict) -> PAFeatConfig:
     """Rebuild a :class:`PAFeatConfig` from :func:`config_to_dict` output."""
     data = dict(data)
+    # Configs saved before ``train_fraction`` was removed carry the key; no
+    # code ever read it.
+    data.pop("train_fraction", None)
     agent = dict(data.pop("agent"))
     agent["hidden"] = tuple(agent["hidden"])
     classifier = dict(data.pop("classifier"))
@@ -99,7 +101,7 @@ def save_model(model: PAFeat, directory: str | Path) -> Path:
     }
     atomic_write_json(directory / "config.json", metadata)
 
-    arrays = {f"param/{k}": v for k, v in snapshot.items()}
+    arrays = nest("param/", snapshot)
     if model._feature_corr is not None:
         arrays["feature_corr"] = model._feature_corr
     atomic_write_npz(directory / "weights.npz", arrays)
@@ -181,32 +183,19 @@ def load_model(directory: str | Path) -> PAFeat:
     config = config_from_dict(metadata["config"])
     n_features = int(metadata["n_features"])
 
-    with np.load(directory / "weights.npz") as arrays:
-        snapshot = {
-            key[len("param/"):]: arrays[key]
-            for key in arrays.files
-            if key.startswith("param/")
-        }
-        feature_corr = arrays["feature_corr"] if "feature_corr" in arrays.files else None
+    with np.load(directory / "weights.npz") as handle:
+        arrays = {key: handle[key] for key in handle.files}
+    snapshot = unnest("param/", arrays)
     _validate_finite_weights(snapshot, context="refusing to load")
 
-    agent = DuelingDQNAgent(
-        state_dim=state_dim(n_features),
-        n_actions=FeatureSelectionEnv.N_ACTIONS,
-        hidden=config.agent.hidden,
-        gamma=config.agent.gamma,
-        lr=config.agent.lr,
-        epsilon_schedule=ConstantSchedule(0.0),  # inference is greedy
-        target_sync_every=config.agent.target_sync_every,
-        rng=np.random.default_rng(config.seed),
-        grad_clip=config.agent.grad_clip,
-    )
+    agent = build_agent(config.agent, n_features, np.random.default_rng(config.seed))
+    agent.epsilon_schedule = ConstantSchedule(0.0)  # inference is greedy
     load_state_dict(agent.online, snapshot)
     agent.sync_target()
 
     model = PAFeat(config)
     model._n_features = n_features
-    model._feature_corr = feature_corr
+    model._feature_corr = arrays.get("feature_corr")
     model._loaded_agent = agent
     return model
 

@@ -196,16 +196,14 @@ class DuelingDQNAgent:
         and target networks, Adam moments, step counters (which drive the
         epsilon schedule and target syncs) and the exploration RNG stream.
         """
-        from repro.io.checkpoint import rng_state
+        from repro.io.checkpoint import nest, rng_state
 
-        arrays: dict[str, np.ndarray] = {}
-        for name, value in state_dict(self.online).items():
-            arrays[f"online/{name}"] = value
-        for name, value in state_dict(self.target).items():
-            arrays[f"target/{name}"] = value
         optim_meta, optim_arrays = self._optimizer.capture_state()
-        for name, value in optim_arrays.items():
-            arrays[f"optim/{name}"] = value
+        arrays = (
+            nest("online/", state_dict(self.online))
+            | nest("target/", state_dict(self.target))
+            | nest("optim/", optim_arrays)
+        )
         meta = {
             "update_count": self.update_count,
             "action_count": self.action_count,
@@ -216,32 +214,11 @@ class DuelingDQNAgent:
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         """Restore a snapshot captured by :meth:`capture_state`."""
-        from repro.io.checkpoint import set_rng_state
+        from repro.io.checkpoint import set_rng_state, unnest
 
-        load_state_dict(
-            self.online,
-            {
-                key[len("online/"):]: value
-                for key, value in arrays.items()
-                if key.startswith("online/")
-            },
-        )
-        load_state_dict(
-            self.target,
-            {
-                key[len("target/"):]: value
-                for key, value in arrays.items()
-                if key.startswith("target/")
-            },
-        )
-        self._optimizer.restore_state(
-            meta["optimizer"],
-            {
-                key[len("optim/"):]: value
-                for key, value in arrays.items()
-                if key.startswith("optim/")
-            },
-        )
+        load_state_dict(self.online, unnest("online/", arrays))
+        load_state_dict(self.target, unnest("target/", arrays))
+        self._optimizer.restore_state(meta["optimizer"], unnest("optim/", arrays))
         self.update_count = int(meta["update_count"])
         self.action_count = int(meta["action_count"])
         set_rng_state(self._rng, meta["rng"])

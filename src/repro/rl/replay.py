@@ -252,26 +252,23 @@ class ReplayRegistry:
     # ------------------------------------------------------------------
     def capture_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """Snapshot every per-task buffer (JSON keys are strings)."""
+        from repro.io.checkpoint import nest
+
         meta: dict = {"buffers": {}}
         arrays: dict[str, np.ndarray] = {}
         for task_id in self.task_ids():
             buffer_meta, buffer_arrays = self._buffers[task_id].capture_state()
             meta["buffers"][str(task_id)] = buffer_meta
-            for name, value in buffer_arrays.items():
-                arrays[f"{task_id}/{name}"] = value
+            arrays |= nest(f"{task_id}/", buffer_arrays)
         return meta, arrays
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         """Rebuild buffers lazily via the factory, then restore each."""
+        from repro.io.checkpoint import unnest
+
         self._buffers.clear()
         for key, buffer_meta in meta.get("buffers", {}).items():
             task_id = int(key)
-            prefix = f"{task_id}/"
             self.buffer(task_id).restore_state(
-                buffer_meta,
-                {
-                    name[len(prefix):]: value
-                    for name, value in arrays.items()
-                    if name.startswith(prefix)
-                },
+                buffer_meta, unnest(f"{task_id}/", arrays)
             )

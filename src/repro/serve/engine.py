@@ -36,7 +36,6 @@ from repro.core.batch import (
 )
 from repro.core.config import EnvConfig
 from repro.core.state import feature_count
-from repro.io.resilience import Deadline, DeadlineExceeded
 
 if TYPE_CHECKING:
     from repro.core.pafeat import PAFeat
@@ -77,25 +76,17 @@ class BatchedGreedyEngine:
         )
 
     def select_representations(
-        self,
-        representations: Sequence[np.ndarray],
-        deadline: Deadline | None = None,
+        self, representations: Sequence[np.ndarray]
     ) -> list[tuple[int, ...]]:
         """Greedy subsets for task-representation vectors, in input order.
 
-        An optional :class:`~repro.io.resilience.Deadline` is checked
-        between lockstep chunks, so an oversized request batch aborts with
-        :class:`~repro.io.resilience.DeadlineExceeded` at the next chunk
-        boundary instead of monopolising the event loop past its budget.
+        Request deadlines are the batcher's and the server's to enforce;
+        the server builds the engine with the batcher's ``max_batch_size``,
+        so one flush is one chunk.
         """
         reps = check_representations(self.agent, representations)
         results: list[tuple[int, ...]] = []
         for start in range(0, len(reps), self.max_batch_size):
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceeded(
-                    f"batched selection exceeded its deadline after "
-                    f"{len(results)}/{len(reps)} tasks"
-                )
             chunk = reps[start : start + self.max_batch_size]
             subsets = batched_greedy_subsets(
                 self.agent, chunk, self.env_config, feature_corr=self.feature_corr

@@ -1,7 +1,13 @@
 """Exhaustive validation coverage for every config dataclass."""
 
+import ast
+from dataclasses import fields
+from functools import cache
+from pathlib import Path
+
 import pytest
 
+from repro.core import config as config_module
 from repro.core.config import (
     AgentConfig,
     ClassifierConfig,
@@ -112,3 +118,38 @@ class TestPAFeatConfig:
 
     def test_hashable_for_experiment_keys(self):
         assert hash(PAFeatConfig()) == hash(PAFeatConfig())
+
+
+CONFIG_PATH = Path(config_module.__file__).resolve()
+CONFIG_FIELDS = [
+    f"{cls.__name__}.{field.name}"
+    for cls in (
+        EnvConfig, AgentConfig, ITSConfig, ITEConfig, ClassifierConfig, PAFeatConfig
+    )
+    for field in fields(cls)
+]
+
+
+@cache
+def attributes_read_outside_config() -> frozenset[str]:
+    """Every attribute name loaded in ``repro`` outside ``core/config.py``."""
+    names: set[str] = set()
+    for path in CONFIG_PATH.parent.parent.rglob("*.py"):
+        if path.resolve() == CONFIG_PATH:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("qualified", CONFIG_FIELDS)
+def test_every_config_field_is_read(qualified):
+    """A field only ``core/config.py`` mentions is a knob that does nothing:
+    validated, documented and saved with every model, yet never read."""
+    assert qualified.split(".")[1] in attributes_read_outside_config(), (
+        f"{qualified} is never read as an attribute outside core/config.py"
+    )

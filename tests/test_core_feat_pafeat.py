@@ -259,10 +259,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PAFeatConfig(n_iterations=0)
 
-    def test_pafeat_config_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            PAFeatConfig(train_fraction=1.0)
-
     def test_agent_config_rejects_bad_epsilon_order(self):
         from repro.core.config import AgentConfig
 

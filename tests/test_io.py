@@ -48,6 +48,51 @@ class TestModelPersistence:
         save_model(fitted_tiny_model, tmp_path / "m")
         restored = load_model(tmp_path / "m")
         assert restored.config == fitted_tiny_model.config
+        # The loaded agent is built from the same AgentConfig as the fitted
+        # one, then made greedy.
+        fitted = fitted_tiny_model.inference_agent()
+        loaded = restored.inference_agent()
+        assert [p.value.shape for p in loaded.online.parameters()] == [
+            p.value.shape for p in fitted.online.parameters()
+        ]
+        for name in ("gamma", "target_sync_every", "grad_clip"):
+            assert getattr(loaded, name) == getattr(fitted, name)
+        assert loaded.epsilon_schedule(0) == 0.0
+        assert loaded.epsilon_schedule(fitted.action_count) == 0.0
+
+    def test_config_with_removed_train_fraction_still_loads(
+        self, fitted_tiny_model, tiny_split, tmp_path
+    ):
+        """Models saved while ``PAFeatConfig`` had ``train_fraction`` carry
+        the key in ``config.json``; they load and select as when saved."""
+        from repro.io.checkpoint import sha256_file
+        from repro.serve.registry import ModelRegistry
+
+        train, _ = tiny_split
+        directory = save_model(fitted_tiny_model, tmp_path / "m")
+        config_path = directory / "config.json"
+        metadata = json.loads(config_path.read_text())
+        metadata["config"]["train_fraction"] = 0.7
+        config_path.write_text(json.dumps(metadata))
+        manifest = json.loads((directory / "manifest.json").read_text())
+        manifest["artifacts"]["config.json"] = {
+            "sha256": sha256_file(config_path),
+            "bytes": config_path.stat().st_size,
+        }
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+
+        expected = {
+            task.name: fitted_tiny_model.select(task) for task in train.unseen_tasks
+        }
+        restored = load_model(directory)
+        assert restored.config == fitted_tiny_model.config
+        assert {
+            task.name: restored.select(task) for task in train.unseen_tasks
+        } == expected
+        registry = ModelRegistry(directory)
+        registry.load()
+        assert registry.recent_skips() == []
+        assert registry.model.select_all_unseen(train) == expected
 
     def test_unfitted_model_raises(self, tmp_path):
         with pytest.raises(RuntimeError, match="not fitted"):

@@ -31,8 +31,7 @@ def training_state(agent: DuelingDQNAgent) -> tuple[int, dict]:
 def run_every_selection_path(model: PAFeat, suite) -> None:
     for task in suite.unseen_tasks:
         model.select(task)
-    for batch_size in (1, 2, None):
-        model.select_all_unseen(suite, batch_size=batch_size)
+    model.select_all_unseen(suite)
     BatchedGreedyEngine.from_model(model).select_tasks(suite.unseen_tasks)
 
 
@@ -94,7 +93,7 @@ class TestExactTies:
             assert {
                 task.name: model.select(task) for task in tiny_suite.unseen_tasks
             } == expected
-        assert model.select_all_unseen(tiny_suite, batch_size=1) == expected
+        assert model.select_all_unseen(tiny_suite) == expected
         engine = BatchedGreedyEngine(agent, config.env)
         assert engine.select_tasks(tiny_suite.unseen_tasks) == expected
         assert training_state(agent) == before
@@ -115,9 +114,8 @@ class TestWrongFeatureCount:
         task = narrow_suite.unseen_tasks[0]
         with pytest.raises(DataValidationError, match=message):
             fitted_tiny_model.select(task)
-        for batch_size in (1, None):
-            with pytest.raises(DataValidationError, match=message):
-                fitted_tiny_model.select_all_unseen(narrow_suite, batch_size=batch_size)
+        with pytest.raises(DataValidationError, match=message):
+            fitted_tiny_model.select_all_unseen(narrow_suite)
         engine = BatchedGreedyEngine.from_model(fitted_tiny_model)
         with pytest.raises(DataValidationError, match=message):
             engine.select_tasks(narrow_suite.unseen_tasks)

@@ -104,10 +104,6 @@ class TestBitExactParity:
             for task in train.unseen_tasks
         }
         assert fitted_tiny_model.select_all_unseen() == expected
-        # The sequential fallback path must agree too.
-        assert fitted_tiny_model.select_all_unseen(batch_size=1) == expected
-        # Chunked lockstep groups must not change answers.
-        assert fitted_tiny_model.select_all_unseen(batch_size=2) == expected
 
 
 class TestTrainerGreedySubsets:
@@ -265,10 +261,6 @@ class TestSelectAllUnseen:
     def test_uses_given_suite(self, fitted_tiny_model, tiny_suite):
         result = fitted_tiny_model.select_all_unseen(tiny_suite)
         assert set(result) == {task.name for task in tiny_suite.unseen_tasks}
-
-    def test_rejects_bad_batch_size(self, fitted_tiny_model):
-        with pytest.raises(ValueError, match="batch_size"):
-            fitted_tiny_model.select_all_unseen(batch_size=0)
 
     def test_requires_a_suite(self):
         from repro.core.pafeat import PAFeat
