@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.baselines.base import FeatureSelector
 from repro.core.config import ClassifierConfig
-from repro.core.pafeat import build_reward
+from repro.core.pafeat import build_rewards
 from repro.data.tasks import Task
 from repro.rl.seeding import task_rng
 
@@ -76,8 +76,8 @@ class MARLFSSelector(FeatureSelector):
         rng = task_rng(self.seed, task.label_index)
         classifier_seed = int(rng.integers(2**31))
         split_seed = int(rng.integers(2**31))
-        _, reward_fn = build_reward(
-            task, self.classifier_config, "auc", classifier_seed, split_seed
+        [(_, reward_fn)] = build_rewards(
+            [task], self.classifier_config, "auc", [classifier_seed], [split_seed]
         )
 
         agents = [_FeatureAgent(self.learning_rate) for _ in range(task.n_features)]

@@ -17,7 +17,7 @@ from repro.core.batch import served_subsets
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.feat import FEATTrainer
-from repro.core.pafeat import build_agent, build_reward
+from repro.core.pafeat import build_agent, build_rewards
 from repro.data.stats import feature_redundancy_matrix, pearson_representation
 from repro.data.tasks import Task
 from repro.rl.seeding import task_seed_sequence
@@ -54,8 +54,8 @@ class SADRLFSSelector(FeatureSelector):
         child_seeds = seed_sequence.spawn(4)
 
         seed = int(child_seeds[0].generate_state(1)[0])
-        _, reward_fn = build_reward(
-            task, self.config.classifier, self.config.env.reward_metric, seed, seed
+        [(_, reward_fn)] = build_rewards(
+            [task], self.config.classifier, self.config.env.reward_metric, [seed], [seed]
         )
         representation = pearson_representation(task.features, task.labels)
         env = FeatureSelectionEnv(

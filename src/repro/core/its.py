@@ -99,6 +99,12 @@ class InterTaskScheduler:
         self.n_features = n_features
         self.config = config
         self.last_progress: list[TaskProgress] = []
+        # Per task, its probes and the newest tail summary they were taken
+        # from.  Every committed episode appends a new summary object and
+        # every restore rebuilds the tail, so an identical (``is``) newest
+        # summary means an unchanged tail; a different registry never
+        # shares summary objects, so it never hits.
+        self._progress_cache: dict[int, tuple[EpisodeSummary | None, TaskProgress]] = {}
         # Per-task episode allocation tally, guarded by the lock below.
         # Episodes are planned serially, but the counter is also readable
         # from telemetry threads, so updates go through a TrackedLock and
@@ -107,22 +113,32 @@ class InterTaskScheduler:
         self._visit_lock = tsan.TrackedLock("its.visits")
 
     def collect_progress(self, registry: ReplayRegistry) -> list[TaskProgress]:
-        """Information Collecting Phase (Eqn. 4) for every seen task."""
+        """Information Collecting Phase (Eqn. 4) for every seen task.
+
+        Episodes are planned and committed one at a time, so between two
+        calls at most one task's tail has changed; only that task's probes
+        are recomputed, the others come from the cache.
+        """
         progress = []
         for task_id in self.task_ids:
             trajectories = registry.buffer(task_id).recent_trajectories(
                 self.config.trajectory_window
             )
-            progress.append(
-                TaskProgress(
-                    task_id=task_id,
-                    distance_ratio=distance_ratio(
-                        trajectories, self.all_features_scores[task_id]
-                    ),
-                    uncertainty=performance_uncertainty(trajectories, self.n_features),
-                    n_trajectories=len(trajectories),
-                )
+            newest = trajectories[-1] if trajectories else None
+            cached = self._progress_cache.get(task_id)
+            if cached is not None and cached[0] is newest:
+                progress.append(cached[1])
+                continue
+            task_progress = TaskProgress(
+                task_id=task_id,
+                distance_ratio=distance_ratio(
+                    trajectories, self.all_features_scores[task_id]
+                ),
+                uncertainty=performance_uncertainty(trajectories, self.n_features),
+                n_trajectories=len(trajectories),
             )
+            self._progress_cache[task_id] = (newest, task_progress)
+            progress.append(task_progress)
         self.last_progress = progress
         return progress
 
@@ -178,6 +194,7 @@ class InterTaskScheduler:
         nothing read it.
         """
         self.last_progress = [TaskProgress(**p) for p in meta.get("last_progress", [])]
+        self._progress_cache.clear()
         with self._visit_lock:
             self.visit_counts = {t: 0 for t in self.task_ids}
             for key, count in meta.get("visit_counts", {}).items():

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from repro.errors import DataValidationError, NotFittedError
@@ -39,7 +39,7 @@ from repro.nn.classifier import MaskedMLPClassifier
 from repro.obs.telemetry import TelemetryWriter
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rl.agent import DuelingDQNAgent
-from repro.rl.reward import RewardFunction, build_task_reward
+from repro.rl.reward import RewardFunction, build_task_rewards
 from repro.rl.schedules import LinearDecay
 
 
@@ -71,35 +71,49 @@ def build_agent(
     )
 
 
-def build_reward(
-    task: Task,
+def build_rewards(
+    tasks: Sequence[Task],
     config: ClassifierConfig,
     metric: str,
-    classifier_seed: int,
-    split_seed: int,
-) -> tuple[MaskedMLPClassifier, RewardFunction]:
-    """Pretrain a task's masked classifier and wrap it as its reward (Eqn. 2).
+    classifier_seeds: Sequence[int],
+    split_seeds: Sequence[int],
+) -> list[tuple[MaskedMLPClassifier, RewardFunction]]:
+    """Pretrain each task's masked classifier and wrap it as its reward (Eqn. 2).
 
-    The one place a reward classifier is built from a
-    :class:`ClassifierConfig`.  ``classifier_seed`` seeds the classifier;
-    ``split_seed`` draws the row split: the classifier fits on a train
-    portion of the task's rows and the reward scores subsets with
-    ``metric`` on the held-out rest, which keeps the landscape informative
-    (see :func:`repro.rl.reward.build_task_reward`).
+    The one place reward classifiers are built from a
+    :class:`ClassifierConfig`.  ``classifier_seeds[k]`` seeds task ``k``'s
+    classifier; ``split_seeds[k]`` draws its row split: the classifier fits
+    on a train portion of the task's rows and the reward scores subsets
+    with ``metric`` on the held-out rest, which keeps the landscape
+    informative (see :func:`repro.rl.reward.build_task_rewards`).  The
+    tasks share one feature table, so their classifiers pretrain in
+    lockstep, each bit-identically to a lone pretraining.
     """
-    classifier = MaskedMLPClassifier(
-        n_features=task.n_features,
-        hidden=config.hidden,
-        lr=config.lr,
-        n_epochs=config.n_epochs,
-        batch_size=config.batch_size,
-        mask_augment=config.mask_augment,
-        seed=classifier_seed,
+    if not tasks:
+        raise ValueError("build_rewards needs at least one task")
+    table = tasks[0].table
+    if any(task.table is not table for task in tasks):
+        raise ValueError("tasks whose rewards are built together must share one table")
+    classifiers = [
+        MaskedMLPClassifier(
+            n_features=table.n_features,
+            hidden=config.hidden,
+            lr=config.lr,
+            n_epochs=config.n_epochs,
+            batch_size=config.batch_size,
+            mask_augment=config.mask_augment,
+            seed=seed,
+        )
+        for seed in classifier_seeds
+    ]
+    reward_fns = build_task_rewards(
+        table.features,
+        [task.labels for task in tasks],
+        classifiers,
+        split_seeds,
+        metric=metric,
     )
-    reward_fn = build_task_reward(
-        task.features, task.labels, classifier, metric=metric, seed=split_seed
-    )
-    return classifier, reward_fn
+    return list(zip(classifiers, reward_fns))
 
 
 @dataclass
@@ -214,7 +228,7 @@ class PAFeat:
         # matrix (the redundancy signal in the state encoding) is computed once.
         self._feature_corr = feature_redundancy_matrix(suite.table.features)
 
-        envs = {task.label_index: self._build_env(task) for task in suite.seen_tasks}
+        envs = {env.task_id: env for env in self._build_envs(suite.seen_tasks)}
         all_features_scores = {
             task_id: env.reward_fn.all_features_score for task_id, env in envs.items()
         }
@@ -424,7 +438,7 @@ class PAFeat:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         trainer = self._require_fitted()
         if task.label_index not in trainer.envs:
-            trainer.envs[task.label_index] = self._build_env(task)
+            trainer.envs[task.label_index] = self._build_envs([task])[0]
         env = trainer.envs[task.label_index]
         task_ids = [task.label_index]
 
@@ -609,27 +623,34 @@ class PAFeat:
 
         return scorer
 
-    def _build_env(self, task: Task) -> FeatureSelectionEnv:
-        """Pretrain the task's reward, record it, and build its environment.
+    def _build_envs(self, tasks: Sequence[Task]) -> list[FeatureSelectionEnv]:
+        """Pretrain the tasks' rewards, record them, and build their environments.
 
-        The one environment constructor of :meth:`fit` (each seen task)
+        The one environment constructor of :meth:`fit` (every seen task)
         and :meth:`further_train` (a task the trainer has no environment
-        for).  The next child of the model's seed sequence seeds both the
-        classifier and the reward's row split.
+        for).  Task ``k`` takes the model's seed sequence's next child, in
+        order, as both its classifier seed and its row-split seed.
         """
-        seed = int(self._seed_sequence.spawn(1)[0].generate_state(1)[0])
-        classifier, reward_fn = build_reward(
-            task, self.config.classifier, self.config.env.reward_metric, seed, seed
+        seeds = [
+            int(self._seed_sequence.spawn(1)[0].generate_state(1)[0]) for _ in tasks
+        ]
+        rewards = build_rewards(
+            tasks, self.config.classifier, self.config.env.reward_metric, seeds, seeds
         )
-        self.classifiers[task.label_index] = classifier
-        self.reward_fns[task.label_index] = reward_fn
-        return FeatureSelectionEnv(
-            task.label_index,
-            pearson_representation(task.features, task.labels),
-            reward_fn,
-            self.config.env,
-            feature_corr=self._feature_corr,
-        )
+        envs = []
+        for task, (classifier, reward_fn) in zip(tasks, rewards):
+            self.classifiers[task.label_index] = classifier
+            self.reward_fns[task.label_index] = reward_fn
+            envs.append(
+                FeatureSelectionEnv(
+                    task.label_index,
+                    pearson_representation(task.features, task.labels),
+                    reward_fn,
+                    self.config.env,
+                    feature_corr=self._feature_corr,
+                )
+            )
+        return envs
 
     def _require_fitted(self) -> FEATTrainer:
         if self.trainer is None:

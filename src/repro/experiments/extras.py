@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -57,15 +58,16 @@ def reward_cache_study(
     hit_rates = [fn.hit_rate() for fn in cached_model.reward_fns.values()]
 
     uncached_model = PAFeat(make_config(scale, seed=seed))
-    original_build = uncached_model._build_env
+    original_build = uncached_model._build_envs
 
-    def build_uncached(task: Task) -> FeatureSelectionEnv:
-        env = original_build(task)
-        env.reward_fn.cache_size = 0
-        env.reward_fn.clear_cache()
-        return env
+    def build_uncached(tasks: Sequence[Task]) -> list[FeatureSelectionEnv]:
+        envs = original_build(tasks)
+        for env in envs:
+            env.reward_fn.cache_size = 0
+            env.reward_fn.clear_cache()
+        return envs
 
-    uncached_model._build_env = build_uncached  # type: ignore[method-assign]
+    uncached_model._build_envs = build_uncached  # type: ignore[method-assign]
     start = monotonic()
     uncached_model.fit(train)
     uncached_seconds = monotonic() - start

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,23 +52,42 @@ def config_to_dict(config: PAFeatConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> PAFeatConfig:
-    """Rebuild a :class:`PAFeatConfig` from :func:`config_to_dict` output."""
+    """Rebuild a :class:`PAFeatConfig` from :func:`config_to_dict` output.
+
+    A key this release does not know — at the top level or inside a
+    section — raises :class:`~repro.errors.DataValidationError` naming it
+    and its section.
+    """
     data = dict(data)
     # Configs saved before ``train_fraction`` was removed carry the key; no
     # code ever read it.
     data.pop("train_fraction", None)
-    agent = dict(data.pop("agent"))
-    agent["hidden"] = tuple(agent["hidden"])
-    classifier = dict(data.pop("classifier"))
-    classifier["hidden"] = tuple(classifier["hidden"])
+    _check_keys(data, PAFeatConfig, "the top level")
+    sections = {name: dict(data.pop(name)) for name in _SECTIONS}
+    for name, section in sections.items():
+        _check_keys(section, _SECTIONS[name], f"section {name!r}")
+    for name in ("agent", "classifier"):
+        sections[name]["hidden"] = tuple(sections[name]["hidden"])
     return PAFeatConfig(
-        env=EnvConfig(**data.pop("env")),
-        agent=AgentConfig(**agent),
-        its=ITSConfig(**data.pop("its")),
-        ite=ITEConfig(**data.pop("ite")),
-        classifier=ClassifierConfig(**classifier),
+        **{name: _SECTIONS[name](**section) for name, section in sections.items()},
         **data,
     )
+
+
+_SECTIONS: dict[str, type] = {
+    "env": EnvConfig,
+    "agent": AgentConfig,
+    "its": ITSConfig,
+    "ite": ITEConfig,
+    "classifier": ClassifierConfig,
+}
+
+
+def _check_keys(data: dict, config_type: type, where: str) -> None:
+    unknown = sorted(set(data) - {field.name for field in fields(config_type)})
+    if unknown:
+        names = ", ".join(repr(key) for key in unknown)
+        raise DataValidationError(f"unknown config key {names} in {where} of config.json")
 
 
 # ---------------------------------------------------------------------------

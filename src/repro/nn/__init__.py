@@ -2,13 +2,14 @@
 
 The paper trains small multi-layer perceptrons (a Dueling Q-network and a
 masked-input classifier) with PyTorch.  This package provides the same
-building blocks — dense layers, activations, losses, Adam and a
-dueling value/advantage head — implemented with explicit NumPy forward and
-backward passes so the reproduction has no dependency on a GPU framework.
+building blocks — dense layers, ReLU/sigmoid activations, Huber and BCE
+losses, Adam and a dueling value/advantage head — implemented with
+explicit NumPy forward and backward passes so the reproduction has no
+dependency on a GPU framework.
 
 The API is intentionally close to the familiar ``torch.nn`` shape::
 
-    net = MLP([state_dim, 64, 64, n_actions], activation="relu")
+    net = MLP([state_dim, 64, 64, n_actions], rng)
     loss = HuberLoss()
     opt = Adam(net.parameters(), lr=1e-3)
 
@@ -20,7 +21,7 @@ The API is intentionally close to the familiar ``torch.nn`` shape::
 
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.nn.dueling import DuelingHead, DuelingNetwork
-from repro.nn.initializers import he_init, xavier_init, zeros_init
+from repro.nn.initializers import he_init, zeros_init
 from repro.nn.layers import (
     Layer,
     Linear,
@@ -28,9 +29,8 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
     Sigmoid,
-    Tanh,
 )
-from repro.nn.losses import BCELoss, HuberLoss, MSELoss
+from repro.nn.losses import BCELoss, HuberLoss
 from repro.nn.network import MLP, load_state_dict, state_dict
 from repro.nn.optim import Adam, Optimizer
 
@@ -43,17 +43,14 @@ __all__ = [
     "Layer",
     "Linear",
     "MLP",
-    "MSELoss",
     "MaskedMLPClassifier",
     "Optimizer",
     "Parameter",
     "ReLU",
     "Sequential",
     "Sigmoid",
-    "Tanh",
     "he_init",
     "load_state_dict",
     "state_dict",
-    "xavier_init",
     "zeros_init",
 ]

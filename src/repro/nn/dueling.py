@@ -73,7 +73,7 @@ class DuelingNetwork(Sequential):
     ) -> None:
         if not hidden:
             raise ValueError("DuelingNetwork requires at least one hidden layer")
-        trunk = MLP([state_dim, *hidden], rng, activation="relu", name="trunk")
+        trunk = MLP([state_dim, *hidden], rng, name="trunk")
         # MLP with sizes [in, h1, ..., hk] ends in a Linear; append the
         # activation for the last trunk layer before the dueling split.
         layers: list[Layer] = [*trunk.layers, ReLU(), DuelingHead(hidden[-1], n_actions, rng)]

@@ -28,14 +28,6 @@ def he_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(0.0, std, size=(fan_in, fan_out))
 
 
-def xavier_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
-    """Xavier/Glorot-uniform initialization, suited to tanh/sigmoid layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fan_in and fan_out must be positive, got {fan_in}, {fan_out}")
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
 def zeros_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     """All-zero initialization (used for biases)."""
     del rng  # deterministic; accepted for interface uniformity
@@ -46,7 +38,6 @@ def zeros_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarra
 
 INITIALIZERS: dict[str, Initializer] = {
     "he": he_init,
-    "xavier": xavier_init,
     "zeros": zeros_init,
 }
 

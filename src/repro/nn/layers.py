@@ -7,6 +7,11 @@ layers and optimizers stay decoupled.  An optimizer owns that memory: at
 construction it rebinds both arrays to views of its flat buffers
 (:class:`~repro.nn.optim.Optimizer`), so everything else writes them in
 place and never rebinds them.
+
+The training pass also runs K same-shaped networks side by side: a
+:meth:`Linear.stack` layer holds their parameters on a leading stack axis
+and maps a ``(K, n, in)`` input slice by slice; the activations are
+elementwise, so they need no stack-aware code.
 """
 
 from __future__ import annotations
@@ -91,7 +96,15 @@ class Layer(ABC):
 
 
 class Linear(Layer):
-    """Fully connected layer ``y = x @ W + b``."""
+    """Fully connected layer ``y = x @ W + b``.
+
+    :meth:`forward` and :meth:`backward` also take a stacked layer
+    (:meth:`stack`): weights ``(K, in, out)``, bias ``(K, out)`` and input
+    ``(K, n, in)``.  The matmuls run over the last two axes and the bias
+    broadcasts over rows, so on a 2-D input they are the plain layer's
+    NumPy calls on the same views, and slice ``k`` of a stacked pass equals
+    layer ``k``'s own pass bit for bit.
+    """
 
     def __init__(
         self,
@@ -111,24 +124,47 @@ class Linear(Layer):
         self.bias = Parameter(f"{name}.bias", np.zeros(out_features)) if bias else None
         self._x: np.ndarray | None = None
 
+    @classmethod
+    def stack(cls, layers: Sequence["Linear"]) -> "Linear":
+        """One layer running ``layers`` side by side on a leading stack axis.
+
+        Its parameters are copies of theirs stacked along a new axis 0, so
+        training it leaves ``layers`` untouched until the caller copies
+        slice ``k`` back into layer ``k``.
+        """
+        biases = [layer.bias for layer in layers if layer.bias is not None]
+        if biases and len(biases) != len(layers):
+            raise ValueError("stacked layers must all have a bias or none")
+        stacked = cls.__new__(cls)
+        stacked.weight = Parameter(
+            layers[0].weight.name, np.stack([layer.weight.value for layer in layers])
+        )
+        stacked.bias = (
+            Parameter(biases[0].name, np.stack([bias.value for bias in biases]))
+            if biases
+            else None
+        )
+        stacked._x = None
+        return stacked
+
     @property
     def in_features(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     @property
     def out_features(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.in_features:
+        if x.shape[-1] != self.in_features:
             raise ValueError(
-                f"expected input with {self.in_features} features, got {x.shape[1]}"
+                f"expected input with {self.in_features} features, got {x.shape[-1]}"
             )
         self._x = x
         out = x @ self.weight.value
         if self.bias is not None:
-            out = out + self.bias.value
+            out = out + self.bias.value[..., None, :]
         return out
 
     def infer_batch(self, x: np.ndarray) -> np.ndarray:
@@ -145,10 +181,10 @@ class Linear(Layer):
         if self._x is None:
             raise LifecycleError("backward called before forward")
         grad_output = np.atleast_2d(grad_output)
-        self.weight.grad += self._x.T @ grad_output
+        self.weight.grad += self._x.swapaxes(-1, -2) @ grad_output
         if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
-        return grad_output @ self.weight.value.T
+            self.bias.grad += grad_output.sum(axis=-2)
+        return grad_output @ self.weight.value.swapaxes(-1, -2)
 
     def parameters(self) -> list[Parameter]:
         params = [self.weight]
@@ -175,26 +211,6 @@ class ReLU(Layer):
         if self._mask is None:
             raise LifecycleError("backward called before forward")
         return grad_output * self._mask
-
-
-class Tanh(Layer):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        out = np.tanh(np.asarray(x, dtype=np.float64))
-        self._out = out
-        return out
-
-    def infer_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise LifecycleError("backward called before forward")
-        return grad_output * (1.0 - self._out**2)
 
 
 class Sigmoid(Layer):

@@ -33,23 +33,6 @@ def _align(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pred, target
 
 
-class MSELoss(Loss):
-    """Mean squared error, averaged over all elements."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = _align(pred, target)
-        self._diff = pred - target
-        return float(np.mean(self._diff**2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise LifecycleError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
-
-
 class HuberLoss(Loss):
     """Huber (smooth-L1) loss — the standard robust TD-error loss for DQN."""
 
@@ -75,7 +58,13 @@ class HuberLoss(Loss):
 
 
 class BCELoss(Loss):
-    """Binary cross-entropy on probabilities in (0, 1)."""
+    """Binary cross-entropy on probabilities in (0, 1).
+
+    A stacked prediction ``(K, n, d)`` from K networks run side by side
+    (:meth:`repro.nn.layers.Linear.stack`) is normalised per network: the
+    loss is the sum of the K networks' mean losses, so slice ``k`` of the
+    gradient is exactly what network ``k``'s own 2-D loss would give.
+    """
 
     def __init__(self, eps: float = 1e-12) -> None:
         self.eps = eps
@@ -86,12 +75,15 @@ class BCELoss(Loss):
         pred, target = _align(pred, target)
         pred = np.clip(pred, self.eps, 1.0 - self.eps)
         self._pred, self._target = pred, target
-        return float(
-            -np.mean(target * safe_log(pred) + (1.0 - target) * safe_log(1.0 - pred))
+        losses = -np.mean(
+            target * safe_log(pred) + (1.0 - target) * safe_log(1.0 - pred),
+            axis=(-2, -1),
         )
+        return float(np.sum(losses))
 
     def backward(self) -> np.ndarray:
         if self._pred is None or self._target is None:
             raise LifecycleError("backward called before forward")
-        denom = self._pred * (1.0 - self._pred) * self._pred.size
+        batch = self._pred.shape[-2] * self._pred.shape[-1]  # one network's size
+        denom = self._pred * (1.0 - self._pred) * batch
         return (self._pred - self._target) / denom

@@ -6,13 +6,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.layers import Layer, Linear, ReLU, Sequential, Sigmoid, Tanh
+from repro.nn.layers import Layer, Linear, ReLU, Sequential, Sigmoid
 
-_ACTIVATIONS = {"relu": ReLU, "tanh": Tanh, "sigmoid": Sigmoid}
+_OUTPUT_ACTIVATIONS = {"relu": ReLU, "sigmoid": Sigmoid}
 
 
 class MLP(Sequential):
-    """Multi-layer perceptron: Linear → activation per hidden layer.
+    """Multi-layer perceptron: He-initialised Linear → ReLU per hidden layer.
 
     ``sizes`` gives the full layer widths, e.g. ``[in, 64, 64, out]``.  The
     output layer is linear (no activation) unless ``output_activation`` is
@@ -23,26 +23,24 @@ class MLP(Sequential):
         self,
         sizes: Sequence[int],
         rng: np.random.Generator,
-        activation: str = "relu",
         output_activation: str | None = None,
         name: str = "mlp",
     ) -> None:
         if len(sizes) < 2:
             raise ValueError(f"MLP needs at least [in, out] sizes, got {list(sizes)}")
-        if activation not in _ACTIVATIONS:
-            valid = ", ".join(sorted(_ACTIVATIONS))
-            raise ValueError(f"unknown activation {activation!r}; expected one of: {valid}")
-        weight_init = "he" if activation == "relu" else "xavier"
+        if output_activation is not None and output_activation not in _OUTPUT_ACTIVATIONS:
+            valid = ", ".join(sorted(_OUTPUT_ACTIVATIONS))
+            raise ValueError(
+                f"unknown activation {output_activation!r}; expected one of: {valid}"
+            )
         layers: list[Layer] = []
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             is_output = i == len(sizes) - 2
-            layers.append(
-                Linear(fan_in, fan_out, rng, weight_init=weight_init, name=f"{name}.{i}")
-            )
+            layers.append(Linear(fan_in, fan_out, rng, name=f"{name}.{i}"))
             if not is_output:
-                layers.append(_ACTIVATIONS[activation]())
+                layers.append(ReLU())
             elif output_activation is not None:
-                layers.append(_ACTIVATIONS[output_activation]())
+                layers.append(_OUTPUT_ACTIVATIONS[output_activation]())
         super().__init__(layers)
         self.sizes = list(sizes)
 

@@ -7,7 +7,7 @@ Task-agnostic pieces live here; everything specific to feature selection
 
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.replay import ReplayBatch, ReplayBuffer, ReplayRegistry
-from repro.rl.reward import RewardFunction, build_task_reward
+from repro.rl.reward import RewardFunction, build_task_rewards
 from repro.rl.schedules import ConstantSchedule, LinearDecay
 from repro.rl.seeding import task_rng, task_seed_sequence
 from repro.rl.trajectory import EpisodeSummary, Trajectory
@@ -22,7 +22,7 @@ __all__ = [
     "ReplayRegistry",
     "RewardFunction",
     "Trajectory",
-    "build_task_reward",
+    "build_task_rewards",
     "task_rng",
     "task_seed_sequence",
 ]

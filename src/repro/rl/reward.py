@@ -10,35 +10,39 @@ runs; hit statistics are exposed for the cache-ablation benchmark.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.analysis import tsan
 from repro.analysis.contracts import check_scalar_range
 from repro.eval.metrics import binary_labels
-from repro.nn.classifier import MaskedMLPClassifier
+from repro.nn.classifier import MaskedMLPClassifier, pretrain
 
 
-def build_task_reward(
+def build_task_rewards(
     features: np.ndarray,
-    labels: np.ndarray,
-    classifier: MaskedMLPClassifier,
+    labels: Sequence[np.ndarray],
+    classifiers: Sequence[MaskedMLPClassifier],
+    seeds: Sequence[int],
     metric: str = "auc",
     validation_fraction: float = 0.3,
-    seed: int = 0,
-) -> "RewardFunction":
-    """Pretrain ``classifier`` and wrap it as a validation-scored reward.
+) -> list["RewardFunction"]:
+    """Pretrain one classifier per task and wrap each as a validation-scored reward.
 
-    The classifier is fit on a train portion of the rows and the reward
-    evaluates subsets on the held-out remainder.  Scoring on the training
-    rows themselves produces a degenerate landscape — an overfit classifier
+    Task ``k`` labels the rows of the shared ``features`` table with
+    ``labels[k]``; ``seeds[k]`` draws its row split.  Each classifier is
+    fit on a train portion of its task's rows and its reward evaluates
+    subsets on the held-out remainder.  Scoring on the training rows
+    themselves produces a degenerate landscape — an overfit classifier
     scores ~1.0 for almost any subset — so validation scoring is what makes
-    Eqn. 2 informative about subset quality.  Non-binary ``labels`` raise
+    Eqn. 2 informative about subset quality.  The classifiers pretrain in
+    lockstep (:func:`repro.nn.classifier.pretrain`), each exactly as it
+    would alone.  Non-binary labels raise
     :class:`~repro.errors.DataValidationError` before any pretraining.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = binary_labels(labels, "labels")
+    labels = [binary_labels(task_labels, "labels") for task_labels in labels]
     if not 0.0 < validation_fraction < 1.0:
         raise ValueError(
             f"validation_fraction must be in (0, 1), got {validation_fraction}"
@@ -46,14 +50,23 @@ def build_task_reward(
     n = features.shape[0]
     if n < 4:
         raise ValueError(f"need at least 4 rows to split for reward, got {n}")
-    rng = np.random.default_rng(seed)
-    permutation = rng.permutation(n)
     n_val = max(1, min(n - 1, int(round(validation_fraction * n))))
-    val_rows, fit_rows = permutation[:n_val], permutation[n_val:]
-    classifier.fit(features[fit_rows], labels[fit_rows])
-    return RewardFunction(
-        classifier, features[val_rows], labels[val_rows], metric=metric
+    splits = []
+    for seed in seeds:
+        permutation = np.random.default_rng(seed).permutation(n)
+        splits.append((permutation[:n_val], permutation[n_val:]))
+    pretrain(
+        classifiers,
+        features,
+        [fit_rows for _, fit_rows in splits],
+        [task_labels[fit_rows] for task_labels, (_, fit_rows) in zip(labels, splits)],
     )
+    return [
+        RewardFunction(
+            classifier, features[val_rows], task_labels[val_rows], metric=metric
+        )
+        for classifier, task_labels, (val_rows, _) in zip(classifiers, labels, splits)
+    ]
 
 
 class RewardFunction:

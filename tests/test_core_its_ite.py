@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.config import ITEConfig, ITSConfig
+from repro.core.feat import FEATTrainer
 from repro.core.ite import IntraTaskExplorer
 from repro.core.its import (
     InterTaskScheduler,
     distance_ratio,
     performance_uncertainty,
 )
+from repro.core.pafeat import PAFeat
 from repro.core.state import EnvState
 from repro.rl.replay import ReplayRegistry
-from tests.conftest import make_episode
+from tests.conftest import fast_config, make_episode
 
 
 def trajectory_with(subset, final_reward, task_id=0):
@@ -151,6 +153,56 @@ class TestITSVisitCounter:
         # One visit per planned episode, keyed by the seen tasks.
         assert sum(visits.values()) == episodes > 0
         assert set(visits) == {task.label_index for task in train.seen_tasks}
+
+
+class TestProgressCache:
+    """The per-task probe cache never serves a stale tail."""
+
+    @staticmethod
+    def _assert_matches_a_fresh_scheduler(scheduler, registry) -> np.ndarray:
+        fresh = InterTaskScheduler(
+            scheduler.task_ids,
+            scheduler.all_features_scores,
+            scheduler.n_features,
+            scheduler.config,
+        )
+        probabilities = scheduler.probabilities(registry)
+        assert probabilities.tobytes() == fresh.probabilities(registry).tobytes()
+        assert scheduler.last_progress == fresh.last_progress
+        return probabilities
+
+    def test_after_every_commit_and_after_a_restore(self, tiny_split, monkeypatch):
+        train, _ = tiny_split
+        model = PAFeat(fast_config(n_iterations=12))
+        commit = FEATTrainer.commit_episode
+        seen: list[np.ndarray] = []
+        snapshots: list[tuple[dict, dict]] = []
+
+        def commit_and_check(trainer, task_id, trajectory, start):
+            commit(trainer, task_id, trajectory, start)
+            seen.append(
+                self._assert_matches_a_fresh_scheduler(model.scheduler, trainer.registry)
+            )
+            if len(seen) == 9:
+                snapshots.append(model._capture_training_state())
+
+        monkeypatch.setattr(FEATTrainer, "commit_episode", commit_and_check)
+        model.fit(train)
+        assert len(seen) == sum(s.episodes for s in model.trainer.history)
+        # Past the warm-up the allocation is no longer uniform.
+        assert any(np.ptp(p) > 0 for p in seen)
+
+        # Rewind to an earlier checkpoint: every tail is rebuilt.
+        model._restore_training_state(*snapshots[0])
+        self._assert_matches_a_fresh_scheduler(model.scheduler, model.trainer.registry)
+
+    def test_a_different_registry_never_hits(self):
+        scheduler = InterTaskScheduler([0], {0: 1.0}, 4, ITSConfig(min_trajectories=1))
+        first, second = ReplayRegistry(100), ReplayRegistry(100)
+        first.buffer(0).add_trajectory(trajectory_with((0,), 0.2))
+        second.buffer(0).add_trajectory(trajectory_with((0, 1), 0.9))
+        assert scheduler.collect_progress(first)[0].distance_ratio == pytest.approx(0.8)
+        assert scheduler.collect_progress(second)[0].distance_ratio == pytest.approx(0.1)
 
 
 class TestIntraTaskExplorer:

@@ -7,7 +7,7 @@ from repro.core.config import EnvConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.state import EnvState, N_SCAN_SCALARS, encode_state, state_dim
 from repro.nn.classifier import MaskedMLPClassifier
-from repro.rl.reward import build_task_reward
+from repro.rl.reward import build_task_rewards
 from tests.conftest import zero_reward
 
 
@@ -81,7 +81,7 @@ def env_fixture():
     x = rng.standard_normal((200, 6))
     labels = (x[:, 0] + x[:, 1] > 0).astype(int)
     classifier = MaskedMLPClassifier(6, n_epochs=8, seed=0)
-    reward_fn = build_task_reward(x, labels, classifier, seed=0)
+    [reward_fn] = build_task_rewards(x, [labels], [classifier], [0])
     representation = np.abs(
         [np.corrcoef(x[:, j], labels)[0, 1] for j in range(6)]
     )
@@ -153,7 +153,7 @@ class TestFeatureSelectionEnv:
         x = rng.standard_normal((150, 5))
         labels = (x[:, 0] > 0).astype(int)
         classifier = MaskedMLPClassifier(5, n_epochs=5, seed=0)
-        reward_fn = build_task_reward(x, labels, classifier, seed=0)
+        [reward_fn] = build_task_rewards(x, [labels], [classifier], [0])
         config = EnvConfig(max_feature_ratio=1.0, reward_mode="delta", size_penalty=0.1)
         env = FeatureSelectionEnv(0, np.full(5, 0.3), reward_fn, config)
         env.reset()
@@ -171,7 +171,7 @@ class TestFeatureSelectionEnv:
         x = rng.standard_normal((150, 5))
         labels = (x[:, 0] > 0).astype(int)
         classifier = MaskedMLPClassifier(5, n_epochs=5, seed=0)
-        reward_fn = build_task_reward(x, labels, classifier, seed=0)
+        [reward_fn] = build_task_rewards(x, [labels], [classifier], [0])
         config = EnvConfig(
             max_feature_ratio=1.0, reward_mode="performance", size_penalty=0.0
         )

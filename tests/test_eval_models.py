@@ -5,7 +5,7 @@ import pytest
 
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.eval.kernel import KernelRidgeClassifier
-from repro.rl.reward import RewardFunction, build_task_reward
+from repro.rl.reward import RewardFunction, build_task_rewards
 from repro.eval.svm import LinearSVM, evaluate_subset_with_svm
 
 
@@ -152,7 +152,7 @@ class TestRewardFunction:
     def reward(self):
         x, labels = linearly_separable(300, seed=2)
         classifier = MaskedMLPClassifier(3, n_epochs=10, seed=2)
-        return build_task_reward(x, labels, classifier, seed=2)
+        return build_task_rewards(x, [labels], [classifier], [2])[0]
 
     def test_reward_in_unit_interval(self, reward):
         assert 0.0 <= reward((0, 1)) <= 1.0
@@ -203,7 +203,7 @@ class TestRewardFunction:
         labels[3] = 2
         classifier = MaskedMLPClassifier(3, n_epochs=2)
         with pytest.raises(DataValidationError, match=r"labels must be binary .*\[0, 1, 2\]"):
-            build_task_reward(x, labels, classifier)
+            build_task_rewards(x, [labels], [classifier], [0])
         with pytest.raises(RuntimeError, match="before fit"):
             classifier.predict_proba(x)
 
@@ -213,5 +213,5 @@ class TestRewardFunction:
         x = rng.standard_normal((300, 4))
         labels = rng.integers(0, 2, 300)
         classifier = MaskedMLPClassifier(4, n_epochs=20, seed=1)
-        reward = build_task_reward(x, labels, classifier, seed=1)
+        [reward] = build_task_rewards(x, [labels], [classifier], [1])
         assert reward.all_features_score < 0.75

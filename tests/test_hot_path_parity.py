@@ -1,10 +1,12 @@
 """Bit-exact differential tests of the fit hot path.
 
 The references are the per-array implementations the flat ones replaced:
-a tie loop ``roc_auc_score`` and an Adam with one moment array per
-parameter and a per-parameter gradient clip.  Production must match them
-bit for bit, not approximately: the training fingerprint depends on every
-reward and every weight.
+a tie loop ``roc_auc_score``, an Adam with one moment array per parameter
+and a per-parameter gradient clip, and the per-classifier pretraining loop
+that the lockstep :func:`repro.nn.classifier.pretrain` replaced, on the
+2-D ``Linear``/``BCELoss`` arithmetic that the stack axis generalised.
+Production must match them bit for bit, not approximately: the training
+fingerprint depends on every reward and every weight.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ from hypothesis import strategies as st
 
 import repro.nn.classifier as classifier_module
 import repro.rl.agent as agent_module
+import repro.rl.reward as reward_module
+from repro.analysis.numerics import safe_log
 from repro.core.pafeat import PAFeat
 from repro.eval.metrics import roc_auc_score
+from repro.nn.classifier import MaskedMLPClassifier, pretrain
 from repro.nn.dueling import DuelingNetwork
-from repro.nn.layers import Parameter
-from repro.nn.losses import HuberLoss
+from repro.nn.layers import Linear, Parameter
+from repro.nn.losses import BCELoss, HuberLoss
 from repro.nn.optim import Adam
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.replay import ReplayBatch
@@ -122,6 +127,68 @@ class ReferenceAdam:
             m_hat = m / bias1
             v_hat = v / bias2
             parameter.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_fit(
+    classifier: MaskedMLPClassifier, features: np.ndarray, labels: np.ndarray
+) -> None:
+    """The per-classifier pretraining loop: one network, one minibatch at a time."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
+    classifier._mean = features.mean(axis=0)
+    classifier._std = features.std(axis=0)
+    classifier._std = np.where(classifier._std > 0, classifier._std, 1.0)
+    x = (features - classifier._mean) / classifier._std
+    rng, net = classifier._rng, classifier._net
+    optimizer = classifier_module.Adam(net.parameters(), lr=classifier.lr)
+    loss = BCELoss()
+    n = x.shape[0]
+    for _ in range(classifier.n_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, classifier.batch_size):
+            batch = order[start : start + classifier.batch_size]
+            xb = x[batch]
+            if classifier.mask_augment > 0.0:
+                drop = rng.random(classifier.n_features) < classifier.mask_augment
+                if drop.all():
+                    drop[rng.integers(classifier.n_features)] = False
+                xb = xb.copy()
+                xb[:, drop] = 0.0
+            probs = net.forward(xb)
+            loss.forward(probs, labels[batch])
+            optimizer.zero_grad()
+            net.backward(loss.backward())
+            optimizer.step()
+    classifier._fitted = True
+
+
+def reference_pretrain(classifiers, features, rows, labels) -> None:
+    """:func:`pretrain`'s contract, one classifier after another."""
+    for classifier, fit_rows, fit_labels in zip(classifiers, rows, labels):
+        reference_fit(classifier, features[fit_rows], fit_labels)
+
+
+def reference_linear_forward(layer: Linear, x: np.ndarray) -> np.ndarray:
+    """The 2-D layer's forward arithmetic before the stack axis."""
+    return x @ layer.weight.value + layer.bias.value
+
+
+def reference_linear_backward(
+    layer: Linear, x: np.ndarray, grad_output: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2-D layer's ``(dW, db, dx)`` before the stack axis."""
+    return (
+        x.T @ grad_output,
+        grad_output.sum(axis=0),
+        grad_output @ layer.weight.value.T,
+    )
+
+
+def reference_bce(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """The 2-D BCE value and gradient, normalised by the whole batch."""
+    pred = np.clip(pred, 1e-12, 1.0 - 1e-12)
+    value = float(-np.mean(target * safe_log(pred) + (1.0 - target) * safe_log(1.0 - pred)))
+    return value, (pred - target) / (pred * (1.0 - pred) * pred.size)
 
 
 def _bits(arrays: dict[str, np.ndarray] | list[np.ndarray]) -> list[bytes]:
@@ -371,3 +438,170 @@ def test_fit_matches_a_fit_on_the_references(tiny_split, monkeypatch):
     monkeypatch.setattr(classifier_module, "Adam", ReferenceAdam)
     monkeypatch.setattr(agent_module, "Adam", ReferenceAdam)
     assert _fit_digest(train) == production
+
+
+def test_fit_matches_a_fit_with_per_classifier_pretraining(tiny_split, monkeypatch):
+    train, _ = tiny_split
+    production = _fit_digest(train)
+    monkeypatch.setattr(reward_module, "pretrain", reference_pretrain)
+    assert _fit_digest(train) == production
+
+
+# ----------------------------------------------------------------------
+# (e) The stack axis: Linear and BCELoss slice by slice
+# ----------------------------------------------------------------------
+class TestStackedLayers:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 7),
+        n=st.integers(1, 70),
+        d_in=st.integers(1, 40),
+        d_out=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_linear_stack_equals_its_layers_slice_by_slice(self, k, n, d_in, d_out, seed):
+        rng = np.random.default_rng(seed)
+        layers = [Linear(d_in, d_out, rng) for _ in range(k)]
+        for layer in layers:
+            layer.bias.value[...] = rng.normal(size=d_out)
+        stacked = Linear.stack(layers)
+        x = rng.normal(size=(k, n, d_in))
+        grad = rng.normal(size=(k, n, d_out))
+        out = stacked.forward(x)
+        grad_in = stacked.backward(grad)
+        for i, layer in enumerate(layers):
+            single_out = layer.forward(x[i])
+            single_grad_in = layer.backward(grad[i])
+            assert _bits([out[i]]) == _bits([single_out]) == _bits(
+                [reference_linear_forward(layer, x[i])]
+            )
+            weight_grad, bias_grad, input_grad = reference_linear_backward(
+                layer, x[i], grad[i]
+            )
+            assert (
+                _bits([grad_in[i], stacked.weight.grad[i], stacked.bias.grad[i]])
+                == _bits([single_grad_in, layer.weight.grad, layer.bias.grad])
+                == _bits([input_grad, weight_grad, bias_grad])
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 7),
+        n=st.integers(1, 70),
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bce_is_normalised_per_network(self, k, n, d, seed):
+        rng = np.random.default_rng(seed)
+        pred = rng.random((k, n, d))
+        pred[rng.random((k, n, d)) < 0.05] = 0.0  # exercises the clip
+        target = (rng.random((k, n, d)) < 0.5).astype(np.float64)
+        stacked = BCELoss()
+        total = stacked.forward(pred, target)
+        grad = stacked.backward()
+        values = []
+        for i in range(k):
+            single = BCELoss()
+            values.append(single.forward(pred[i], target[i]))
+            expected_value, expected_grad = reference_bce(pred[i], target[i])
+            assert repr(values[-1]) == repr(expected_value)
+            assert _bits([grad[i]]) == _bits([single.backward()]) == _bits([expected_grad])
+        assert total == pytest.approx(sum(values), rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# (f) Lockstep pretraining against the per-classifier loop
+# ----------------------------------------------------------------------
+@st.composite
+def pretraining_cases(draw):
+    k = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 40))
+    hidden = draw(st.sampled_from([(32, 16), (8,), (12, 8, 4)]))
+    batch_size = draw(st.sampled_from([8, 16]))
+    # Below one batch, whole batches only, or a partial last batch.
+    n = draw(
+        st.sampled_from([batch_size - 3, 2 * batch_size, 3 * batch_size + 5])
+    )
+    mask_augment = draw(st.sampled_from([0.0, 0.9]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    constant_column = draw(st.booleans())
+    return k, m, hidden, batch_size, n, mask_augment, seed, constant_column
+
+
+def _classifier_bits(classifier: MaskedMLPClassifier, probe: np.ndarray) -> list[bytes]:
+    return _bits(
+        [p.value for p in classifier._net.parameters()]
+        + [classifier._mean, classifier._std, classifier.predict_proba(probe)]
+    )
+
+
+class TestLockstepPretraining:
+    @settings(max_examples=60, deadline=None)
+    @given(pretraining_cases())
+    def test_matches_the_per_classifier_loop(self, case):
+        k, m, hidden, batch_size, n, mask_augment, seed, constant_column = case
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(n + 9, m))
+        if constant_column:
+            table[:, rng.integers(m)] = 2.5  # std 0: standardised by 1
+        rows = [rng.permutation(n + 9)[:n] for _ in range(k)]
+        labels = [(rng.random(n) < 0.5).astype(np.int64) for _ in range(k)]
+
+        def classifiers() -> list[MaskedMLPClassifier]:
+            return [
+                MaskedMLPClassifier(
+                    m, hidden=hidden, n_epochs=3, batch_size=batch_size,
+                    mask_augment=mask_augment, seed=seed + i,
+                )
+                for i in range(k)
+            ]
+
+        lockstep, loop = classifiers(), classifiers()
+        pretrain(lockstep, table, rows, labels)
+        reference_pretrain(loop, table, rows, labels)
+        for stacked, alone in zip(lockstep, loop):
+            assert _classifier_bits(stacked, table) == _classifier_bits(alone, table)
+
+        # ``fit`` is the K = 1 call over every row.
+        fitted, alone = classifiers()[0], classifiers()[0]
+        fitted.fit(table[rows[0]], labels[0])
+        reference_fit(alone, table[rows[0]], labels[0])
+        assert _classifier_bits(fitted, table) == _classifier_bits(alone, table)
+
+    def test_single_column_redraw_keeps_the_column(self):
+        """At m = 1 nearly every draw drops the only column and is redrawn."""
+        rng = np.random.default_rng(4)
+        table = rng.normal(size=(40, 1))
+        labels = (table[:, 0] > 0).astype(np.int64)
+        lockstep = [MaskedMLPClassifier(1, hidden=(8,), n_epochs=4, batch_size=8,
+                                        mask_augment=0.9, seed=s) for s in (1, 2)]
+        loop = [MaskedMLPClassifier(1, hidden=(8,), n_epochs=4, batch_size=8,
+                                    mask_augment=0.9, seed=s) for s in (1, 2)]
+        rows = [np.arange(40)] * 2
+        pretrain(lockstep, table, rows, [labels] * 2)
+        reference_pretrain(loop, table, rows, [labels] * 2)
+        for stacked, alone in zip(lockstep, loop):
+            assert _classifier_bits(stacked, table) == _classifier_bits(alone, table)
+        assert lockstep[0].score(table, labels) > 0.9
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"lr": 0.5}, {"n_epochs": 2}, {"batch_size": 7}, {"mask_augment": 0.1},
+         {"hidden": (8,)}],
+    )
+    def test_rejects_classifiers_that_differ(self, change):
+        table = np.zeros((20, 3))
+        kwargs = {"hidden": (4,), "n_epochs": 1}
+        first = MaskedMLPClassifier(3, **kwargs)
+        second = MaskedMLPClassifier(3, **{**kwargs, **change})
+        rows = [np.arange(20)] * 2
+        with pytest.raises(ValueError, match="share hyperparameters"):
+            pretrain([first, second], table, rows, [np.zeros(20)] * 2)
+
+    def test_rejects_unequal_row_counts(self):
+        classifiers = [MaskedMLPClassifier(3, hidden=(4,), n_epochs=1) for _ in range(2)]
+        with pytest.raises(ValueError):
+            pretrain(
+                classifiers, np.zeros((20, 3)), [np.arange(20), np.arange(10)],
+                [np.zeros(20), np.zeros(10)],
+            )

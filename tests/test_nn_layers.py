@@ -9,7 +9,6 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
     Sigmoid,
-    Tanh,
 )
 
 
@@ -91,15 +90,6 @@ class TestActivations:
         grad = relu.backward(np.array([5.0, 5.0]))
         np.testing.assert_allclose(grad, [0.0, 5.0])
 
-    def test_tanh_range(self, rng):
-        out = Tanh().forward(rng.standard_normal(100) * 10)
-        assert np.all(np.abs(out) <= 1.0)
-
-    def test_tanh_gradient_at_zero_is_one(self):
-        tanh = Tanh()
-        tanh.forward(np.zeros(1))
-        np.testing.assert_allclose(tanh.backward(np.ones(1)), [1.0])
-
     def test_sigmoid_is_bounded_and_centred(self):
         sigmoid = Sigmoid()
         out = sigmoid.forward(np.array([-100.0, 0.0, 100.0]))
@@ -111,7 +101,7 @@ class TestActivations:
         np.testing.assert_allclose(sigmoid.backward(np.ones(1)), [0.25])
 
     def test_activation_backward_before_forward_raises(self):
-        for activation in (ReLU(), Tanh(), Sigmoid()):
+        for activation in (ReLU(), Sigmoid()):
             with pytest.raises(RuntimeError):
                 activation.backward(np.ones(1))
 

@@ -4,28 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, Parameter
-from repro.nn.losses import BCELoss, HuberLoss, MSELoss
+from repro.nn.losses import BCELoss, HuberLoss
 from repro.nn.optim import Adam
-
-
-class TestMSELoss:
-    def test_zero_for_perfect_prediction(self):
-        loss = MSELoss()
-        assert loss.forward(np.ones((2, 2)), np.ones((2, 2))) == 0.0
-
-    def test_known_value(self):
-        loss = MSELoss()
-        assert loss.forward(np.array([[2.0]]), np.array([[0.0]])) == pytest.approx(4.0)
-
-    def test_gradient_direction(self):
-        loss = MSELoss()
-        loss.forward(np.array([[3.0]]), np.array([[1.0]]))
-        grad = loss.backward()
-        assert grad[0, 0] > 0  # prediction above target → positive gradient
-
-    def test_backward_before_forward_raises(self):
-        with pytest.raises(RuntimeError):
-            MSELoss().backward()
 
 
 class TestHuberLoss:

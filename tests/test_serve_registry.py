@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import numpy as np
 import pytest
 
-from repro.io import save_model
+from repro.errors import DataValidationError
+from repro.io import load_model, save_model
+from repro.io.checkpoint import sha256_file
 from repro.serve import ModelRegistry, RegistryError, task_fingerprint
 
 
@@ -16,6 +19,22 @@ def model_artifact(fitted_tiny_model, tmp_path_factory):
     """One saved tiny-model artifact, copied per test as needed."""
     root = tmp_path_factory.mktemp("artifact")
     return save_model(fitted_tiny_model, root / "model")
+
+
+def add_config_key(artifact_dir, key: str, value) -> None:
+    """Give ``config.json`` a key this release does not know, with a valid
+    manifest: a version written by a newer release."""
+    config_path = artifact_dir / "config.json"
+    metadata = json.loads(config_path.read_text())
+    metadata["config"][key] = value
+    config_path.write_text(json.dumps(metadata))
+    manifest_path = artifact_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["artifacts"]["config.json"] = {
+        "sha256": sha256_file(config_path),
+        "bytes": config_path.stat().st_size,
+    }
+    manifest_path.write_text(json.dumps(manifest))
 
 
 def corrupt_weights(artifact_dir) -> None:
@@ -54,6 +73,29 @@ class TestDiscoveryAndLoad:
         registry = ModelRegistry(root)
         assert registry.load().name == "v0001"
         assert [path.name for path, _ in registry.recent_skips()] == ["v0002"]
+
+    def test_unknown_config_key_skips_the_version(self, model_artifact, tmp_path):
+        root = tmp_path / "versions"
+        root.mkdir()
+        shutil.copytree(model_artifact, root / "v0001")
+        shutil.copytree(model_artifact, root / "v0002")
+        add_config_key(root / "v0002", "future_knob", 1)
+        with pytest.raises(DataValidationError, match="future_knob"):
+            load_model(root / "v0002")
+
+        registry = ModelRegistry(root)
+        assert registry.load().name == "v0001"
+        [(path, reason)] = registry.recent_skips()
+        assert path.name == "v0002" and "future_knob" in reason
+
+        # A newer release's version published while v0001 serves.
+        shutil.copytree(model_artifact, root / "v0003")
+        add_config_key(root / "v0003", "future_knob", 1)
+        assert registry.refresh() is False
+        assert registry.version.name == "v0001"
+        skips = registry.recent_skips()
+        assert {path.name for path, _ in skips} == {"v0002", "v0003"}
+        assert all("future_knob" in reason for _, reason in skips)
 
     def test_all_versions_corrupt_raises(self, model_artifact, tmp_path):
         root = tmp_path / "versions"
