@@ -1,9 +1,12 @@
 """Bench: batched serving throughput vs sequential selection.
 
-The serving subsystem's pitch is that B unseen tasks cost m batched
-Q-forwards instead of B·m single-row ones.  This bench puts a number on
-that: it fits a small PA-FEAT model, then answers the same pool of unseen
-tasks two ways —
+The serving subsystem's pitch is that B unseen tasks share batched
+Q-forwards instead of running B episodes one at a time: at most m
+forwards of B rows each, where sequential selects need up to B·m
+single-row ones (the kernel's lookahead cuts both: a forward scores a
+window of positions along a run of deselects while few rows are
+active).  This bench puts a number on that: it fits a small PA-FEAT
+model, then answers the same pool of unseen tasks two ways —
 
 * **sequential** — per-task :meth:`repro.core.pafeat.PAFeat.select`, one
   greedy episode per call: the lockstep kernel of :mod:`repro.core.batch`

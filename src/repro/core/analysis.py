@@ -6,7 +6,8 @@ Tools a practitioner reaches for once a selector is trained:
   task, reported per scanned feature: the state the agent saw
   (correlation, percentile, redundancy) and the Q-gap behind its
   decision.  It is the lockstep kernel's episode (:mod:`repro.core.batch`)
-  at B=1, read through an agent view that records each step's Q row.
+  at B=1, whose subset is then replayed one position at a time for the
+  Q rows.
 * :func:`policy_feature_scores` — a per-feature "importance" vector from
   the policy's point of view: the advantage of selecting each feature when
   it comes under the cursor.
@@ -23,9 +24,9 @@ import numpy as np
 
 from repro.core.batch import batched_greedy_subsets
 from repro.core.pafeat import PAFeat
+from repro.core.state import ScanEncoder
 from repro.data.stats import pearson_representation
 from repro.data.tasks import Task
-from repro.rl.agent import DuelingDQNAgent
 
 
 @dataclass(frozen=True)
@@ -47,38 +48,34 @@ class Decision:
         return self.q_select - self.q_deselect
 
 
-class _QRecorder:
-    """The agent as the kernel reads it, keeping each step's Q row."""
-
-    def __init__(self, agent: DuelingDQNAgent) -> None:
-        self.agent = agent
-        self.state_dim = agent.state_dim
-        self.q_rows: list[np.ndarray] = []
-
-    def act_batch(self, states: np.ndarray) -> np.ndarray:
-        self.q_rows.append(self.agent.q_values(states)[0])
-        return self.agent.act_batch(states)
-
-
 def explain_selection(model: PAFeat, task: Task) -> list[Decision]:
     """The greedy episode ``select`` runs for ``task``, one decision per step.
 
     The ``selected`` flags are the policy's own subset: when it picks
     nothing they are all False, where ``select`` serves the single
-    most-correlated feature instead.
+    most-correlated feature instead.  The Q rows come from replaying
+    that subset through a :class:`~repro.core.state.ScanEncoder`, one
+    single-row forward per scanned position, so each is the agent's Q at
+    the state an env-stepping episode reaches there.
     """
-    recorder = _QRecorder(model.inference_agent())
+    agent = model.inference_agent()
     representation = pearson_representation(task.features, task.labels)
     feature_corr = model._feature_corr
     subset = batched_greedy_subsets(
-        recorder, [representation], model.config.env, feature_corr=feature_corr
+        agent, [representation], model.config.env, feature_corr=feature_corr
     )[0]
+    encoder = ScanEncoder(
+        representation[None, :], model.config.env.max_feature_ratio, feature_corr
+    )
     decisions: list[Decision] = []
-    for position, q_values in enumerate(recorder.q_rows):
+    for position in range(encoder.n_features):
+        encoder.move(position, 0)
+        q_values = agent.q_values(encoder.states[0])[0]
         chosen = [feature for feature in subset if feature < position]
         redundancy = 0.0
         if feature_corr is not None and chosen:
             redundancy = float(np.max(feature_corr[position, chosen]))
+        selected = position in subset
         decisions.append(
             Decision(
                 position=position,
@@ -88,9 +85,14 @@ def explain_selection(model: PAFeat, task: Task) -> list[Decision]:
                 redundancy=redundancy,
                 q_deselect=float(q_values[0]),
                 q_select=float(q_values[1]),
-                selected=position in subset,
+                selected=selected,
             )
         )
+        if selected:
+            encoder.select(0, position)
+            # The episode ends on the budget's last pick.
+            if encoder.counts[0] == encoder.budget:
+                break
     return decisions
 
 

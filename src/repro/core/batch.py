@@ -1,4 +1,4 @@
-"""Greedy episodes: B episodes in lockstep.
+"""Greedy episodes: B episodes in lockstep, with lookahead over deselects.
 
 This kernel is the one greedy executor.  :meth:`repro.core.pafeat.PAFeat.
 select` runs it at B=1; :meth:`~repro.core.pafeat.PAFeat.select_all_unseen`
@@ -7,20 +7,37 @@ and the serving engine run it at larger B; training-time greedy scoring
 snapshots, ``greedy_seen_score`` and ``further_train``) runs it over the
 trainer's environments; SADRLFS and the representation study run it on
 their own agents and representations; and
-:func:`repro.core.analysis.explain_selection` runs it at B=1 through an
-agent view that records each step's Q row.
+:func:`repro.core.analysis.explain_selection` runs it at B=1, then replays
+the committed subset to annotate each step.
 
 The scan MDP makes lockstep trivial: every episode starts at position 0
 and advances the cursor by exactly one feature per step, so B episodes
 stay *position-synchronised* for their entire lifetime.  The kernel keeps
 their encodings in one :class:`~repro.core.state.ScanEncoder` — the same
 incremental encoder :class:`~repro.core.env.FeatureSelectionEnv` steps
-through — and per feature step issues a single batched greedy forward
-(the agent's ``act_batch``) over the still-active rows.  m forwards total,
-regardless of B.  Rows leave the batch when their episode truncates on
-the ``max_feature_ratio`` budget.  Until the first one does, the active
-rows are all rows and the kernel addresses them with a plain slice, so a
-step copies nothing; after that, with an index array.
+through — and scores them with batched greedy forwards (the agent's
+``act_batch``) over the still-active rows.  Rows leave the batch when
+their episode truncates on the ``max_feature_ratio`` budget.  Until the
+first one does, the active rows are all rows and the kernel addresses
+them with a plain slice, so a step copies nothing; after that, with an
+index array.
+
+A trained policy deselects most features, and a deselect changes nothing
+but the cursor, so the states along a run of deselects are known before
+the agent acts.  Each round therefore scores positions ``p … p+w−1`` of
+every active episode in one ``(n·w, state_dim)`` forward, row ``(i, j)``
+being episode ``i``'s state at ``p+j`` had it deselected ``p … p+j−1``
+(:meth:`~repro.core.state.ScanEncoder.window`).  The round commits at the
+first offset ``j*`` where any row's argmax is "select": those rows select
+``p+j*`` and every row moves to ``p+j*+1``, or to ``p+w`` when no row
+selected, so the episodes stay position-synchronised and each committed
+decision is taken on exactly the state a one-step-per-forward scan
+reaches.  The window restarts at 1 after a round with a select and
+doubles after one without, capped by the rest of the scan and by
+:data:`FORWARD_ROWS` rows per forward.  A batch of more than
+``FORWARD_ROWS // 2`` active rows thus runs one forward per feature step,
+m in all; a lone episode whose policy selects nothing runs
+``⌈log2(m+1)⌉`` forwards while ``m < 2·FORWARD_ROWS``.
 
 Action choice is :meth:`repro.rl.agent.DuelingDQNAgent.act_batch`'s
 argmax over the Q rows: it advances no action counter, draws no random
@@ -33,10 +50,11 @@ fallback (the single most-correlated feature) that ``select``,
 ``select_all_unseen``, the serving engine, SADRLFS and the representation
 study answer with.  :func:`repro.core.feat.greedy_subset`, which steps a
 ``FeatureSelectionEnv`` with ``act_batch``, is the env-stepping reference
-the kernel is tested against: a property test
-(``tests/test_serve_engine.py``) pins ``batched == greedy_subset`` across
-random agents, budgets, feature counts straddling numpy's
-pairwise-summation block size, and an exact-tie case.
+the kernel is tested against: property tests
+(``tests/test_serve_engine.py``) pin ``batched == greedy_subset`` across
+random agents, budgets, batch sizes on both sides of the lookahead cap,
+feature counts straddling numpy's pairwise-summation block size, and an
+exact-tie case.
 
 The serving layer (:mod:`repro.serve.engine`) wraps this kernel with
 chunking, registries and metrics; it lives here in ``core`` because the
@@ -53,6 +71,10 @@ from repro.errors import DataValidationError
 from repro.analysis.contracts import check_state_batch
 from repro.core.config import EnvConfig
 from repro.core.state import ScanEncoder, feature_count
+
+#: Rows per Q forward: the cap on a lookahead round's block, and the
+#: serving engine's default lockstep batch.
+FORWARD_ROWS = 64
 
 
 class GreedyAgent(Protocol):
@@ -104,11 +126,24 @@ def batched_greedy_subsets(
     m = encoder.n_features
     active = np.arange(len(reps))
     rows: slice | np.ndarray = slice(None)
-    for position in range(m):
-        batch = encoder.states[rows]
-        check_state_batch("batch.greedy", batch, agent.state_dim)
-        actions = agent.act_batch(batch)
-        choosing = active[actions == 1]
+    position, width = 0, 1
+    while True:
+        width = min(width, m - position, max(1, FORWARD_ROWS // active.size))
+        if width == 1:
+            batch = encoder.states[rows]
+            check_state_batch("batch.greedy", batch, agent.state_dim)
+            actions = agent.act_batch(batch)
+            choosing = active[actions == 1]
+        else:
+            batch = encoder.window(rows, position, width)
+            check_state_batch("batch.greedy", batch, agent.state_dim)
+            selects = (agent.act_batch(batch) == 1).reshape(active.size, width)
+            # Commit at the first offset where any row selects: every row
+            # deselected the positions before it, as lockstep would have.
+            offsets = np.flatnonzero(selects.any(axis=0))
+            offset = int(offsets[0]) if offsets.size else width - 1
+            position += offset
+            choosing = active[selects[:, offset]]
         if choosing.size:
             # One row takes numpy's cheaper scalar indexing.
             encoder.select(
@@ -120,9 +155,13 @@ def batched_greedy_subsets(
             if not going_on.all():
                 active = active[going_on]
                 rows = active
+            width = 1
+        else:
+            width *= 2
         if position + 1 == m or not active.size:
             break
-        encoder.move(position + 1, rows)
+        position += 1
+        encoder.move(position, rows)
     masks = encoder.states[:, m : 2 * m]
     return [tuple(np.flatnonzero(mask).tolist()) for mask in masks]
 

@@ -395,9 +395,9 @@ class PAFeat:
         """Select subsets for every unseen task in the (fitted) suite.
 
         Runs all the unseen tasks' greedy episodes as one lockstep kernel
-        call (:mod:`repro.core.batch`): one Q-forward per feature step for
-        the whole batch instead of one per task per step, with the same
-        answers as per-task :meth:`select`.
+        call (:mod:`repro.core.batch`): at most one Q-forward per feature
+        step for the whole batch instead of one per task per step, with
+        the same answers as per-task :meth:`select`.
         """
         agent = self.inference_agent()
         suite = suite if suite is not None else self._suite

@@ -114,8 +114,9 @@ class ScanEncoder:
     |corr|, the mean and max of the not-yet-scanned suffix and the cursor's
     percentile, with one extra all-zero column for the terminal cursor.
     A step then costs one :meth:`move` (copy a table column) plus, for
-    the rows that select, one :meth:`select`.  Each entry is the exact
-    operation ``encode_state`` always used, so the encodings are
+    the rows that select, one :meth:`select`; :meth:`window` reads the
+    states of a run of deselects off the same tables.  Each entry is the
+    exact operation ``encode_state`` always used, so the encodings are
     bit-identical:
 
     * a mean is ``np.add.reduce(x) / len(x)``, which is what ``np.mean``
@@ -123,9 +124,10 @@ class ScanEncoder:
       a 2-D ``add.reduce`` over the last axis runs that sum on each row,
       and the selected values are kept contiguous, in scan order;
     * max and comparison counts are exact in any order, so suffix maxima
-      come from one reversed ``maximum.accumulate``, percentiles from one
-      broadcast ``<=`` count per task, and the redundancy from a running
-      ``maximum`` over the selected features' correlation columns;
+      come from one reversed ``maximum.accumulate``, percentiles from
+      ``count_nonzero`` over ``(rows, m, m)`` comparisons, and the
+      redundancy from a running ``maximum`` over the selected features'
+      correlation columns;
     * fractions and the budget left are exact small-integer arithmetic,
       whether numpy or Python does it.
 
@@ -173,15 +175,22 @@ class ScanEncoder:
         ]
         self._mean_remaining = np.zeros((n_rows, m + 1))
         for position in range(m):
-            self._mean_remaining[:, position] = np.add.reduce(
-                reps[:, position:], axis=1
-            ) / (m - position)
+            np.add.reduce(
+                reps[:, position:], axis=1, out=self._mean_remaining[:, position]
+            )
+        self._mean_remaining[:, :m] /= np.arange(m, 0, -1)
         # mean(rep <= rep[p]) is a count of Trues over m: exact however the
-        # count is taken (NaNs compare False either way).
+        # count is taken (NaNs compare False either way).  One comparison
+        # per block of rows, at most 2**20 booleans: a 64-row batch at
+        # m = 72 is one block, while at m = 1020 a row is a block, as a
+        # (64, m, m) comparison would take 64 MiB.
         self._percentile = np.zeros((n_rows, m + 1))
-        for row in range(n_rows):
-            counts = (reps[row][None, :] <= reps[row][:, None]).sum(axis=1)
-            self._percentile[row, :m] = counts / m
+        block = max(1, 2**20 // (m * m))
+        for start in range(0, n_rows, block):
+            part = reps[start : start + block]
+            self._percentile[start : start + block, :m] = (
+                np.count_nonzero(part[:, None, :] <= part[:, :, None], axis=2) / m
+            )
         self.states = np.zeros((n_rows, state_dim(m)))
         self.states[:, :m] = reps
         self.states[:, 2 * m + _BUDGET_LEFT] = 1.0
@@ -197,6 +206,31 @@ class ScanEncoder:
         states[rows, scalars + _MAX_REMAINING] = self._max_remaining[rows, position]
         states[rows, scalars + _PERCENTILE] = self._percentile[rows, position]
         states[rows, scalars + _REDUNDANCY] = self._redundancy[rows, position]
+
+    def window(
+        self, rows: "slice | np.ndarray", position: int, width: int
+    ) -> np.ndarray:
+        """The states ``rows`` reach at ``position … position + width − 1``
+        by deselecting every feature in between, as one block.
+
+        A deselect only moves the cursor, so the state at offset ``j`` is
+        the row's current state with what :meth:`move` to ``position + j``
+        would write.  Returns a ``(n · width, state_dim)`` array, row
+        ``i · width + j`` for row ``i`` of ``rows`` at offset ``j``; the
+        encoder's own states are left as they are.
+        """
+        current = self.states[rows]
+        n_rows = current.shape[0]
+        block = np.repeat(current, width, axis=0).reshape(n_rows, width, -1)
+        scalars = block[:, :, 2 * self.n_features :]
+        span = slice(position, position + width)
+        scalars[:, :, _PROGRESS] = np.arange(span.start, span.stop) / self.n_features
+        scalars[:, :, _CURSOR] = self._cursor[rows, span]
+        scalars[:, :, _MEAN_REMAINING] = self._mean_remaining[rows, span]
+        scalars[:, :, _MAX_REMAINING] = self._max_remaining[rows, span]
+        scalars[:, :, _PERCENTILE] = self._percentile[rows, span]
+        scalars[:, :, _REDUNDANCY] = self._redundancy[rows, span]
+        return block.reshape(n_rows * width, -1)
 
     def select(self, rows: "int | np.ndarray", position: int) -> None:
         """``rows`` (one row or an index array), with the cursor at

@@ -217,7 +217,7 @@ def pretrain(
                 drops = np.stack([classifier._drop_mask() for classifier in classifiers])
                 np.copyto(xb, 0.0, where=drops[:, None, :])
             probs = network.forward(xb)
-            loss.forward(probs, epoch_labels[:, start:stop])
+            loss.cache(probs, epoch_labels[:, start:stop])
             optimizer.zero_grad()
             network.backward(loss.backward())
             optimizer.step()

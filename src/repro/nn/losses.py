@@ -72,14 +72,26 @@ class BCELoss(Loss):
         self._target: np.ndarray | None = None
 
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        pred, target = _align(pred, target)
-        pred = np.clip(pred, self.eps, 1.0 - self.eps)
-        self._pred, self._target = pred, target
+        pred, target = self.cache(pred, target)
         losses = -np.mean(
             target * safe_log(pred) + (1.0 - target) * safe_log(1.0 - pred),
             axis=(-2, -1),
         )
         return float(np.sum(losses))
+
+    def cache(
+        self, pred: np.ndarray, target: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Keep what :meth:`backward` reads, the clipped prediction and the
+        target, and return them; no loss value.
+
+        :meth:`forward` without its two ``log`` passes and mean, for a
+        training loop that never reads the loss.
+        """
+        pred, target = _align(pred, target)
+        pred = np.clip(pred, self.eps, 1.0 - self.eps)
+        self._pred, self._target = pred, target
+        return pred, target
 
     def backward(self) -> np.ndarray:
         if self._pred is None or self._target is None:

@@ -91,8 +91,9 @@ class DuelingDQNAgent:
 
         The one greedy rule: every greedy episode (``PAFeat.select``,
         serving, training-time scoring, explanations) runs the lockstep
-        kernel of :mod:`repro.core.batch`, which calls this once per scan
-        position with one ``(B, state_dim)`` forward.  Deliberately
+        kernel of :mod:`repro.core.batch`, which calls this once per round
+        with one forward over the active episodes' states at the round's
+        positions.  Deliberately
         side-effect free — it neither advances the epsilon schedule's
         action counter nor draws from the exploration RNG, so inference
         traffic cannot perturb training state.  Exact Q ties break to the

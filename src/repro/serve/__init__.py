@@ -6,8 +6,8 @@ greedy episode — milliseconds of Q-network forwards.  This package turns
 that property into a service:
 
 * :class:`~repro.serve.engine.BatchedGreedyEngine` — run B unseen tasks'
-  greedy episodes in lockstep, one batched Q-forward per feature step
-  (bit-exact with sequential :meth:`repro.core.pafeat.PAFeat.select`);
+  greedy episodes in lockstep, at most one batched Q-forward per feature
+  step (bit-exact with sequential :meth:`repro.core.pafeat.PAFeat.select`);
 * :class:`~repro.serve.registry.ModelRegistry` — versioned, checksum-
   verified model loading with corruption fallback, hot swap and an LRU
   task-representation cache;

@@ -15,7 +15,8 @@ it:
   its index in the request;
 * chunking: arbitrarily large request batches are split into lockstep
   groups of at most ``max_batch_size`` episodes, keeping the
-  ``(B, state_dim)`` activations cache-sized.
+  ``(B, state_dim)`` activations cache-sized.  The default is the
+  kernel's :data:`~repro.core.batch.FORWARD_ROWS`, its rows per forward.
 
 A task's subset does not depend on the batch it rides in, and the engine
 answers with the same empty-subset fallback
@@ -30,6 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.core.batch import (
+    FORWARD_ROWS,
     batched_greedy_subsets,
     check_representations,
     served_subsets,
@@ -51,7 +53,7 @@ class BatchedGreedyEngine:
         agent: "DuelingDQNAgent",
         env_config: EnvConfig,
         feature_corr: np.ndarray | None = None,
-        max_batch_size: int = 64,
+        max_batch_size: int = FORWARD_ROWS,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
@@ -65,7 +67,7 @@ class BatchedGreedyEngine:
 
     @classmethod
     def from_model(
-        cls, model: "PAFeat", max_batch_size: int = 64
+        cls, model: "PAFeat", max_batch_size: int = FORWARD_ROWS
     ) -> "BatchedGreedyEngine":
         """Engine bound to a fitted/loaded model's inference context."""
         return cls(

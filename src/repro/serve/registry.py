@@ -20,8 +20,12 @@ any weight is deserialised.
 
 **Corruption fallback.**  :meth:`load` walks versions newest-first and
 serves the first one that passes verification; failures are recorded in
-:attr:`skipped` (``(path, reason)`` pairs) and logged, mirroring
-:meth:`repro.io.checkpoint.CheckpointManager.latest_valid`.
+:meth:`recent_skips` (``(path, reason)`` pairs) and logged, mirroring
+:meth:`repro.io.checkpoint.CheckpointManager.latest_valid`.  A failed
+version is remembered with its files' names, sizes and modification
+times (:func:`artifact_signature`): until one of them changes, a rescan
+counts it in :meth:`skip_count` again but neither re-reads it nor lists
+it a second time.
 
 **Hot swap.**  :meth:`refresh` rescans the root; when a version newer than
 the current one validates, the served model is swapped atomically: the
@@ -86,6 +90,26 @@ class ModelVersion:
     n_features: int
 
 
+#: ``(name, size, mtime_ns)`` of each file of a version directory.
+FileSignature = tuple[tuple[str, int, int], ...]
+
+
+def artifact_signature(path: Path) -> FileSignature | None:
+    """What a republish of a version directory changes: the name, size and
+    ``mtime_ns`` of each of its files, in name order.
+
+    Read from directory metadata alone.  ``None`` when the directory
+    cannot be listed: such a path matches no signature, so it is retried.
+    """
+    try:
+        stats = [(entry.name, entry.stat()) for entry in path.iterdir()]
+    except OSError:
+        return None
+    return tuple(
+        sorted((name, stat.st_size, stat.st_mtime_ns) for name, stat in stats)
+    )
+
+
 def task_fingerprint(features: np.ndarray, labels: np.ndarray) -> str:
     """Content hash of a task's data — the representation-cache key.
 
@@ -129,6 +153,10 @@ class ModelRegistry:
         # count (never trimmed) whose delta feeds the circuit breaker.
         self._skips: list[tuple[Path, str]] = []
         self._skips_total = 0
+        # The file signature (artifact_signature) each failed version had
+        # when it failed: while it still has it, a rescan counts the
+        # version as skipped without re-reading it or listing it again.
+        self._failed: dict[Path, FileSignature | None] = {}
         self._cache_capacity = representation_cache_size
         self._representations: OrderedDict[str, np.ndarray] = OrderedDict()
         self._cache_hits = 0
@@ -191,6 +219,17 @@ class ModelRegistry:
     def _try_load(self, name: str, path: Path) -> ModelVersion | None:
         from repro.io.serialization import load_model
 
+        signature = artifact_signature(path)
+        with self._swap_lock:
+            tsan.note(self, "_failed")
+            known_bad = signature is not None and self._failed.get(path) == signature
+            if known_bad:
+                # Still a skip: the reload breaker counts a corrupt
+                # publish for as long as it stays up.
+                tsan.note(self, "_skips_total", write=True)
+                self._skips_total += 1
+        if known_bad:
+            return None
         try:
             model = load_model(path)
         except (ValueError, OSError, KeyError) as exc:
@@ -198,9 +237,11 @@ class ModelRegistry:
             with self._swap_lock:
                 tsan.note(self, "_skips", write=True)
                 tsan.note(self, "_skips_total", write=True)
+                tsan.note(self, "_failed", write=True)
                 self._skips.append((path, str(exc)))
                 self._skips_total += 1
                 del self._skips[:-MAX_SKIP_HISTORY]
+                self._failed[path] = signature
             return None
         assert model._n_features is not None
         version = ModelVersion(

@@ -51,6 +51,18 @@ class TestBCELoss:
         value = loss.forward(np.array([[0.0]]), np.array([[1.0]]))
         assert np.isfinite(value)
 
+    def test_cache_gives_forwards_gradient(self, rng):
+        """``cache`` keeps what ``forward`` keeps: the gradient is bit-equal,
+        for a 2-D batch and a stacked one, clipped ends included."""
+        for shape in ((9, 1), (3, 9, 1)):
+            pred = rng.uniform(size=shape)
+            pred.flat[0], pred.flat[1] = 0.0, 1.0
+            target = (rng.uniform(size=shape[:-1]) < 0.5).astype(np.float64)
+            full, cached = BCELoss(), BCELoss()
+            full.forward(pred, target)
+            cached.cache(pred, target)
+            assert np.array_equal(cached.backward(), full.backward())
+
 
 class TestAdam:
     def test_minimises_quadratic(self):

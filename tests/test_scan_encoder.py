@@ -152,6 +152,36 @@ class TestMatchesReference:
             expected = reference_encode(reps[row], state, m, 0.5, corr)
             assert np.array_equal(encoder.states[row], expected)
 
+    def test_window_rows(self, m: int, with_corr: bool) -> None:
+        """Row (i, j) of a lookahead block is the state row i reaches at
+        ``position + j`` by deselecting the features in between; the
+        encoder's own states stay as they were."""
+        rng = np.random.default_rng(4000 + m)
+        corr = correlation(rng, m) if with_corr else None
+        reps = representations(rng, 3, m)
+        encoder = ScanEncoder(reps, 0.5, corr)
+        for _ in range(3):
+            position = int(rng.integers(m))
+            selected = []
+            for row in range(3):
+                count = int(rng.integers(min(position, encoder.budget) + 1))
+                picked = rng.choice(position, size=count, replace=False)
+                selected.append(tuple(int(i) for i in picked))
+                encoder.reset(row, EnvState(selected[row], position))
+            before = encoder.states.copy()
+            for rows, ids in ((slice(None), [0, 1, 2]), (np.array([2, 0]), [2, 0])):
+                # The widest window ends on the last feature.
+                for width in {1, m - position, int(rng.integers(1, m - position + 1))}:
+                    block = encoder.window(rows, position, width)
+                    assert block.shape == (len(ids) * width, state_dim(m))
+                    for index, (row, j) in enumerate(
+                        (row, j) for row in ids for j in range(width)
+                    ):
+                        state = EnvState(selected[row], position + j)
+                        expected = reference_encode(reps[row], state, m, 0.5, corr)
+                        assert np.array_equal(block[index], expected)
+            assert np.array_equal(encoder.states, before)
+
     def test_env_step_returns(self, m: int, with_corr: bool) -> None:
         """Random-policy episodes from default and ITE-style mid-episode starts."""
         rng = np.random.default_rng(3000 + m)
@@ -178,6 +208,20 @@ class TestMatchesReference:
                 # own memory, unchanged by later steps.
                 for state, at in zip(returned, logical):
                     assert np.array_equal(state, reference_encode(rep, at, m, mfr, corr))
+
+
+def test_batch_of_several_percentile_blocks() -> None:
+    """The percentile table is built in blocks of rows (11 rows at m = 300):
+    every row of a three-block batch encodes as the reference does."""
+    rng = np.random.default_rng(5)
+    m = 300
+    reps = representations(rng, 25, m)
+    encoder = ScanEncoder(reps)
+    for position in (0, 1, m // 2, m - 1):
+        encoder.move(position, slice(None))
+        for row in range(25):
+            expected = reference_encode(reps[row], EnvState((), position), m)
+            assert np.array_equal(encoder.states[row], expected)
 
 
 class TestLeanForward:

@@ -153,6 +153,48 @@ class TestHotSwap:
         assert registry.model is old_model
         assert [path.name for path, _ in registry.recent_skips()] == ["v0002"]
 
+    def test_known_bad_version_is_read_once_and_listed_once(
+        self, model_artifact, tmp_path, monkeypatch
+    ):
+        import repro.io.serialization as serialization
+
+        root = tmp_path / "versions"
+        root.mkdir()
+        shutil.copytree(model_artifact, root / "v0001")
+        shutil.copytree(model_artifact, root / "v0002")
+        corrupt_weights(root / "v0002")
+        loads = []
+
+        def counting_load(path):
+            loads.append(path.name)
+            return load_model(path)
+
+        monkeypatch.setattr(serialization, "load_model", counting_load)
+        registry = ModelRegistry(root)
+        assert registry.load().name == "v0001"
+        assert registry.refresh() is False
+        assert registry.refresh() is False
+        assert loads.count("v0002") == 1
+        assert [path.name for path, _ in registry.recent_skips()] == ["v0002"]
+        # Each rescan still counts the skip, so the reload breaker sees a
+        # corrupt publish for as long as it stays up.
+        assert registry.skip_count() == 3
+
+    def test_republished_fixed_version_swaps_in(self, model_artifact, tmp_path):
+        root = tmp_path / "versions"
+        root.mkdir()
+        shutil.copytree(model_artifact, root / "v0001")
+        shutil.copytree(model_artifact, root / "v0002")
+        corrupt_weights(root / "v0002")
+        registry = ModelRegistry(root)
+        assert registry.load().name == "v0001"
+        assert registry.refresh() is False
+
+        shutil.rmtree(root / "v0002")
+        shutil.copytree(model_artifact, root / "v0002")
+        assert registry.refresh() is True
+        assert registry.version.name == "v0002"
+
 
 class TestRepresentationCache:
     def test_hits_misses_and_values(self, model_artifact, rng):
