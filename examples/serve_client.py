@@ -21,9 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import ClassifierConfig, PAFeat, PAFeatConfig, load_mini_dataset
+from repro import ClassifierConfig, PAFeat, PAFeatConfig, load_mini_dataset, save_model
 from repro.data.stats import pearson_representation
-from repro.io import save_model
 from repro.serve import ModelRegistry, SelectionServer
 
 

@@ -30,6 +30,7 @@ from repro.core.config import (
     PAFeatConfig,
 )
 from repro.core.analysis import explain_selection, policy_feature_scores
+from repro.core.artifact import load_model, save_model
 from repro.core.pafeat import PAFeat
 from repro.data.arff import load_arff_suite
 from repro.errors import ReproError
@@ -37,7 +38,6 @@ from repro.data.catalog import dataset_names, load_dataset, load_mini_dataset
 from repro.data.synthetic import SyntheticSpec, generate_suite
 from repro.data.tasks import Task, TaskSuite
 from repro.eval.svm import evaluate_subset_with_svm
-from repro.io import load_model, save_model
 
 __version__ = "1.0.0"
 

@@ -35,8 +35,10 @@ from dataclasses import replace
 import numpy as np
 
 from repro import __version__
+from repro.core.artifact import load_model, save_model
 from repro.core.pafeat import PAFeat
 from repro.data.catalog import DATASETS, dataset_names
+from repro.errors import TrainingInterrupted
 from repro.experiments.runner import load_suite, make_config
 from repro.io.lifecycle import GracefulShutdown
 from repro.obs.clock import monotonic
@@ -219,8 +221,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    from repro.io import TrainingInterrupted, save_model
-
     if args.resume and args.checkpoint_dir is None:
         raise ValueError("--resume requires --checkpoint-dir")
     suite = load_suite(args.dataset, args.scale)
@@ -278,8 +278,6 @@ def _graceful_shutdown() -> GracefulShutdown:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
-    from repro.io import load_model
-
     model = load_model(args.model)
     suite = load_suite(args.dataset, args.scale)
     train, test = suite.split_rows(0.7, np.random.default_rng(args.seed))

@@ -48,7 +48,7 @@ class FeatureSelectionEnv:
         self.n_features = self.task_representation.shape[0]
         if self.n_features < 1:
             raise ValueError("environment needs at least one feature")
-        # The task's per-position tables are built once here; every step
+        # The task's per-position table is built once here; every step
         # after that updates the encoding in place (repro.core.state).
         self._scan = ScanEncoder(
             self.task_representation[None, :],

@@ -17,7 +17,7 @@ uses a random restart policy, RR wraps the per-step reward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from repro.core.batch import batched_greedy_subsets
 from repro.core.config import PAFeatConfig
 from repro.core.env import FeatureSelectionEnv
 from repro.core.state import EnvState
+from repro.io.checkpoint import nest, rng_state, set_rng_state, unnest
 from repro.obs.telemetry import TelemetryWriter
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.rl.agent import DuelingDQNAgent
@@ -385,10 +386,6 @@ class FEATTrainer:
         draws no random numbers — so checkpointed and checkpoint-free runs
         follow identical RNG streams.
         """
-        from dataclasses import asdict
-
-        from repro.io.checkpoint import nest, rng_state
-
         agent_meta, agent_arrays = self.agent.capture_state()
         registry_meta, registry_arrays = self.registry.capture_state()
         arrays = (
@@ -409,8 +406,6 @@ class FEATTrainer:
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         """Restore a snapshot captured by :meth:`capture_state`."""
-        from repro.io.checkpoint import set_rng_state, unnest
-
         self.agent.restore_state(meta["agent"], unnest("agent/", arrays))
         self.registry.restore_state(meta["replay"], unnest("replay/", arrays))
         set_rng_state(self._rng, meta["rng"])

@@ -17,6 +17,7 @@ from repro.analysis import tsan
 from repro.core.config import ITEConfig
 from repro.core.etree import ETree
 from repro.core.state import EnvState
+from repro.io.checkpoint import nest, rng_state, set_rng_state, unnest
 from repro.rl.trajectory import Trajectory
 
 
@@ -77,8 +78,6 @@ class IntraTaskExplorer:
     # ------------------------------------------------------------------
     def capture_state(self) -> tuple[dict, dict[str, "np.ndarray"]]:
         """Snapshot per-task E-Trees, counters and the restart-RNG stream."""
-        from repro.io.checkpoint import nest, rng_state
-
         meta: dict = {
             "invocations": self.invocations,
             "customised_starts": self.customised_starts,
@@ -94,8 +93,6 @@ class IntraTaskExplorer:
 
     def restore_state(self, meta: dict, arrays: dict[str, "np.ndarray"]) -> None:
         """Restore a snapshot captured by :meth:`capture_state`."""
-        from repro.io.checkpoint import set_rng_state, unnest
-
         self.invocations = int(meta["invocations"])
         self.customised_starts = int(meta["customised_starts"])
         set_rng_state(self._rng, meta["rng"])

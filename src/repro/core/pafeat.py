@@ -23,7 +23,12 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from repro.errors import DataValidationError, NotFittedError
+from repro.errors import (
+    CheckpointError,
+    DataValidationError,
+    NotFittedError,
+    TrainingInterrupted,
+)
 
 from repro.core.batch import batched_greedy_subsets, served_subsets
 from repro.core.config import AgentConfig, ClassifierConfig, PAFeatConfig
@@ -35,6 +40,13 @@ from repro.core.state import state_dim
 from repro.data.stats import feature_redundancy_matrix, pearson_representation
 from repro.data.tasks import Task, TaskSuite
 from repro.eval.metrics import binary_labels
+from repro.io.checkpoint import (
+    CheckpointManager,
+    nest,
+    rng_state,
+    set_rng_state,
+    unnest,
+)
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.obs.telemetry import TelemetryWriter
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -53,8 +65,8 @@ def build_agent(
 
     The one place an agent is built from an :class:`AgentConfig`: fits
     (with :attr:`PAFeat.agent_class`), SADRLFS and
-    :func:`repro.io.load_model` all call it.  ``rng`` draws the initial
-    weights of both networks, then the exploration stream.
+    :func:`repro.core.artifact.load_model` all call it.  ``rng`` draws the
+    initial weights of both networks, then the exploration stream.
     """
     return agent_class(
         state_dim=state_dim(n_features),
@@ -146,7 +158,7 @@ class PAFeat:
         self._suite: TaskSuite | None = None
         self._n_features: int | None = None
         self._feature_corr: "np.ndarray | None" = None
-        self._loaded_agent = None  # populated by repro.io.load_model
+        self._loaded_agent = None  # populated by repro.core.artifact.load_model
 
     # ------------------------------------------------------------------
     # Training on seen tasks
@@ -186,7 +198,7 @@ class PAFeat:
 
         ``stop_check`` is polled once per iteration (e.g. a SIGTERM flag);
         when it returns True a final checkpoint is flushed and
-        :class:`~repro.io.checkpoint.TrainingInterrupted` is raised.
+        :class:`~repro.errors.TrainingInterrupted` is raised.
 
         ``telemetry`` enables the training telemetry stream (ARCHITECTURE
         §11): pass a directory and fit writes per-episode/per-iteration
@@ -216,8 +228,6 @@ class PAFeat:
             raise ValueError("resume=True requires checkpoint_dir")
         manager = None
         if checkpoint_dir is not None:
-            from repro.io.checkpoint import CheckpointManager
-
             # Built before any state changes: the constructor validates
             # keep_last.
             manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
@@ -295,8 +305,6 @@ class PAFeat:
             )
 
             def iteration_hook(global_iteration: int) -> None:
-                from repro.io.checkpoint import TrainingInterrupted
-
                 stopping = stop_check is not None and stop_check()
                 path = None
                 if manager is not None and (
@@ -490,8 +498,6 @@ class PAFeat:
     # ------------------------------------------------------------------
     def _capture_training_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """Full training state across trainer, explorer and scheduler."""
-        from repro.io.checkpoint import nest, rng_state
-
         trainer = self._require_fitted()
         trainer_meta, trainer_arrays = trainer.capture_state()
         arrays = nest("trainer/", trainer_arrays)
@@ -518,8 +524,6 @@ class PAFeat:
         restored state then overwrites their freshly initialised weights,
         buffers, statistics and RNG streams.
         """
-        from repro.io.checkpoint import CheckpointError, set_rng_state, unnest
-
         trainer = self._require_fitted()
         if meta.get("n_features") != self._n_features:
             raise CheckpointError(
@@ -663,4 +667,4 @@ class PAFeat:
             return self.trainer.agent
         if self._loaded_agent is not None:
             return self._loaded_agent
-        raise NotFittedError("model is not fitted; call fit() or repro.io.load_model()")
+        raise NotFittedError("model is not fitted; call fit() or repro.load_model()")

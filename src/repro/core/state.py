@@ -57,6 +57,17 @@ _BUDGET_LEFT = 6  # remaining budget fraction
 _PERCENTILE = 7  # fraction of features with |corr| <= the cursor's
 _REDUNDANCY = 8  # max feature-feature |corr|, cursor vs selected
 
+# The scalars ``ScanEncoder.move`` writes, which depend on the row and the
+# cursor position alone, in state order: the planes of the encoder's
+# per-position table.
+_MOVED = (_PROGRESS, _CURSOR, _MEAN_REMAINING, _MAX_REMAINING, _PERCENTILE, _REDUNDANCY)
+_T_PROGRESS = _MOVED.index(_PROGRESS)
+_T_CURSOR = _MOVED.index(_CURSOR)
+_T_MEAN_REMAINING = _MOVED.index(_MEAN_REMAINING)
+_T_MAX_REMAINING = _MOVED.index(_MAX_REMAINING)
+_T_PERCENTILE = _MOVED.index(_PERCENTILE)
+_T_REDUNDANCY = _MOVED.index(_REDUNDANCY)
+
 
 @dataclass(frozen=True)
 class EnvState:
@@ -110,14 +121,15 @@ class ScanEncoder:
 
     Row ``i`` of :attr:`states` is the Q-network input of the scan over
     ``representations[i]``; every row starts at ``EnvState((), 0)``.  Per
-    task, the constructor tabulates for every cursor position the cursor
-    |corr|, the mean and max of the not-yet-scanned suffix and the cursor's
-    percentile, with one extra all-zero column for the terminal cursor.
-    A step then costs one :meth:`move` (copy a table column) plus, for
-    the rows that select, one :meth:`select`; :meth:`window` reads the
-    states of a run of deselects off the same tables.  Each entry is the
-    exact operation ``encode_state`` always used, so the encodings are
-    bit-identical:
+    task and cursor position, one ``(B, 6, m + 1)`` table holds the six
+    scalars that depend on the cursor alone: progress, the cursor |corr|,
+    the mean and max of the not-yet-scanned suffix, the cursor's
+    percentile and the redundancy, with the terminal cursor last (progress
+    1, the rest 0).  A step then costs one :meth:`move` (one write of a
+    table entry) plus, for the rows that select, one :meth:`select`;
+    :meth:`window` reads the states of a run of deselects off the same
+    table.  Each entry is the exact operation ``encode_state`` always
+    used, so the encodings are bit-identical:
 
     * a mean is ``np.add.reduce(x) / len(x)``, which is what ``np.mean``
       computes for float64 (the same pairwise sum, the same division);
@@ -128,8 +140,8 @@ class ScanEncoder:
       ``count_nonzero`` over ``(rows, m, m)`` comparisons, and the
       redundancy from a running ``maximum`` over the selected features'
       correlation columns;
-    * fractions and the budget left are exact small-integer arithmetic,
-      whether numpy or Python does it.
+    * fractions, progress and the budget left are exact small-integer
+      arithmetic, whether numpy or Python does it.
 
     ``rows`` arguments are anything numpy indexes rows with: one row, an
     index array, or (for :meth:`move`) a slice.
@@ -163,34 +175,35 @@ class ScanEncoder:
         self._chosen = np.zeros((n_rows, m))
         # Redundancy per row and cursor position p: the max of corr[p, k]
         # over the selected k.  ``_running`` folds in one column per select
-        # from maximum's identity, -inf; ``_redundancy`` is what the state
-        # shows: 0 until the first select, and at the terminal cursor.
+        # from maximum's identity, -inf; the table's redundancy plane is
+        # what the state shows: 0 until the first select, and at the
+        # terminal cursor.
         self._running = np.full((n_rows, m), -np.inf)
-        self._redundancy = np.zeros((n_rows, m + 1))
-        self._cursor = np.zeros((n_rows, m + 1))
-        self._cursor[:, :m] = reps
-        self._max_remaining = np.zeros((n_rows, m + 1))
-        self._max_remaining[:, :m] = np.maximum.accumulate(reps[:, ::-1], axis=1)[
-            :, ::-1
-        ]
-        self._mean_remaining = np.zeros((n_rows, m + 1))
+        # One plane per scalar, so each is filled along contiguous rows.
+        table = np.zeros((n_rows, len(_MOVED), m + 1))
+        self._table = table
+        table[:, _T_PROGRESS] = np.arange(m + 1) / m
+        table[:, _T_CURSOR, :m] = reps
+        table[:, _T_MAX_REMAINING, :m] = np.maximum.accumulate(
+            reps[:, ::-1], axis=1
+        )[:, ::-1]
+        mean_remaining = table[:, _T_MEAN_REMAINING]
         for position in range(m):
-            np.add.reduce(
-                reps[:, position:], axis=1, out=self._mean_remaining[:, position]
-            )
-        self._mean_remaining[:, :m] /= np.arange(m, 0, -1)
+            np.add.reduce(reps[:, position:], axis=1, out=mean_remaining[:, position])
+        mean_remaining[:, :m] /= np.arange(m, 0, -1)
         # mean(rep <= rep[p]) is a count of Trues over m: exact however the
         # count is taken (NaNs compare False either way).  One comparison
         # per block of rows, at most 2**20 booleans: a 64-row batch at
         # m = 72 is one block, while at m = 1020 a row is a block, as a
         # (64, m, m) comparison would take 64 MiB.
-        self._percentile = np.zeros((n_rows, m + 1))
         block = max(1, 2**20 // (m * m))
         for start in range(0, n_rows, block):
             part = reps[start : start + block]
-            self._percentile[start : start + block, :m] = (
+            table[start : start + block, _T_PERCENTILE, :m] = (
                 np.count_nonzero(part[:, None, :] <= part[:, :, None], axis=2) / m
             )
+        #: State columns of the table's scalars.
+        self._columns = 2 * m + np.array(_MOVED)
         self.states = np.zeros((n_rows, state_dim(m)))
         self.states[:, :m] = reps
         self.states[:, 2 * m + _BUDGET_LEFT] = 1.0
@@ -198,14 +211,9 @@ class ScanEncoder:
 
     def move(self, position: int, rows: "int | slice | np.ndarray") -> None:
         """Put the cursor of ``rows`` at ``position`` (``m`` = terminal)."""
-        states = self.states
-        scalars = 2 * self.n_features
-        states[rows, scalars + _PROGRESS] = position / self.n_features
-        states[rows, scalars + _CURSOR] = self._cursor[rows, position]
-        states[rows, scalars + _MEAN_REMAINING] = self._mean_remaining[rows, position]
-        states[rows, scalars + _MAX_REMAINING] = self._max_remaining[rows, position]
-        states[rows, scalars + _PERCENTILE] = self._percentile[rows, position]
-        states[rows, scalars + _REDUNDANCY] = self._redundancy[rows, position]
+        # An index array of rows must broadcast against the columns.
+        target = rows[:, None] if isinstance(rows, np.ndarray) else rows
+        self.states[target, self._columns] = self._table[rows, :, position]
 
     def window(
         self, rows: "slice | np.ndarray", position: int, width: int
@@ -222,14 +230,8 @@ class ScanEncoder:
         current = self.states[rows]
         n_rows = current.shape[0]
         block = np.repeat(current, width, axis=0).reshape(n_rows, width, -1)
-        scalars = block[:, :, 2 * self.n_features :]
-        span = slice(position, position + width)
-        scalars[:, :, _PROGRESS] = np.arange(span.start, span.stop) / self.n_features
-        scalars[:, :, _CURSOR] = self._cursor[rows, span]
-        scalars[:, :, _MEAN_REMAINING] = self._mean_remaining[rows, span]
-        scalars[:, :, _MAX_REMAINING] = self._max_remaining[rows, span]
-        scalars[:, :, _PERCENTILE] = self._percentile[rows, span]
-        scalars[:, :, _REDUNDANCY] = self._redundancy[rows, span]
+        span = self._table[rows, :, position : position + width]
+        block[:, :, self._columns] = span.swapaxes(1, 2)
         return block.reshape(n_rows * width, -1)
 
     def select(self, rows: "int | np.ndarray", position: int) -> None:
@@ -242,13 +244,13 @@ class ScanEncoder:
         m = self.n_features
         counts = self.counts[rows] + 1
         self.counts[rows] = counts
-        self._chosen[rows, counts - 1] = self._cursor[rows, position]
+        self._chosen[rows, counts - 1] = self._table[rows, _T_CURSOR, position]
         self.states[rows, m + position] = 1.0
         self._write_selection(rows, counts)
         if self._feature_corr is not None:
             running = np.maximum(self._running[rows], self._feature_corr[:, position])
             self._running[rows] = running
-            self._redundancy[rows, :m] = running
+            self._table[rows, _T_REDUNDANCY, :m] = running
 
     def reset(self, row: int, state: EnvState) -> None:
         """Encode the logical ``state`` into ``row`` from scratch."""
@@ -260,17 +262,17 @@ class ScanEncoder:
         selected = np.asarray(state.selected, dtype=np.int64)
         count = len(selected)
         self.counts[row] = count
-        self._chosen[row, :count] = self._cursor[row, selected]
+        self._chosen[row, :count] = self._table[row, _T_CURSOR, selected]
         self.states[row, m:] = 0.0
         self.states[row, m + selected] = 1.0
         self._write_selection(row, count)
         self._running[row] = -np.inf
-        self._redundancy[row] = 0.0
+        self._table[row, _T_REDUNDANCY] = 0.0
         if self._feature_corr is not None and count:
             self._running[row] = np.maximum.reduce(
                 self._feature_corr[:, selected], axis=1
             )
-            self._redundancy[row, :m] = self._running[row]
+            self._table[row, _T_REDUNDANCY, :m] = self._running[row]
         self.move(state.position, row)
 
     def _write_selection(

@@ -35,7 +35,7 @@ is still a ``ValueError``), so existing ``except RuntimeError`` /
                                  RetriesExhausted}
 
 This module is dependency-free (stdlib only) and sits in the ``errors``
-free layer, importable from anywhere in the package.
+layer at rank 0, importable from anywhere in the package.
 """
 
 from __future__ import annotations

@@ -1,28 +1,22 @@
-"""Persistence: save trained selectors, datasets and checkpoints to disk.
+"""Durable I/O and resilience primitives, below every training layer.
 
-A production deployment trains PA-FEAT offline (hours), then serves
-unseen-task selections online (milliseconds).  This package provides the
-artifact handoff between those phases — and the crash safety a long
-training run demands:
+Training checkpoints, graceful shutdown and the serving stack's
+resilience primitives.  The package imports nothing above ``analysis``,
+``errors`` and ``obs`` (rank 0 in the layer contract), so ``rl`` and
+``core`` import it at module level.  Saved models live above ``core`` in
+:mod:`repro.core.artifact` (``repro.save_model``/``repro.load_model``),
+task-suite CSVs in :mod:`repro.data.suite_csv`.
 
-* :func:`save_model` / :func:`load_model` — the trained Q-network plus the
-  minimal inference context (config, feature-correlation matrix), as a
-  directory of ``config.json`` + ``weights.npz`` + ``manifest.json``
-  (SHA-256 checksums), written atomically and validated on load.
-* :func:`save_suite_csv` / :func:`load_suite_csv` — a
-  :class:`~repro.data.tasks.TaskSuite` as a flat CSV (features + label
-  columns) plus a JSON sidecar with the seen/unseen partition, so real
-  tabular exports can be dropped into the pipeline.
 * :class:`CheckpointManager` and the atomic-write helpers
   (:mod:`repro.io.checkpoint`) — durable, corruption-detecting training
-  checkpoints behind ``PAFeat.fit(checkpoint_dir=..., resume=True)``.
+  checkpoints behind ``PAFeat.fit(checkpoint_dir=..., resume=True)``,
+  plus the manifest check and ``.npz`` reader saved models share.
+* :class:`GracefulShutdown` (:mod:`repro.io.lifecycle`) — the
+  SIGINT/SIGTERM discipline shared by ``repro train`` and ``repro serve``.
 * :mod:`repro.io.resilience` — the shared resilience primitives
   (:class:`Deadline`, :class:`Retry`, :class:`CircuitBreaker`,
   :class:`TokenBucket`) that the serving stack composes into admission
   control, request deadlines and circuit-broken model loads.
-* :mod:`repro.io.faults` — fault-injection and chaos primitives (simulated
-  crashes, truncation, bit flips, latency storms, scheduled mid-batch
-  failures) for drilling the recovery paths.
 """
 
 from repro.io.checkpoint import (
@@ -46,12 +40,6 @@ from repro.io.resilience import (
     Retry,
     TokenBucket,
 )
-from repro.io.serialization import (
-    load_model,
-    load_suite_csv,
-    save_model,
-    save_suite_csv,
-)
 
 __all__ = [
     "Checkpoint",
@@ -71,8 +59,4 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_npz",
-    "load_model",
-    "load_suite_csv",
-    "save_model",
-    "save_suite_csv",
 ]

@@ -19,6 +19,9 @@ durable layer underneath :meth:`repro.core.pafeat.PAFeat.fit`:
   checkpoints newest-first, verifies checksums, and falls back to the
   newest checkpoint that passes — truncated or bit-flipped artifacts are
   reported (``logging`` + :attr:`CheckpointManager.skipped`) and ignored.
+  The manifest check (:func:`verify_manifest`) and the ``.npz`` reader
+  (:func:`read_npz`) raise the error type their caller passes, so saved
+  models (:mod:`repro.core.artifact`) are verified the same way.
 * **Retention**: a keep-last-K policy prunes old checkpoints after each
   successful save.
 
@@ -50,6 +53,7 @@ import numpy as np
 # because checkpointing is where callers have always imported them from.
 from repro.errors import CheckpointCorruptionError as CheckpointCorruptionError
 from repro.errors import CheckpointError as CheckpointError
+from repro.errors import ReproError
 from repro.errors import TrainingInterrupted as TrainingInterrupted
 from repro.obs.log import get_logger
 
@@ -163,6 +167,66 @@ def atomic_write_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
 
 
 # ---------------------------------------------------------------------------
+# Verified artifact reads (checkpoints and saved models)
+# ---------------------------------------------------------------------------
+
+def manifest_entries(directory: Path, names: tuple[str, ...]) -> dict:
+    """The manifest's ``artifacts`` entry: each named file's SHA-256 and size."""
+    return {
+        name: {
+            "sha256": sha256_file(directory / name),
+            "bytes": (directory / name).stat().st_size,
+        }
+        for name in names
+    }
+
+
+def verify_manifest(directory: Path, error: type[ReproError]) -> dict | None:
+    """``directory``'s manifest, once every artifact it lists is present
+    with the listed size and SHA-256; ``None`` when it has no manifest.
+
+    The first problem (unreadable manifest, missing artifact, size or
+    checksum mismatch) raises ``error`` naming the directory and file.
+    """
+    manifest_path = directory / MANIFEST_NAME
+    if not manifest_path.exists():
+        return None
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise error(f"{directory.name}: unreadable manifest ({exc})") from exc
+    for name, expected in manifest.get("artifacts", {}).items():
+        artifact = directory / name
+        if not artifact.exists():
+            raise error(f"{directory.name}: missing {name}")
+        size = artifact.stat().st_size
+        if size != expected.get("bytes"):
+            raise error(
+                f"{directory.name}: {name} is {size} bytes, "
+                f"manifest expects {expected.get('bytes')} (truncated?)"
+            )
+        digest = sha256_file(artifact)
+        if digest != expected.get("sha256"):
+            raise error(
+                f"{directory.name}: {name} checksum mismatch "
+                f"({digest[:12]}… != {str(expected.get('sha256'))[:12]}…)"
+            )
+    return manifest
+
+
+def read_npz(path: Path, error: type[ReproError]) -> dict[str, np.ndarray]:
+    """Every array of the ``.npz`` at ``path``, by name; a file that is
+    missing or does not decode (truncated, not a zip) raises ``error``."""
+    try:
+        with np.load(path) as handle:
+            return {key: handle[key] for key in handle.files}
+    except Exception as exc:  # any decode failure ⇒ corrupt artifact
+        raise error(
+            f"{path.parent.name}: {path.name} failed to decode ({exc})"
+        ) from exc
+
+
+# ---------------------------------------------------------------------------
 # Checkpoint store
 # ---------------------------------------------------------------------------
 
@@ -226,13 +290,7 @@ class CheckpointManager:
             manifest = {
                 "format_version": CHECKPOINT_FORMAT_VERSION,
                 "iteration": iteration,
-                "artifacts": {
-                    artifact: {
-                        "sha256": sha256_file(staging / artifact),
-                        "bytes": (staging / artifact).stat().st_size,
-                    }
-                    for artifact in (STATE_NAME, ARRAYS_NAME)
-                },
+                "artifacts": manifest_entries(staging, (STATE_NAME, ARRAYS_NAME)),
             }
             atomic_write_json(staging / MANIFEST_NAME, manifest)
             final = self.directory / name
@@ -267,43 +325,21 @@ class CheckpointManager:
         """Check one checkpoint's manifest and checksums; return the manifest.
 
         Raises :class:`CheckpointCorruptionError` describing the first
-        problem found (missing artifact, size mismatch, checksum mismatch,
-        unreadable manifest, unsupported format version).
+        problem found (missing or unreadable manifest, missing artifact,
+        size mismatch, checksum mismatch, unsupported format version).
         """
         path = Path(path)
-        manifest_path = path / MANIFEST_NAME
-        if not manifest_path.exists():
+        manifest = verify_manifest(path, CheckpointCorruptionError)
+        if manifest is None:
             raise CheckpointCorruptionError(
                 f"{path.name}: missing {MANIFEST_NAME} (incomplete checkpoint)"
             )
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointCorruptionError(
-                f"{path.name}: unreadable manifest ({exc})"
-            ) from exc
         if manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointCorruptionError(
                 f"{path.name}: unsupported checkpoint format "
                 f"{manifest.get('format_version')!r} "
                 f"(expected {CHECKPOINT_FORMAT_VERSION})"
             )
-        for artifact, expected in manifest.get("artifacts", {}).items():
-            artifact_path = path / artifact
-            if not artifact_path.exists():
-                raise CheckpointCorruptionError(f"{path.name}: missing {artifact}")
-            size = artifact_path.stat().st_size
-            if size != expected.get("bytes"):
-                raise CheckpointCorruptionError(
-                    f"{path.name}: {artifact} is {size} bytes, "
-                    f"manifest expects {expected.get('bytes')} (truncated?)"
-                )
-            digest = sha256_file(artifact_path)
-            if digest != expected.get("sha256"):
-                raise CheckpointCorruptionError(
-                    f"{path.name}: {artifact} checksum mismatch "
-                    f"({digest[:12]}… != {str(expected.get('sha256'))[:12]}…)"
-                )
         return manifest
 
     def load(self, path: str | Path) -> Checkpoint:
@@ -312,17 +348,15 @@ class CheckpointManager:
         manifest = self.validate(path)
         try:
             state_doc = json.loads((path / STATE_NAME).read_text())
-            with np.load(path / ARRAYS_NAME) as handle:
-                arrays = {key: handle[key] for key in handle.files}
         except Exception as exc:  # any decode failure ⇒ corrupt artifact
             raise CheckpointCorruptionError(
-                f"{path.name}: failed to decode artifacts ({exc})"
+                f"{path.name}: {STATE_NAME} failed to decode ({exc})"
             ) from exc
         return Checkpoint(
             path=path,
             iteration=int(manifest["iteration"]),
             meta=state_doc.get("meta", {}),
-            arrays=arrays,
+            arrays=read_npz(path / ARRAYS_NAME, CheckpointCorruptionError),
         )
 
     def latest_valid(self) -> Checkpoint | None:

@@ -3,7 +3,7 @@
 The serving stack (and any future distributed component) needs four small,
 composable defenses against the failure modes a production deployment
 actually sees — slow disks, corrupt artifacts, overload, and stuck
-dependencies.  They live in ``repro.io`` (a *free* layer under the import
+dependencies.  They live in ``repro.io`` (rank 0 under the import
 contract) so every layer can use them without bending the architecture:
 
 * :class:`Deadline` — a propagatable latency budget.  Created once at the

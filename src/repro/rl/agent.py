@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.contracts import check_finite, check_state_batch
+from repro.io.checkpoint import nest, rng_state, set_rng_state, unnest
 from repro.nn.dueling import DuelingNetwork
 from repro.nn.losses import HuberLoss
 from repro.nn.network import load_state_dict, state_dict
@@ -197,8 +198,6 @@ class DuelingDQNAgent:
         and target networks, Adam moments, step counters (which drive the
         epsilon schedule and target syncs) and the exploration RNG stream.
         """
-        from repro.io.checkpoint import nest, rng_state
-
         optim_meta, optim_arrays = self._optimizer.capture_state()
         arrays = (
             nest("online/", state_dict(self.online))
@@ -215,8 +214,6 @@ class DuelingDQNAgent:
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         """Restore a snapshot captured by :meth:`capture_state`."""
-        from repro.io.checkpoint import set_rng_state, unnest
-
         load_state_dict(self.online, unnest("online/", arrays))
         load_state_dict(self.target, unnest("target/", arrays))
         self._optimizer.restore_state(meta["optimizer"], unnest("optim/", arrays))

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from repro.analysis import tsan
+from repro.io.checkpoint import nest, unnest
 from repro.rl.trajectory import EpisodeSummary, Trajectory
 
 #: The ring's columns, as checkpointed under ``ring/<name>``.
@@ -252,8 +253,6 @@ class ReplayRegistry:
     # ------------------------------------------------------------------
     def capture_state(self) -> tuple[dict, dict[str, np.ndarray]]:
         """Snapshot every per-task buffer (JSON keys are strings)."""
-        from repro.io.checkpoint import nest
-
         meta: dict = {"buffers": {}}
         arrays: dict[str, np.ndarray] = {}
         for task_id in self.task_ids():
@@ -264,8 +263,6 @@ class ReplayRegistry:
 
     def restore_state(self, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         """Rebuild buffers lazily via the factory, then restore each."""
-        from repro.io.checkpoint import unnest
-
         self._buffers.clear()
         for key, buffer_meta in meta.get("buffers", {}).items():
             task_id = int(key)

@@ -5,10 +5,10 @@ actually trustworthy, (b) pick up newly published versions without a
 restart, and (c) never crash — or silently serve garbage — because the
 newest artifact is corrupt.  :class:`ModelRegistry` provides all three on
 top of the existing artifact format: every version is a
-:func:`repro.io.save_model` directory whose ``manifest.json`` carries
+:func:`repro.save_model` directory whose ``manifest.json`` carries
 SHA-256 checksums written by the :mod:`repro.io.checkpoint` atomic-write
-helpers, and :func:`repro.io.load_model` verifies those checksums before
-any weight is deserialised.
+helpers, and :func:`repro.load_model` verifies those checksums before
+any weight is deserialised (:mod:`repro.core.artifact`).
 
 **Layouts.**  The registry root is either
 
@@ -58,18 +58,16 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis import tsan
 from repro.analysis.tsan import TrackedLock
+from repro.core.artifact import load_model
+from repro.core.pafeat import PAFeat
 from repro.data.stats import pearson_representation
 from repro.errors import ServeError
 from repro.obs.log import get_logger
-
-if TYPE_CHECKING:
-    from repro.core.pafeat import PAFeat
 
 _LOG = get_logger("serve.registry")
 
@@ -146,7 +144,7 @@ class ModelRegistry:
         self._swap_lock = TrackedLock("ModelRegistry.swap")
         # The served (model, version) pair, published atomically as one
         # tuple so readers never see a torn swap.
-        self._current: "tuple[PAFeat, ModelVersion] | None" = None
+        self._current: tuple[PAFeat, ModelVersion] | None = None
         # Corrupt/unloadable versions seen by load()/refresh() — bounded
         # to MAX_SKIP_HISTORY so a long-lived server polling a broken
         # publisher cannot grow it without limit — plus the lifetime
@@ -217,8 +215,6 @@ class ModelRegistry:
         return False
 
     def _try_load(self, name: str, path: Path) -> ModelVersion | None:
-        from repro.io.serialization import load_model
-
         signature = artifact_signature(path)
         with self._swap_lock:
             tsan.note(self, "_failed")
@@ -260,7 +256,7 @@ class ModelRegistry:
             return self._current is not None
 
     @property
-    def model(self) -> "PAFeat":
+    def model(self) -> PAFeat:
         """The currently served model; :meth:`load` must have succeeded."""
         with self._swap_lock:
             tsan.note(self, "_current")
@@ -278,7 +274,7 @@ class ModelRegistry:
             raise RegistryError("no model loaded; call load() first")
         return current[1]
 
-    def serving(self) -> "tuple[PAFeat, ModelVersion]":
+    def serving(self) -> tuple[PAFeat, ModelVersion]:
         """One consistent ``(model, version)`` snapshot — the pair a
         response should be computed *and* labeled with."""
         with self._swap_lock:

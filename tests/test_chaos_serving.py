@@ -24,15 +24,15 @@ import time
 
 import pytest
 
+from repro import save_model
 from repro.analysis import tsan
 from repro.data.stats import pearson_representation
-from repro.io import save_model
-from repro.io.faults import (
+from repro.serve import ModelRegistry, SelectionServer, ServeMetrics
+from tests.faults import (
     LatencyStorm,
     ScheduledFailures,
     corrupt_model_artifact,
 )
-from repro.serve import ModelRegistry, SelectionServer, ServeMetrics
 
 pytestmark = pytest.mark.chaos
 

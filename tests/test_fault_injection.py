@@ -24,17 +24,17 @@ import shutil
 import numpy as np
 import pytest
 
+from repro import load_model, save_model
 from repro.core.pafeat import PAFeat
-from repro.io import load_model, save_model
 from repro.io.checkpoint import (
     CheckpointCorruptionError,
     CheckpointManager,
     TrainingInterrupted,
 )
-from repro.io.faults import CrashAt, SimulatedCrash, flip_bit, truncate_file
 from repro.core.config import AgentConfig
 from repro.rl.replay import ReplayBuffer
 from tests.conftest import episode_batch, fast_config, make_episode
+from tests.faults import CrashAt, SimulatedCrash, flip_bit, truncate_file
 
 pytestmark = pytest.mark.fault
 

@@ -414,7 +414,7 @@ class TestParametersStayViews:
         _assert_views_and_live(model.trainer.agent)
 
     def test_after_load_model(self, fitted_tiny_model, tmp_path):
-        from repro.io import load_model, save_model
+        from repro import load_model, save_model
 
         save_model(fitted_tiny_model, tmp_path / "model")
         _assert_views_and_live(load_model(tmp_path / "model").inference_agent())

@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from repro import load_model, save_model
+from repro.core.artifact import config_from_dict, config_to_dict
 from repro.core.config import PAFeatConfig
 from repro.core.pafeat import PAFeat
+from repro.data.suite_csv import load_suite_csv, save_suite_csv
 from repro.data.tasks import TaskSuite
-from repro.io import load_model, load_suite_csv, save_model, save_suite_csv
-from repro.io.faults import flip_bit, truncate_file
-from repro.io.serialization import config_from_dict, config_to_dict
 from tests.conftest import fast_config
+from tests.faults import flip_bit, truncate_file
 
 
 class TestConfigRoundTrip:

@@ -294,6 +294,25 @@ def test_factory_return_annotation_types_the_raise():
     assert escapes_of(sources, "pkg.mod.f") == {"pkg.errors.Child"}
 
 
+def test_type_annotated_parameter_types_the_raise():
+    sources = {
+        "pkg.errors": ERRORS,
+        "pkg.mod": (
+            "from pkg.errors import Base\n"
+            "\n"
+            "\n"
+            "def check(error: type[Base]):\n"
+            "    raise error('boom')\n"
+            "\n"
+            "\n"
+            "def untyped(error):\n"
+            "    raise error('boom')\n"
+        ),
+    }
+    assert escapes_of(sources, "pkg.mod.check") == {"pkg.errors.Base"}
+    assert escapes_of(sources, "pkg.mod.untyped") == {UNKNOWN}
+
+
 def test_bound_variable_reraise_carries_the_caught_types():
     sources = {
         "pkg.mod": (

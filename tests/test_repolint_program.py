@@ -34,8 +34,7 @@ def codes(findings) -> list[str]:
 def layered_config(**overrides) -> RepolintConfig:
     defaults = dict(
         package="pkg",
-        layer_ranks={"data": 0, "nn": 1, "core": 2, "cli": 3},
-        free_layers=frozenset({"util"}),
+        layer_ranks={"data": 0, "util": 0, "nn": 1, "core": 2, "cli": 3},
     )
     defaults.update(overrides)
     return RepolintConfig(**defaults)
@@ -57,6 +56,7 @@ def test_arch501_flags_upward_import():
 
 
 def test_arch501_allows_downward_and_free_imports():
+    # util, like data, is a rank-0 package: both imports point down.
     findings = analyze_source(
         "import pkg.data.loader\nimport pkg.util.helpers\n",
         Path("pkg/core/engine.py"),
@@ -70,7 +70,7 @@ def test_arch501_allows_downward_and_free_imports():
     assert "ARCH501" not in codes(findings)
 
 
-def test_arch501_free_layer_may_import_anything():
+def test_arch501_flags_rank0_package_importing_higher_layer():
     findings = analyze_source(
         "import pkg.cli.main\n",
         Path("pkg/util/helpers.py"),
@@ -78,7 +78,21 @@ def test_arch501_free_layer_may_import_anything():
         config=layered_config(),
         extra_sources={"pkg.cli.main": "Z = 3\n"},
     )
-    assert "ARCH501" not in codes(findings)
+    assert "ARCH501" in codes(findings)
+
+
+def test_arch501_allows_imports_between_rank0_packages():
+    findings = analyze_source(
+        "import pkg.data.loader\n",
+        Path("pkg/util/helpers.py"),
+        module="pkg.util.helpers",
+        config=layered_config(),
+        extra_sources={
+            "pkg.data.loader": "import pkg.util.tools\n",
+            "pkg.util.tools": "W = 4\n",
+        },
+    )
+    assert codes(findings) == []
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +396,6 @@ def test_parse_toml_subset_roundtrip():
     text = (
         "[tool.repolint]\n"
         'package = "pkg"\n'
-        "[tool.repolint.layers]\n"
-        'free = ["util"]\n'
         "[tool.repolint.layers.ranks]\n"
         "data = 0\n"
         "core = 2\n"
@@ -398,7 +410,6 @@ def test_parse_toml_subset_roundtrip():
     config = RepolintConfig.from_mapping(section)
     assert config.package == "pkg"
     assert config.layer_ranks == {"data": 0, "core": 2}
-    assert config.free_layers == frozenset({"util"})
     assert config.extra_edges == {
         "pkg.core.run.Runner.run": ("pkg.core.run.Runner.hook",)
     }
@@ -407,7 +418,7 @@ def test_parse_toml_subset_roundtrip():
 def test_rank_for_layer_treats_root_as_free():
     config = layered_config()
     assert config.rank_for_layer("<root>") is None
-    assert config.rank_for_layer("util") is None
+    assert config.rank_for_layer("util") == 0
     assert config.rank_for_layer("core") == 2
     assert config.rank_for_layer("unknown") is None
 

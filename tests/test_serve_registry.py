@@ -8,8 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.errors import DataValidationError
-from repro.io import load_model, save_model
+from repro import load_model, save_model
+from repro.errors import ArtifactError, DataValidationError
 from repro.io.checkpoint import sha256_file
 from repro.serve import ModelRegistry, RegistryError, task_fingerprint
 
@@ -97,6 +97,27 @@ class TestDiscoveryAndLoad:
         assert {path.name for path, _ in skips} == {"v0002", "v0003"}
         assert all("future_knob" in reason for _, reason in skips)
 
+    def test_undecodable_weights_without_manifest_fall_back(
+        self, model_artifact, tmp_path
+    ):
+        """A model saved before manifests existed has no checksums to fail,
+        so a truncated ``weights.npz`` reaches the decoder; the registry
+        still skips that version and serves the previous one."""
+        root = tmp_path / "versions"
+        root.mkdir()
+        shutil.copytree(model_artifact, root / "v0001")
+        shutil.copytree(model_artifact, root / "v0002")
+        (root / "v0002" / "manifest.json").unlink()
+        weights = root / "v0002" / "weights.npz"
+        weights.write_bytes(weights.read_bytes()[: weights.stat().st_size // 2])
+        with pytest.raises(ArtifactError, match="weights.npz failed to decode"):
+            load_model(root / "v0002")
+
+        registry = ModelRegistry(root)
+        assert registry.load().name == "v0001"
+        [(path, reason)] = registry.recent_skips()
+        assert path.name == "v0002" and "failed to decode" in reason
+
     def test_all_versions_corrupt_raises(self, model_artifact, tmp_path):
         root = tmp_path / "versions"
         root.mkdir()
@@ -156,7 +177,7 @@ class TestHotSwap:
     def test_known_bad_version_is_read_once_and_listed_once(
         self, model_artifact, tmp_path, monkeypatch
     ):
-        import repro.io.serialization as serialization
+        import repro.serve.registry as registry_module
 
         root = tmp_path / "versions"
         root.mkdir()
@@ -169,7 +190,7 @@ class TestHotSwap:
             loads.append(path.name)
             return load_model(path)
 
-        monkeypatch.setattr(serialization, "load_model", counting_load)
+        monkeypatch.setattr(registry_module, "load_model", counting_load)
         registry = ModelRegistry(root)
         assert registry.load().name == "v0001"
         assert registry.refresh() is False

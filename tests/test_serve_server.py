@@ -18,8 +18,8 @@ import signal
 import numpy as np
 import pytest
 
+from repro import save_model
 from repro.data.stats import pearson_representation
-from repro.io import save_model
 from repro.serve import ModelRegistry, SelectionServer, ServeMetrics
 
 
@@ -423,7 +423,7 @@ class TestReloadBreaker:
     def test_corrupt_publishes_trip_the_breaker_and_recovery_closes_it(
         self, model_artifact, tmp_path
     ):
-        from repro.io.faults import corrupt_model_artifact
+        from tests.faults import corrupt_model_artifact
 
         root = tmp_path / "versions"
         root.mkdir()

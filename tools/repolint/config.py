@@ -27,7 +27,6 @@ class RepolintConfig:
     package: str = "repro"
     src_root: str = "src"
     layer_ranks: Mapping[str, int] = field(default_factory=dict)
-    free_layers: frozenset[str] = frozenset()
     #: Call edges the AST resolver cannot see (hooks injected at
     #: construction), walked by every call-graph pass.
     extra_edges: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
@@ -72,14 +71,14 @@ class RepolintConfig:
         return max(self.layer_ranks.values(), default=0) + 1
 
     def rank_for_layer(self, layer: str) -> int | None:
-        """Rank of a layer name, or None when undeclared/free.
+        """Rank of a layer name, or None when undeclared or the root.
 
         The package root (``repro`` itself plus dunder modules like
         ``repro.__main__``) is a facade that re-exports the public API, so
-        it is treated like a free layer: it may import everything and
-        everything may import it.
+        it has no rank: it may import everything and everything may
+        import it.
         """
-        if layer in self.free_layers or layer in ("<root>", "__main__", "__init__"):
+        if layer in ("<root>", "__main__", "__init__"):
             return None
         return self.layer_ranks.get(layer)
 
@@ -99,7 +98,6 @@ class RepolintConfig:
                 str(name): int(rank)
                 for name, rank in dict(layers.get("ranks", {})).items()
             },
-            free_layers=frozenset(str(n) for n in layers.get("free", [])),
             extra_edges={
                 str(src): tuple(str(dst) for dst in dsts)
                 for src, dsts in dict(calls.get("extra-edges", {})).items()

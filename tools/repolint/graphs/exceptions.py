@@ -30,6 +30,8 @@ vacuously complete:
   excluded from escape propagation — they smear unrelated escape sets
   together — but *included* when proving a handler dead (EXC1003), so a
   dynamic call that could raise the caught type keeps the handler alive.
+* ``raise error(...)`` of a parameter annotated ``error: type[X]``
+  contributes ``X``, the most the annotation promises;
 * a raise of an unresolvable expression contributes the ``UNKNOWN``
   sentinel, which only a bare ``except``, ``except BaseException`` or
   ``except Exception`` may catch;
@@ -587,6 +589,10 @@ class _FunctionScanner:
         ):
             caught = handler.types if handler.types is not None else (UNKNOWN,)
             return caught, True
+        passed = self._parameter_class(dotted)
+        if passed is not None:
+            # ``raise error(...)`` of a parameter ``error: type[X]``: an X.
+            return (passed,), False
         resolved = self.resolver.index.resolve_symbol(module, dotted)
         if resolved in self.resolver.index.functions:
             # ``raise make_error(...)``: use the factory's return annotation.
@@ -602,6 +608,21 @@ class _FunctionScanner:
             (UNKNOWN,),
             False,
         )
+
+    def _parameter_class(self, name: str) -> str | None:
+        """The class ``X`` of this function's parameter ``name: type[X]``."""
+        arguments = self.function.node.args
+        for arg in (*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs):
+            annotation = arg.annotation
+            if arg.arg != name or not isinstance(annotation, ast.Subscript):
+                continue
+            if _dotted_name(annotation.value) not in ("type", "Type", "typing.Type"):
+                return None
+            passed = self.resolver.index.annotation_type(
+                self.function.module, annotation.slice
+            )
+            return passed if passed in self.resolver.index.classes else None
+        return None
 
 
 def _iter_own_nodes_of_body(body: list[ast.stmt]) -> Iterator[ast.AST]:

@@ -284,7 +284,6 @@ def build_report(program: ProgramContext) -> dict[str, Any]:
     return {
         "package": config.package,
         "layers": {
-            "free": sorted(config.free_layers),
             "ranks": dict(sorted(config.layer_ranks.items())),
             **import_graph.to_payload(),
         },

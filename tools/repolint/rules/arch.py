@@ -1,10 +1,10 @@
 """ARCH5xx: import-layer contract over the whole package.
 
-The contract lives in ``[tool.repolint.layers]``: each top-level subpackage
-gets a rank, a module may import only same-or-lower ranks, ``free`` layers
-(cross-cutting utilities) are exempt in both directions, and the package
-root sits above everything.  Violations are reported at the offending
-import statement so the fix is one click away.
+The contract lives in ``[tool.repolint.layers.ranks]``: each top-level
+subpackage gets a rank, a module may import only same-or-lower ranks, and
+the package root (the public facade) is exempt in both directions.
+Violations are reported at the offending import statement so the fix is
+one click away.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ class LayerContractRule(ProgramRule):
     code = "ARCH501"
     name = "layer-upward-import"
     hint = (
-        "move the shared code down a layer (or into a free layer such as "
-        "analysis/io) instead of importing upward"
+        "move the shared code down a layer, or the importing code up one, "
+        "instead of importing upward"
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
@@ -33,7 +33,7 @@ class LayerContractRule(ProgramRule):
             source_rank = graph.ranks.get(edge.source)
             target_rank = graph.ranks.get(edge.target)
             if source_rank is None or target_rank is None:
-                continue  # free or undeclared layers are ARCH503's business
+                continue  # the root facade; undeclared layers are ARCH503's
             if target_rank > source_rank:
                 yield self.program_finding(
                     program,
@@ -78,13 +78,13 @@ class ImportCycleRule(ProgramRule):
 
 
 class UndeclaredLayerRule(ProgramRule):
-    """ARCH503: module belongs to no declared (or free) layer."""
+    """ARCH503: module belongs to no declared layer."""
 
     code = "ARCH503"
     name = "undeclared-layer"
     hint = (
-        "add the subpackage to [tool.repolint.layers.ranks] (or to 'free') "
-        "in pyproject.toml so the contract covers it"
+        "add the subpackage to [tool.repolint.layers.ranks] in "
+        "pyproject.toml so the contract covers it"
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
@@ -94,7 +94,7 @@ class UndeclaredLayerRule(ProgramRule):
         flagged: set[str] = set()
         for module in graph.modules:
             layer = graph.layers[module]
-            if layer == "<root>" or layer in program.config.free_layers:
+            if layer == "<root>":
                 continue
             if layer in flagged or layer in program.config.layer_ranks:
                 continue
