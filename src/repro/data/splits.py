@@ -21,35 +21,3 @@ def train_test_split_indices(
     permutation = rng.permutation(n)
     cut = max(1, min(n - 1, int(round(train_fraction * n))))
     return permutation[:cut], permutation[cut:]
-
-
-def stratified_split_indices(
-    labels: np.ndarray, train_fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Class-stratified split: each class contributes proportionally.
-
-    Useful for very unbalanced tasks where a plain random split can leave a
-    test partition without positives.
-    """
-    labels = np.asarray(labels).reshape(-1)
-    if labels.size < 2:
-        raise ValueError(f"need at least 2 rows to split, got {labels.size}")
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    train_parts: list[np.ndarray] = []
-    test_parts: list[np.ndarray] = []
-    for value in np.unique(labels):
-        members = np.flatnonzero(labels == value)
-        members = rng.permutation(members)
-        cut = int(round(train_fraction * members.size))
-        cut = max(0, min(members.size, cut))
-        train_parts.append(members[:cut])
-        test_parts.append(members[cut:])
-    train = np.concatenate(train_parts) if train_parts else np.empty(0, dtype=np.int64)
-    test = np.concatenate(test_parts) if test_parts else np.empty(0, dtype=np.int64)
-    # Guarantee both sides are non-empty even under extreme fractions.
-    if train.size == 0:
-        train, test = test[:1], test[1:]
-    if test.size == 0:
-        train, test = train[:-1], train[-1:]
-    return rng.permutation(train), rng.permutation(test)

@@ -3,14 +3,14 @@
 The paper (Section II-A) formulates structured data as one relational table
 ``T`` with ``m`` determinant attributes (features) and ``k`` dependent
 attributes (prediction targets).  :class:`StructuredTable` is that object:
-a dense float feature block plus a binary label block, with named columns,
-row/column projection and the *masking* operation used by the reward
-function (unselected feature values replaced by zero or the column mean).
+a dense float feature block plus a binary label block, with named columns
+and row projection.  The reward's feature masking (Eqn. 2's ``X^{F'}``)
+lives in :meth:`repro.nn.classifier.MaskedMLPClassifier.predict_proba`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,43 +106,6 @@ class StructuredTable:
             feature_names=self.feature_names,
             label_names=self.label_names,
         )
-
-    def project_features(self, subset: Iterable[int]) -> np.ndarray:
-        """Project the feature block onto a feature-index subset."""
-        idx = self._validated_subset(subset)
-        return self.features[:, idx]
-
-    def masked_features(
-        self, subset: Iterable[int], fill: str = "zero"
-    ) -> np.ndarray:
-        """Return a full-width feature block with unselected columns masked.
-
-        This is the ``X^{F'}`` of the paper's reward (Eqn. 2): the classifier
-        is pretrained on all ``m`` features, so subsets are presented as the
-        full vector with deselected entries replaced by ``fill`` — ``"zero"``
-        or the per-column ``"mean"``.
-        """
-        idx = self._validated_subset(subset)
-        mask = np.zeros(self.n_features, dtype=bool)
-        mask[idx] = True
-        masked = self.features.copy()
-        if fill == "zero":
-            masked[:, ~mask] = 0.0
-        elif fill == "mean":
-            column_means = self.features.mean(axis=0)
-            masked[:, ~mask] = column_means[~mask]
-        else:
-            raise ValueError(f"fill must be 'zero' or 'mean', got {fill!r}")
-        return masked
-
-    def _validated_subset(self, subset: Iterable[int]) -> np.ndarray:
-        idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_features):
-            raise BoundsError(
-                f"feature indices must lie in [0, {self.n_features}), got "
-                f"[{idx.min()}, {idx.max()}]"
-            )
-        return idx
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

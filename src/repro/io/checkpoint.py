@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -55,9 +56,8 @@ from repro.errors import CheckpointCorruptionError as CheckpointCorruptionError
 from repro.errors import CheckpointError as CheckpointError
 from repro.errors import ReproError
 from repro.errors import TrainingInterrupted as TrainingInterrupted
-from repro.obs.log import get_logger
 
-_LOG = get_logger("io.checkpoint")
+_LOG = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT_VERSION = 1
 STATE_NAME = "state.json"

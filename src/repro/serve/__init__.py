@@ -22,7 +22,8 @@ that property into a service:
   :mod:`repro.io.resilience`;
 * :class:`~repro.serve.metrics.ServeMetrics` — latency p50/p99, queue
   depth, batch-size distribution, cache hit rate and the shed/deadline/
-  breaker/watchdog resilience counters.
+  breaker/watchdog resilience counters, kept as plain attributes and
+  rendered as the ``/metrics`` page by the class itself.
 
 Run it: ``python -m repro serve --checkpoint-dir <model-or-versions-dir>``
 (see ``examples/serve_client.py`` for a self-contained demo).

@@ -41,6 +41,7 @@ instead of sleeping through real latency budgets.
 from __future__ import annotations
 
 import asyncio
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable
@@ -48,7 +49,6 @@ from typing import Any, Awaitable, Callable
 from repro.errors import LifecycleError, ServeError
 from repro.io.resilience import Deadline, DeadlineExceeded
 from repro.obs.clock import monotonic
-from repro.obs.log import get_logger
 
 __all__ = [
     "BatcherClosed",
@@ -58,7 +58,7 @@ __all__ = [
     "ServiceUnavailable",
 ]
 
-_LOG = get_logger("serve.batcher")
+_LOG = logging.getLogger(__name__)
 
 
 class BatcherClosed(ServeError):

@@ -1,15 +1,14 @@
-"""Serving telemetry on the unified obs registry (PR 10 refactor).
+"""Serving telemetry: the selection server's counters and ``/metrics`` page.
 
-:class:`ServeMetrics` keeps its recording API (``observe_*``) and its
-read surface (``requests_total``, ``batch_sizes``, ``snapshot()``, ...)
-but the numbers now live in a :class:`repro.obs.registry.MetricsRegistry`
-— the label-aware, lock-guarded metric store shared by the whole serve
-stack — so ``/metrics`` serves **one** registry: request/batch/queue
-counters, admission-control and resilience counters, provider-backed
-gauges (circuit-breaker state, representation-cache hit rate) and
-anything else components register.
+:class:`ServeMetrics` keeps its counters and gauges as plain attributes
+(``requests_total``, ``batch_sizes``, ``shed_total``, ...), changes them
+under one lock in its ``observe_*`` methods, and renders the ``/metrics``
+page itself in Prometheus text format 0.0.4: the counter and gauge
+families from the ``(name, type, help, attribute)`` table :data:`_PAGE`,
+then the latency histogram, then the provider-backed gauges
+(circuit-breaker state, representation-cache hit rate).
 
-Two complementary latency views survive the refactor unchanged:
+Two complementary latency views:
 
 * **cumulative bucket counts** over fixed log-spaced boundaries — cheap,
   mergeable, never lose history;
@@ -17,9 +16,9 @@ Two complementary latency views survive the refactor unchanged:
   last ``window`` requests, which is what an operator watching a dashboard
   actually wants (a lifetime-cumulative p99 hides a fresh regression).
 
-The window view lives in :class:`LatencyHistogram` (instance-owned, event
--loop-confined as before) and joins the exposition through a registry
-collector, so nothing is copied per observation.
+Both live in :class:`LatencyHistogram` (instance-owned, event-loop
+confined) and are rendered at scrape time, so nothing is copied per
+observation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import math
 from collections import deque
 from typing import Callable, Iterator, Mapping
 
-from repro.obs.registry import Counter, Gauge, MetricsRegistry
+from repro.analysis import tsan
 
 #: Upper bounds (milliseconds) of the cumulative latency buckets.
 DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
@@ -37,6 +36,49 @@ DEFAULT_LATENCY_BUCKETS_MS: tuple[float, ...] = (
 
 #: Numeric encoding of circuit-breaker states for the gauge exposition.
 BREAKER_STATE_VALUES: dict[str, int] = {"closed": 0, "half_open": 1, "open": 2}
+
+#: The counter and gauge families of ``/metrics`` in page order:
+#: ``(name, type, help, attribute)``.  A dict attribute renders one series
+#: per key, labelled ``_LABELS[attribute]``, in label-string order.
+_PAGE: tuple[tuple[str, str, str, str], ...] = (
+    ("repro_serve_requests_total", "counter",
+     "Selection requests completed.", "requests_total"),
+    ("repro_serve_errors_total", "counter",
+     "Requests that failed with an error.", "errors_total"),
+    ("repro_serve_batches_total", "counter",
+     "Micro-batcher flushes executed.", "batches_total"),
+    ("repro_serve_queue_depth", "gauge",
+     "Admission queue depth (last observed).", "queue_depth"),
+    ("repro_serve_queue_depth_peak", "gauge",
+     "Highest observed queue depth.", "queue_depth_peak"),
+    ("repro_serve_batch_size_total", "counter",
+     "Flushes by batch size.", "batch_sizes"),
+    ("repro_serve_shed_total", "counter",
+     "Requests shed by admission control, by reason.", "shed_total"),
+    ("repro_serve_deadline_exceeded_total", "counter",
+     "Requests rejected or abandoned on an expired deadline.",
+     "deadline_exceeded_total"),
+    ("repro_serve_watchdog_restarts_total", "counter",
+     "Flush-loop restarts performed by the batcher watchdog.",
+     "watchdog_restarts_total"),
+    ("repro_serve_dropped_connections_total", "counter",
+     "Client connections that vanished mid-request.",
+     "dropped_connections_total"),
+    ("repro_serve_breaker_transitions_total", "counter",
+     "Circuit-breaker state transitions (any direction).",
+     "breaker_transitions_total"),
+)
+_LABELS = {"batch_sizes": "size", "shed_total": "reason"}
+
+
+def _label_order(series: dict) -> dict:
+    """A copy of ``series`` in label-string order (``"10"`` before ``"2"``)."""
+    return dict(sorted(series.items(), key=lambda item: str(item[0])))
+
+
+def _escape(value: str) -> str:
+    """Escape a label value per the Prometheus text-format spec."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 class LatencyHistogram:
@@ -102,97 +144,71 @@ class LatencyHistogram:
 
 
 class ServeMetrics:
-    """The selection server's metric surface, backed by one obs registry."""
+    """The selection server's counters, gauges and ``/metrics`` page."""
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        #: The unified registry ``/metrics`` renders; share one instance
-        #: to co-expose serve metrics with other components' metrics.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        #: queue-wait + batch-execution time per request (dual-view
-        #: histogram; exposed through a registry collector).
+    def __init__(self) -> None:
+        self._lock = tsan.TrackedLock("serve.metrics")
+        self.requests_total = 0
+        self.errors_total = 0
+        self.batches_total = 0
+        self.queue_depth = 0
+        self.queue_depth_peak = 0
+        #: Flushes by batch size, ``{size: count}``.
+        self.batch_sizes: dict[int, int] = {}
+        #: Shed requests by reason; the standard reasons start at 0 so
+        #: operators see the series before the first shed.
+        self.shed_total: dict[str, int] = {"queue_full": 0, "rate_limit": 0}
+        self.deadline_exceeded_total = 0
+        self.watchdog_restarts_total = 0
+        self.dropped_connections_total = 0
+        self.breaker_transitions_total = 0
+        #: queue-wait + batch-execution time per request.
         self.request_latency = LatencyHistogram()
-        reg = self.registry
-        self._requests: Counter = reg.counter(
-            "repro_serve_requests_total", "Selection requests completed."
-        )
-        self._errors: Counter = reg.counter(
-            "repro_serve_errors_total", "Requests that failed with an error."
-        )
-        self._batches: Counter = reg.counter(
-            "repro_serve_batches_total", "Micro-batcher flushes executed."
-        )
-        self._queue_depth: Gauge = reg.gauge(
-            "repro_serve_queue_depth", "Admission queue depth (last observed)."
-        )
-        self._queue_depth_peak: Gauge = reg.gauge(
-            "repro_serve_queue_depth_peak", "Highest observed queue depth."
-        )
-        self._batch_size: Counter = reg.counter(
-            "repro_serve_batch_size_total",
-            "Flushes by batch size.",
-            labelnames=("size",),
-        )
-        self._shed: Counter = reg.counter(
-            "repro_serve_shed_total",
-            "Requests shed by admission control, by reason.",
-            labelnames=("reason",),
-        )
-        # Materialise the standard shed reasons at 0 so operators see the
-        # series before the first shed (and dashboards need no fallback).
-        self._shed.touch(reason="queue_full")
-        self._shed.touch(reason="rate_limit")
-        self._deadline: Counter = reg.counter(
-            "repro_serve_deadline_exceeded_total",
-            "Requests rejected or abandoned on an expired deadline.",
-        )
-        self._watchdog: Counter = reg.counter(
-            "repro_serve_watchdog_restarts_total",
-            "Flush-loop restarts performed by the batcher watchdog.",
-        )
-        self._dropped: Counter = reg.counter(
-            "repro_serve_dropped_connections_total",
-            "Client connections that vanished mid-request.",
-        )
-        self._breaker_transitions: Counter = reg.counter(
-            "repro_serve_breaker_transitions_total",
-            "Circuit-breaker state transitions (any direction).",
-        )
         self._cache_stats: Callable[[], Mapping[str, int]] | None = None
         self._breaker_state: Callable[[], str] | None = None
-        reg.register_collector(self._latency_lines)
-        reg.register_collector(self._provider_lines)
 
     # -- recording ------------------------------------------------------
+    def _count(self, attribute: str) -> None:
+        with self._lock:
+            tsan.note(self, attribute, write=True)
+            setattr(self, attribute, getattr(self, attribute) + 1)
+
     def observe_request(self, latency_ms: float) -> None:
-        self._requests.inc()
+        self._count("requests_total")
         self.request_latency.observe(latency_ms)
 
     def observe_error(self) -> None:
-        self._errors.inc()
+        self._count("errors_total")
 
     def observe_shed(self, reason: str = "queue_full") -> None:
-        self._shed.inc(reason=reason)
+        with self._lock:
+            tsan.note(self, "shed_total", write=True)
+            self.shed_total[reason] = self.shed_total.get(reason, 0) + 1
 
     def observe_deadline_exceeded(self) -> None:
-        self._deadline.inc()
+        self._count("deadline_exceeded_total")
 
     def observe_watchdog_restart(self) -> None:
-        self._watchdog.inc()
+        self._count("watchdog_restarts_total")
 
     def observe_dropped_connection(self) -> None:
-        self._dropped.inc()
+        self._count("dropped_connections_total")
 
     def observe_breaker_transition(self, old_state: str, new_state: str) -> None:
         del old_state, new_state  # the transition count is state-agnostic
-        self._breaker_transitions.inc()
+        self._count("breaker_transitions_total")
 
     def observe_batch(self, size: int) -> None:
-        self._batches.inc()
-        self._batch_size.inc(size=int(size))
+        with self._lock:
+            tsan.note(self, "batch_sizes", write=True)
+            self.batches_total += 1
+            self.batch_sizes[int(size)] = self.batch_sizes.get(int(size), 0) + 1
 
     def observe_queue_depth(self, depth: int) -> None:
-        self._queue_depth.set(depth)
-        self._queue_depth_peak.set_max(depth)
+        with self._lock:
+            tsan.note(self, "queue_depth", write=True)
+            self.queue_depth = int(depth)
+            self.queue_depth_peak = max(self.queue_depth_peak, self.queue_depth)
 
     def set_cache_stats_provider(
         self, provider: Callable[[], Mapping[str, int]]
@@ -204,59 +220,7 @@ class ServeMetrics:
         """Hook the reload circuit breaker's state in lazily."""
         self._breaker_state = provider
 
-    # -- reading (backward-compatible attribute surface) ----------------
-    @property
-    def requests_total(self) -> int:
-        return int(self._requests.value())
-
-    @property
-    def errors_total(self) -> int:
-        return int(self._errors.value())
-
-    @property
-    def batches_total(self) -> int:
-        return int(self._batches.value())
-
-    @property
-    def batch_sizes(self) -> dict[int, int]:
-        """Per-flush batch-size distribution as ``{size: count}``."""
-        return {
-            int(key[0]): int(count)
-            for key, count in sorted(self._batch_size.series().items())
-        }
-
-    @property
-    def queue_depth(self) -> int:
-        return int(self._queue_depth.value())
-
-    @property
-    def queue_depth_peak(self) -> int:
-        return int(self._queue_depth_peak.value())
-
-    @property
-    def shed_total(self) -> dict[str, int]:
-        """Shed requests by reason (standard reasons present at 0)."""
-        return {
-            key[0]: int(count)
-            for key, count in sorted(self._shed.series().items())
-        }
-
-    @property
-    def deadline_exceeded_total(self) -> int:
-        return int(self._deadline.value())
-
-    @property
-    def watchdog_restarts_total(self) -> int:
-        return int(self._watchdog.value())
-
-    @property
-    def dropped_connections_total(self) -> int:
-        return int(self._dropped.value())
-
-    @property
-    def breaker_transitions_total(self) -> int:
-        return int(self._breaker_transitions.value())
-
+    # -- reading --------------------------------------------------------
     def cache_hit_rate(self) -> float | None:
         """Representation-cache hit rate in [0, 1], or None when unwired."""
         if self._cache_stats is None:
@@ -268,20 +232,21 @@ class ServeMetrics:
         return int(stats.get("hits", 0)) / lookups
 
     def snapshot(self) -> dict:
-        data = {
-            "requests_total": self.requests_total,
-            "errors_total": self.errors_total,
-            "batches_total": self.batches_total,
-            "batch_sizes": self.batch_sizes,
-            "queue_depth": self.queue_depth,
-            "queue_depth_peak": self.queue_depth_peak,
-            "shed_total": self.shed_total,
-            "deadline_exceeded_total": self.deadline_exceeded_total,
-            "watchdog_restarts_total": self.watchdog_restarts_total,
-            "dropped_connections_total": self.dropped_connections_total,
-            "breaker_transitions_total": self.breaker_transitions_total,
-            "latency": self.request_latency.snapshot(),
-        }
+        with self._lock:
+            data = {
+                "requests_total": self.requests_total,
+                "errors_total": self.errors_total,
+                "batches_total": self.batches_total,
+                "batch_sizes": _label_order(self.batch_sizes),
+                "queue_depth": self.queue_depth,
+                "queue_depth_peak": self.queue_depth_peak,
+                "shed_total": _label_order(self.shed_total),
+                "deadline_exceeded_total": self.deadline_exceeded_total,
+                "watchdog_restarts_total": self.watchdog_restarts_total,
+                "dropped_connections_total": self.dropped_connections_total,
+                "breaker_transitions_total": self.breaker_transitions_total,
+            }
+        data["latency"] = self.request_latency.snapshot()
         if self._breaker_state is not None:
             data["breaker_state"] = self._breaker_state()
         hit_rate = self.cache_hit_rate()
@@ -292,10 +257,23 @@ class ServeMetrics:
         return data
 
     def render(self) -> str:
-        """Prometheus exposition for ``/metrics`` — the whole registry."""
-        return self.registry.render()
+        """The ``/metrics`` page in Prometheus text format (trailing newline)."""
+        lines: list[str] = []
+        with self._lock:
+            for name, kind, help_text, attribute in _PAGE:
+                lines += [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+                value = getattr(self, attribute)
+                if attribute not in _LABELS:
+                    lines.append(f"{name} {value}")
+                    continue
+                label = _LABELS[attribute]
+                for key, count in _label_order(value).items():
+                    lines.append(f'{name}{{{label}="{_escape(str(key))}"}} {count}')
+        lines.extend(self._latency_lines())
+        lines.extend(self._provider_lines())
+        return "\n".join(lines) + "\n"
 
-    # -- registry collectors (scrape-time views) ------------------------
+    # -- scrape-time views ----------------------------------------------
     def _latency_lines(self) -> Iterator[str]:
         """The dual-view latency histogram: window quantiles + cumulative
         buckets, rendered at scrape time from the instance-owned state."""

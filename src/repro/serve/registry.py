@@ -55,6 +55,7 @@ recompute; hits and misses feed the ``/metrics`` cache-hit-rate gauge.
 from __future__ import annotations
 
 import hashlib
+import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,9 +68,8 @@ from repro.core.artifact import load_model
 from repro.core.pafeat import PAFeat
 from repro.data.stats import pearson_representation
 from repro.errors import ServeError
-from repro.obs.log import get_logger
 
-_LOG = get_logger("serve.registry")
+_LOG = logging.getLogger(__name__)
 
 #: Cap on the retained skip records (oldest evicted first).
 MAX_SKIP_HISTORY = 50

@@ -22,7 +22,8 @@ Endpoints:
   ``{"representation": [...]}`` (precomputed |Pearson| vector), plus an
   optional ``"timeout_ms"`` — the client's latency budget, capped by the
   server's.  Response: the selected subset, the serving model version and
-  the request latency.
+  the request latency.  A malformed request, or a task of another feature
+  count than the serving model's, is a ``400`` before admission.
 * ``GET /healthz`` — liveness + the served model version, batcher
   liveness and reload-breaker state.
 * ``GET /metrics`` — Prometheus-style text (latency p50/p99, queue depth,
@@ -57,13 +58,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import math
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.analysis import tsan
-from repro.errors import LifecycleError, ServeError
+from repro.core.batch import check_representations
+from repro.errors import DataValidationError, LifecycleError, ServeError
 from repro.io.lifecycle import GracefulShutdown
 from repro.io.resilience import (
     BREAKER_CLOSED,
@@ -83,11 +86,10 @@ from repro.serve.engine import BatchedGreedyEngine
 from repro.serve.metrics import ServeMetrics
 from repro.serve.registry import ModelRegistry, ModelVersion, RegistryError
 from repro.obs.clock import monotonic
-from repro.obs.log import get_logger
 
 __all__ = ["SelectionServer"]
 
-_LOG = get_logger("serve.server")
+_LOG = logging.getLogger(__name__)
 
 _MAX_BODY_BYTES = 8 << 20  # a request is one task's data; 8 MiB is generous
 _STATUS_TEXT = {
@@ -388,7 +390,10 @@ class SelectionServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        declared = headers.get("content-length") or "0"
+        if not declared.isdecimal():
+            raise _BadRequest(f"invalid Content-Length {declared!r}")
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
             return _json_response(413, {"error": "request body too large"})
         raw = (
@@ -581,13 +586,21 @@ class SelectionServer:
         return Deadline.after_ms(budget_ms, clock=self._clock)
 
     def _parse_task(self, payload: dict) -> np.ndarray:
-        """Representation from the request: precomputed, or raw task data."""
+        """Representation from the request: precomputed, or raw task data.
+
+        Its width is checked against the serving model here, at admission,
+        so a request of the wrong width gets its own 400 instead of failing
+        the batch it would have ridden in (the engine's own check stays as
+        the backstop for a hot swap to a model of another width).
+        """
         if "representation" in payload:
-            rep = np.asarray(payload["representation"], dtype=np.float64)
+            try:
+                rep = np.asarray(payload["representation"], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise _BadRequest(f"non-numeric representation: {exc}") from exc
             if rep.ndim != 1:
                 raise _BadRequest("'representation' must be a flat number list")
-            return rep
-        if "features" in payload and "labels" in payload:
+        elif "features" in payload and "labels" in payload:
             try:
                 features = np.asarray(payload["features"], dtype=np.float64)
                 labels = np.asarray(payload["labels"], dtype=np.float64)
@@ -597,10 +610,17 @@ class SelectionServer:
                 raise _BadRequest("'features' must be a 2-D number matrix")
             if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
                 raise _BadRequest("'labels' must align with the feature rows")
-            return self.registry.representation(features, labels)
-        raise _BadRequest(
-            "request needs either 'representation' or 'features'+'labels'"
-        )
+            rep = self.registry.representation(features, labels)
+        else:
+            raise _BadRequest(
+                "request needs either 'representation' or 'features'+'labels'"
+            )
+        assert self._serving is not None
+        try:
+            check_representations(self._serving[0].agent, [rep])
+        except DataValidationError as exc:
+            raise _BadRequest(str(exc)) from exc
+        return rep
 
 
 def _json_response(

@@ -64,40 +64,3 @@ class TestProjection:
         assert subset.n_rows == 3
         subset.features[0, 0] = 999.0
         assert table.features[0, 0] != 999.0
-
-    def test_project_features(self, table):
-        projected = table.project_features([1, 3])
-        np.testing.assert_array_equal(projected, table.features[:, [1, 3]])
-
-    def test_project_deduplicates_and_sorts(self, table):
-        projected = table.project_features([3, 1, 3])
-        assert projected.shape == (10, 2)
-
-    def test_out_of_range_feature_raises(self, table):
-        with pytest.raises(IndexError, match="feature indices"):
-            table.project_features([0, 4])
-
-
-class TestMasking:
-    def test_zero_fill(self, table):
-        masked = table.masked_features([0], fill="zero")
-        np.testing.assert_array_equal(masked[:, 0], table.features[:, 0])
-        assert np.all(masked[:, 1:] == 0.0)
-
-    def test_mean_fill(self, table):
-        masked = table.masked_features([0], fill="mean")
-        for j in range(1, 4):
-            np.testing.assert_allclose(masked[:, j], table.features[:, j].mean())
-
-    def test_full_subset_is_identity(self, table):
-        masked = table.masked_features(range(4))
-        np.testing.assert_array_equal(masked, table.features)
-
-    def test_invalid_fill_raises(self, table):
-        with pytest.raises(ValueError, match="fill must be"):
-            table.masked_features([0], fill="median")
-
-    def test_does_not_mutate_original(self, table):
-        original = table.features.copy()
-        table.masked_features([1])
-        np.testing.assert_array_equal(table.features, original)

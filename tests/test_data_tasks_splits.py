@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.splits import stratified_split_indices, train_test_split_indices
+from repro.data.splits import train_test_split_indices
 from repro.data.table import StructuredTable
 from repro.data.tasks import Task, TaskSuite
 
@@ -82,14 +82,3 @@ class TestSplitIndices:
     def test_too_few_rows_raise(self, rng):
         with pytest.raises(ValueError, match="at least 2"):
             train_test_split_indices(1, 0.5, rng)
-
-    def test_stratified_preserves_class_balance(self, rng):
-        labels = np.array([0] * 80 + [1] * 20)
-        train, test = stratified_split_indices(labels, 0.75, rng)
-        train_rate = labels[train].mean()
-        assert train_rate == pytest.approx(0.2, abs=0.02)
-
-    def test_stratified_partition_complete(self, rng):
-        labels = rng.integers(0, 2, size=50)
-        train, test = stratified_split_indices(labels, 0.6, rng)
-        assert sorted(np.concatenate([train, test]).tolist()) == list(range(50))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.core.config import PAFeatConfig
 from repro.core.pafeat import PAFeat
 from repro.data.suite_csv import load_suite_csv, save_suite_csv
 from repro.data.tasks import TaskSuite
+from repro.io.checkpoint import CheckpointManager
 from tests.conftest import fast_config
 from tests.faults import flip_bit, truncate_file
 
@@ -160,6 +162,23 @@ class TestModelPersistence:
     def test_missing_directory_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_model(tmp_path / "nope")
+
+
+class TestCheckpointLogging:
+    def test_skipped_corrupt_checkpoint_warns_on_the_module_logger(
+        self, tmp_path, caplog
+    ):
+        manager = CheckpointManager(tmp_path)
+        manager.save(1, {"step": 1}, {"w": np.arange(64.0)})
+        newest = manager.save(2, {"step": 2}, {"w": np.arange(64.0)})
+        flip_bit(newest / "arrays.npz")
+        with caplog.at_level(logging.WARNING, logger="repro.io.checkpoint"):
+            assert manager.latest_valid().iteration == 1
+        (record,) = caplog.records
+        assert (record.name, record.levelname) == ("repro.io.checkpoint", "WARNING")
+        assert record.getMessage().startswith(
+            f"skipping corrupt checkpoint {newest}: "
+        )
 
 
 class TestSuiteCsv:

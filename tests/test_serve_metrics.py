@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 
+from repro.analysis import tsan
 from repro.serve import LatencyHistogram, ServeMetrics
 
 
@@ -133,15 +135,180 @@ class TestServeMetrics:
             in text
         )
 
-    def test_shares_an_external_registry(self):
-        from repro.obs.registry import MetricsRegistry
+    def test_loop_and_thread_writes_share_the_lock(self):
+        """The counters change under one lock, so writes from the event
+        loop and from another thread show the runtime sanitizer no race."""
+        metrics = ServeMetrics()
 
-        registry = MetricsRegistry()
-        registry.counter("repro_custom_total", "Something else.").inc(4)
-        metrics = ServeMetrics(registry=registry)
-        metrics.observe_request(1.0)
-        text = metrics.render()
-        # One unified page: serve metrics and foreign metrics together.
-        assert "repro_custom_total 4" in text
-        assert "repro_serve_requests_total 1" in text
-        assert metrics.registry is registry
+        def observe_all():
+            metrics.observe_error()
+            metrics.observe_shed("rate_limit")
+            metrics.observe_batch(2)
+            metrics.observe_queue_depth(3)
+
+        previous = tsan.set_tsan_enabled(True)
+        tsan.reset()
+        try:
+            tsan.register_loop()
+            observe_all()
+            worker = threading.Thread(target=observe_all)
+            worker.start()
+            worker.join(timeout=30)
+            found = tsan.violations()
+        finally:
+            tsan.reset()
+            tsan.set_tsan_enabled(previous)
+        assert not worker.is_alive()
+        assert found == []
+        assert metrics.errors_total == metrics.batches_total == 2
+
+
+# The whole /metrics page, byte for byte, for two fixed metric states.
+# Labelled series come in label-string order, so size="10" precedes "2".
+FILLED_PAGE = r"""# HELP repro_serve_requests_total Selection requests completed.
+# TYPE repro_serve_requests_total counter
+repro_serve_requests_total 5
+# HELP repro_serve_errors_total Requests that failed with an error.
+# TYPE repro_serve_errors_total counter
+repro_serve_errors_total 1
+# HELP repro_serve_batches_total Micro-batcher flushes executed.
+# TYPE repro_serve_batches_total counter
+repro_serve_batches_total 5
+# HELP repro_serve_queue_depth Admission queue depth (last observed).
+# TYPE repro_serve_queue_depth gauge
+repro_serve_queue_depth 2
+# HELP repro_serve_queue_depth_peak Highest observed queue depth.
+# TYPE repro_serve_queue_depth_peak gauge
+repro_serve_queue_depth_peak 7
+# HELP repro_serve_batch_size_total Flushes by batch size.
+# TYPE repro_serve_batch_size_total counter
+repro_serve_batch_size_total{size="1"} 1
+repro_serve_batch_size_total{size="10"} 1
+repro_serve_batch_size_total{size="2"} 1
+repro_serve_batch_size_total{size="3"} 2
+# HELP repro_serve_shed_total Requests shed by admission control, by reason.
+# TYPE repro_serve_shed_total counter
+repro_serve_shed_total{reason="queue_full"} 1
+repro_serve_shed_total{reason="rate_limit"} 1
+repro_serve_shed_total{reason="we\"ird\nx"} 1
+# HELP repro_serve_deadline_exceeded_total Requests rejected or abandoned on an expired deadline.
+# TYPE repro_serve_deadline_exceeded_total counter
+repro_serve_deadline_exceeded_total 1
+# HELP repro_serve_watchdog_restarts_total Flush-loop restarts performed by the batcher watchdog.
+# TYPE repro_serve_watchdog_restarts_total counter
+repro_serve_watchdog_restarts_total 1
+# HELP repro_serve_dropped_connections_total Client connections that vanished mid-request.
+# TYPE repro_serve_dropped_connections_total counter
+repro_serve_dropped_connections_total 1
+# HELP repro_serve_breaker_transitions_total Circuit-breaker state transitions (any direction).
+# TYPE repro_serve_breaker_transitions_total counter
+repro_serve_breaker_transitions_total 1
+# TYPE repro_serve_latency_ms summary
+repro_serve_latency_ms{quantile="0.5"} 3.000000
+repro_serve_latency_ms{quantile="0.99"} 2000.000000
+repro_serve_latency_ms_sum 2011.800000
+repro_serve_latency_ms_count 5
+# TYPE repro_serve_latency_ms_bucket counter
+repro_serve_latency_ms_bucket{le="0.5"} 1
+repro_serve_latency_ms_bucket{le="1"} 1
+repro_serve_latency_ms_bucket{le="2"} 2
+repro_serve_latency_ms_bucket{le="5"} 3
+repro_serve_latency_ms_bucket{le="10"} 4
+repro_serve_latency_ms_bucket{le="20"} 4
+repro_serve_latency_ms_bucket{le="50"} 4
+repro_serve_latency_ms_bucket{le="100"} 4
+repro_serve_latency_ms_bucket{le="250"} 4
+repro_serve_latency_ms_bucket{le="1000"} 4
+repro_serve_latency_ms_bucket{le="+Inf"} 5
+# HELP repro_serve_breaker_state 0=closed 1=half_open 2=open
+# TYPE repro_serve_breaker_state gauge
+repro_serve_breaker_state 1
+# TYPE repro_serve_cache_hit_rate gauge
+repro_serve_cache_hit_rate 0.750000
+"""
+
+FRESH_PAGE = r"""# HELP repro_serve_requests_total Selection requests completed.
+# TYPE repro_serve_requests_total counter
+repro_serve_requests_total 0
+# HELP repro_serve_errors_total Requests that failed with an error.
+# TYPE repro_serve_errors_total counter
+repro_serve_errors_total 0
+# HELP repro_serve_batches_total Micro-batcher flushes executed.
+# TYPE repro_serve_batches_total counter
+repro_serve_batches_total 0
+# HELP repro_serve_queue_depth Admission queue depth (last observed).
+# TYPE repro_serve_queue_depth gauge
+repro_serve_queue_depth 0
+# HELP repro_serve_queue_depth_peak Highest observed queue depth.
+# TYPE repro_serve_queue_depth_peak gauge
+repro_serve_queue_depth_peak 0
+# HELP repro_serve_batch_size_total Flushes by batch size.
+# TYPE repro_serve_batch_size_total counter
+# HELP repro_serve_shed_total Requests shed by admission control, by reason.
+# TYPE repro_serve_shed_total counter
+repro_serve_shed_total{reason="queue_full"} 0
+repro_serve_shed_total{reason="rate_limit"} 0
+# HELP repro_serve_deadline_exceeded_total Requests rejected or abandoned on an expired deadline.
+# TYPE repro_serve_deadline_exceeded_total counter
+repro_serve_deadline_exceeded_total 0
+# HELP repro_serve_watchdog_restarts_total Flush-loop restarts performed by the batcher watchdog.
+# TYPE repro_serve_watchdog_restarts_total counter
+repro_serve_watchdog_restarts_total 0
+# HELP repro_serve_dropped_connections_total Client connections that vanished mid-request.
+# TYPE repro_serve_dropped_connections_total counter
+repro_serve_dropped_connections_total 0
+# HELP repro_serve_breaker_transitions_total Circuit-breaker state transitions (any direction).
+# TYPE repro_serve_breaker_transitions_total counter
+repro_serve_breaker_transitions_total 0
+# TYPE repro_serve_latency_ms summary
+repro_serve_latency_ms{quantile="0.5"} 0.000000
+repro_serve_latency_ms{quantile="0.99"} 0.000000
+repro_serve_latency_ms_sum 0.000000
+repro_serve_latency_ms_count 0
+# TYPE repro_serve_latency_ms_bucket counter
+repro_serve_latency_ms_bucket{le="0.5"} 0
+repro_serve_latency_ms_bucket{le="1"} 0
+repro_serve_latency_ms_bucket{le="2"} 0
+repro_serve_latency_ms_bucket{le="5"} 0
+repro_serve_latency_ms_bucket{le="10"} 0
+repro_serve_latency_ms_bucket{le="20"} 0
+repro_serve_latency_ms_bucket{le="50"} 0
+repro_serve_latency_ms_bucket{le="100"} 0
+repro_serve_latency_ms_bucket{le="250"} 0
+repro_serve_latency_ms_bucket{le="1000"} 0
+repro_serve_latency_ms_bucket{le="+Inf"} 0
+"""
+
+
+def filled_metrics() -> ServeMetrics:
+    metrics = ServeMetrics()
+    for size in (3, 3, 1, 10, 2):
+        metrics.observe_batch(size)
+    for latency in (0.3, 1.5, 3.0, 7.0, 2000.0):
+        metrics.observe_request(latency)
+    metrics.observe_error()
+    metrics.observe_deadline_exceeded()
+    metrics.observe_watchdog_restart()
+    metrics.observe_dropped_connection()
+    metrics.observe_breaker_transition("closed", "open")
+    for reason in ("queue_full", "rate_limit", 'we"ird\nx'):
+        metrics.observe_shed(reason)
+    metrics.observe_queue_depth(7)
+    metrics.observe_queue_depth(2)
+    metrics.set_cache_stats_provider(lambda: {"hits": 3, "misses": 1})
+    metrics.set_breaker_state_provider(lambda: "half_open")
+    return metrics
+
+
+class TestGoldenPage:
+    def test_filled_page(self):
+        assert filled_metrics().render() == FILLED_PAGE
+
+    def test_fresh_page(self):
+        assert ServeMetrics().render() == FRESH_PAGE
+
+    def test_snapshot_lists_labelled_series_in_page_order(self):
+        snapshot = filled_metrics().snapshot()
+        batch_sizes = list(snapshot["batch_sizes"].items())
+        assert batch_sizes == [(1, 1), (10, 1), (2, 1), (3, 2)]
+        assert list(snapshot["shed_total"]) == ["queue_full", "rate_limit", 'we"ird\nx']

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -73,6 +74,22 @@ class TestDiscoveryAndLoad:
         registry = ModelRegistry(root)
         assert registry.load().name == "v0001"
         assert [path.name for path, _ in registry.recent_skips()] == ["v0002"]
+
+    def test_skipped_version_warns_on_the_module_logger(
+        self, model_artifact, tmp_path, caplog
+    ):
+        root = tmp_path / "versions"
+        root.mkdir()
+        shutil.copytree(model_artifact, root / "v0001")
+        shutil.copytree(model_artifact, root / "v0002")
+        corrupt_weights(root / "v0002")
+        with caplog.at_level(logging.WARNING, logger="repro.serve.registry"):
+            assert ModelRegistry(root).load().name == "v0001"
+        (record,) = caplog.records
+        assert (record.name, record.levelname) == ("repro.serve.registry", "WARNING")
+        assert record.getMessage().startswith(
+            f"skipping model version {root / 'v0002'}: "
+        )
 
     def test_unknown_config_key_skips_the_version(self, model_artifact, tmp_path):
         root = tmp_path / "versions"

@@ -223,6 +223,7 @@ class TestErrorPaths:
             ({"features": [[1.0]], "labels": [1.0, 2.0]}, "align"),
             ({"features": [1.0], "labels": [1.0]}, "2-D"),
             ({"features": [["x"]], "labels": [1.0]}, "non-numeric"),
+            ({"representation": ["x", "y"]}, "non-numeric representation"),
         ],
     )
     def test_bad_select_bodies_are_400(self, model_artifact, payload, fragment):
@@ -241,8 +242,56 @@ class TestErrorPaths:
             )
 
         status, body = run_with_server(ModelRegistry(model_artifact), scenario)
-        assert status == 500
+        assert status == 400
         assert "12-feature tasks" in body["error"]
+
+    def test_wrong_width_request_does_not_fail_its_batch(
+        self, model_artifact, fitted_tiny_model, tiny_split
+    ):
+        """Width is checked at admission: the valid request in the same
+        flush window still gets the engine's subset."""
+        train, _ = tiny_split
+        task = train.unseen_tasks[0]
+        rep = pearson_representation(task.features, task.labels).tolist()
+        metrics = ServeMetrics()
+
+        async def scenario(server, host, port):
+            return await asyncio.gather(
+                http(host, port, "POST", "/select", payload={"representation": rep}),
+                http(
+                    host, port, "POST", "/select",
+                    payload={"representation": [0.5, 0.5]},
+                ),
+            )
+
+        (good, good_body), (bad, bad_body) = run_with_server(
+            ModelRegistry(model_artifact), scenario,
+            metrics=metrics, max_latency_ms=50.0,
+        )
+        assert (good, bad) == (200, 400)
+        assert tuple(good_body["subset"]) == fitted_tiny_model.select(task)
+        assert "representation 0 has 2 features" in bad_body["error"]
+        assert metrics.batch_sizes == {1: 1}
+
+    @pytest.mark.parametrize("declared", [b"abc", b"-5"])
+    def test_invalid_content_length_is_400(self, model_artifact, declared):
+        async def scenario(server, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                b"POST /select HTTP/1.1\r\n"
+                b"Host: test\r\n"
+                b"Content-Length: " + declared + b"\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            await writer.drain()
+            response = await reader.read()
+            writer.close()
+            head, _, content = response.partition(b"\r\n\r\n")
+            return int(head.split(b" ", 2)[1]), json.loads(content)
+
+        status, body = run_with_server(ModelRegistry(model_artifact), scenario)
+        assert status == 400
+        assert "invalid Content-Length" in body["error"]
 
     def test_invalid_json_is_400(self, model_artifact):
         async def scenario(server, host, port):

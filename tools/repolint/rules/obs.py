@@ -1,12 +1,12 @@
-"""OBS11xx: observability discipline — structured logs and one clock.
+"""OBS11xx: observability discipline — logs through logging, one clock.
 
-The obs layer (PR 10) gives the repo exactly one metrics registry, one
-structured logger and one sanctioned monotonic-clock read.  These rules
-keep the rest of the tree honest about it:
+Components log through stdlib ``logging.getLogger(__name__)``, and the
+repo has one sanctioned monotonic-clock read.  These rules keep the rest
+of the tree honest about it:
 
 * OBS1101 bans bare ``print(...)`` inside the package.  Diagnostics that
-  bypass :func:`repro.obs.log.get_logger` are invisible to the JSON log
-  pipeline and interleave badly under the threaded serve stack.  The CLI
+  bypass ``logging`` carry no level or logger name, are invisible to
+  handlers and interleave badly under the threaded serve stack.  The CLI
   boundary (user-facing output) is allowlisted via
   ``[tool.repolint.obs] allow-print``, as are functions literally named
   ``main`` and statements under ``if __name__ == "__main__":`` guards.
@@ -96,9 +96,9 @@ class BarePrintRule(ProgramRule):
     code = "OBS1101"
     name = "bare-print"
     hint = (
-        "emit through repro.obs.log.get_logger(component) so the message "
-        "carries a level and survives JSON log mode; user-facing output "
-        "belongs in a module listed under [tool.repolint.obs] allow-print"
+        "emit through logging.getLogger(__name__) so the message carries "
+        "a level and a logger name; user-facing output belongs in a module "
+        "listed under [tool.repolint.obs] allow-print"
     )
 
     def check_program(self, program: ProgramContext) -> Iterator[Finding]:
@@ -135,7 +135,7 @@ class BarePrintRule(ProgramRule):
                 program,
                 module,
                 node.lineno,
-                f"bare print() in '{module}' bypasses the structured logger",
+                f"bare print() in '{module}' bypasses logging",
             )
 
 
