@@ -46,11 +46,12 @@ test:
 test-perf:
 	$(PYTHON) -m pytest -q benchmarks/perf
 
-## Serving subsystem only: engine parity, batcher, registry, server, metrics.
+## Serving subsystem only: engine parity, batcher, registry, server, metrics,
+## the /select property test.
 test-serve:
 	$(PYTHON) -m pytest -x -q tests/test_serve_engine.py tests/test_serve_batcher.py \
 		tests/test_serve_registry.py tests/test_serve_server.py tests/test_serve_metrics.py \
-		tests/test_resilience.py
+		tests/test_serve_select_property.py tests/test_resilience.py
 
 ## Fault-injection / crash-safety suite.
 test-fault:

@@ -2,7 +2,8 @@
 
 Every ``/select`` request pays for a token-bucket acquire, a deadline
 construction plus a handful of ``remaining()``/``expired`` checks, and
-(on ``/reload``) a circuit-breaker ``call``.  These primitives only earn
+each ``/reload`` for the circuit breaker's ``allow()`` and one
+``record_success()``/``record_failure()``.  These primitives only earn
 their keep if they are effectively free next to a model forward pass, so
 this bench measures each one in isolation:
 
@@ -12,7 +13,8 @@ this bench measures each one in isolation:
   always-shed regimes (the shed path must be cheap: it runs hottest
   precisely when the server is overloaded);
 * **CircuitBreaker** — ``call`` wrapping a no-op vs the bare no-op, as
-  closed-state overhead per guarded call;
+  closed-state overhead per guarded call (``call`` is ``allow()`` plus
+  one ``record_*``, the protocol ``/reload`` runs inline);
 * **Retry** — ``call`` around a first-try success, the steady-state cost
   of wrapping model loads.
 

@@ -90,9 +90,10 @@ def check_representations(
 ) -> list[np.ndarray]:
     """Task representations as float vectors of the agent's feature count.
 
-    The one width check every selection path shares: a task from another
-    feature space fails here, naming both counts, instead of as a
-    ``feature_corr`` shape or layer width error further down.
+    The one width and finiteness check every selection path shares: a task
+    from another feature space fails here, naming both counts, instead of
+    as a ``feature_corr`` shape or layer width error further down, and a
+    NaN or infinite entry fails here instead of yielding a subset.
     """
     n_features = feature_count(agent.state_dim)
     reps = [np.asarray(rep, dtype=np.float64).reshape(-1) for rep in representations]
@@ -103,6 +104,12 @@ def check_representations(
                 f"agent serves {n_features}-feature tasks (a "
                 f"{n_features}-feature space)"
             )
+    # One pass over the whole call; the index is looked up only on failure.
+    if reps and not np.isfinite(np.concatenate(reps)).all():
+        index = next(i for i, rep in enumerate(reps) if not np.isfinite(rep).all())
+        raise DataValidationError(
+            f"representation {index} has a non-finite entry (NaN or Infinity)"
+        )
     return reps
 
 

@@ -82,10 +82,6 @@ class FeatureSelectionEnv:
     def position(self) -> int:
         return self._position
 
-    def logical_state(self) -> EnvState:
-        """The current logical (restorable) state."""
-        return EnvState(selected=tuple(self._selected), position=self._position)
-
     def reset(self) -> np.ndarray:
         """Start a fresh episode from the default initial state."""
         return self.reset_to(EnvState(selected=(), position=0))

@@ -102,8 +102,3 @@ class IntraTaskExplorer:
             self.tree(task_id).restore_state(
                 tree_meta, unnest(f"tree/{task_id}/", arrays)
             )
-
-    @property
-    def exploration_policy_is_learned(self) -> bool:
-        """True when episodes from customised states follow the learned policy."""
-        return self.config.use_policy_exploitation

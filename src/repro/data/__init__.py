@@ -15,7 +15,6 @@ from repro.data.catalog import (
     load_dataset,
     load_mini_dataset,
 )
-from repro.data.splits import train_test_split_indices
 from repro.data.stats import mutual_information_scores, pearson_representation
 from repro.data.synthetic import SyntheticSpec, generate_suite
 from repro.data.table import StructuredTable
@@ -34,5 +33,4 @@ __all__ = [
     "load_mini_dataset",
     "mutual_information_scores",
     "pearson_representation",
-    "train_test_split_indices",
 ]

@@ -44,11 +44,6 @@ class Task:
     def features(self) -> np.ndarray:
         return self.table.features
 
-    def positive_rate(self) -> float:
-        """Fraction of positive labels — a cheap difficulty indicator."""
-        labels = self.labels
-        return float(np.mean(labels == 1)) if labels.size else 0.0
-
 
 class TaskSuite:
     """A shared feature space with seen and unseen task partitions."""

@@ -1,8 +1,9 @@
 """Evaluation substrate: metrics and downstream classifiers.
 
 Downstream quality of a selected subset is measured by training a fresh
-:class:`LinearSVM` on the projected features, exactly as the paper's
-evaluation protocol prescribes.  The reward-model classifier lives in
+RBF kernel classifier on the projected features
+(:func:`evaluate_subset_with_svm`), as the paper's evaluation protocol
+prescribes.  The reward-model classifier lives in
 :mod:`repro.nn.classifier` and the reward function itself in
 :mod:`repro.rl.reward` — ``eval`` sits below both in the layer contract
 (see ``[tool.repolint.layers]``), so it only provides the metric and SVM

@@ -1,11 +1,13 @@
 """Linear SVM trained by Pegasos-style stochastic subgradient descent.
 
-Plays the role of LIBSVM in the paper's protocol: for each unseen task an
-SVM is trained on the *projected* selected features and its F1/AUC on held-
-out rows measures subset quality.  Pegasos (Shalev-Shwartz et al., 2011)
-optimises the L2-regularised hinge loss with a 1/(λ t) step size, which is
-deterministic given the RNG seed and fast enough to sit inside benchmark
-sweeps.
+:class:`LinearSVM` is the linear model RFE and the multilabel baselines
+rank features with.  Pegasos (Shalev-Shwartz et al., 2011) optimises the
+L2-regularised hinge loss with a 1/(λ t) step size, which is deterministic
+given the RNG seed and fast enough to sit inside benchmark sweeps.
+
+:func:`evaluate_subset_with_svm` is the paper's protocol: for each unseen
+task a classifier is trained on the *projected* selected features and its
+F1/AUC on held-out rows measures subset quality.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Sequence
 import numpy as np
 from repro.errors import NotFittedError
 
+from repro.eval.kernel import KernelRidgeClassifier
 from repro.eval.metrics import f1_score, roc_auc_score
 
 
@@ -125,28 +128,19 @@ def evaluate_subset_with_svm(
     test_features: np.ndarray,
     test_labels: np.ndarray,
     seed: int = 0,
-    kernel: str = "rbf",
 ) -> dict[str, float]:
     """Paper evaluation protocol: train an SVM on the projected subset.
 
-    LIBSVM — the paper's evaluator — defaults to an RBF kernel, so
-    ``kernel="rbf"`` (the default) scores with the non-linear
-    :class:`~repro.eval.kernel.KernelRidgeClassifier`; ``kernel="linear"``
-    uses the Pegasos :class:`LinearSVM` instead.  Returns ``{"f1": ...,
-    "auc": ...}`` on the held-out rows.  An empty subset degrades to the
-    majority-class predictor.
+    LIBSVM — the paper's evaluator — defaults to an RBF kernel, so this
+    scores with the non-linear
+    :class:`~repro.eval.kernel.KernelRidgeClassifier`.  Returns
+    ``{"f1": ..., "auc": ...}`` on the held-out rows.  An empty subset
+    degrades to the majority-class predictor.
     """
-    if kernel not in ("rbf", "linear"):
-        raise ValueError(f"kernel must be 'rbf' or 'linear', got {kernel!r}")
     idx = np.asarray(sorted(set(int(i) for i in subset)), dtype=np.int64)
     train_x = np.asarray(train_features, dtype=np.float64)[:, idx]
     test_x = np.asarray(test_features, dtype=np.float64)[:, idx]
-    if kernel == "rbf":
-        from repro.eval.kernel import KernelRidgeClassifier
-
-        model = KernelRidgeClassifier(seed=seed).fit(train_x, train_labels)
-    else:
-        model = LinearSVM(seed=seed).fit(train_x, train_labels)
+    model = KernelRidgeClassifier(seed=seed).fit(train_x, train_labels)
     scores = model.decision_function(test_x)
     predictions = (scores >= 0.0).astype(np.int64)
     return {

@@ -307,34 +307,3 @@ def _select_and_score(
         per_task=per_task,
         subsets=subsets,
     )
-
-
-def run_method_averaged(
-    name: str,
-    dataset: str,
-    scale: ExperimentScale = "mini",
-    mfr: float = 0.6,
-    n_runs: int | None = None,
-    base_seed: int = 0,
-) -> MethodResult:
-    """Average a method over ``n_runs`` independent row splits (paper: 5)."""
-    params = scale_params(scale)
-    runs = n_runs if n_runs is not None else params["n_runs"]
-    if runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {runs}")
-    suite = load_suite(dataset, scale)
-    results: list[MethodResult] = []
-    for run in range(runs):
-        seed = base_seed + run
-        train, test = suite.split_rows(0.7, np.random.default_rng(seed))
-        results.append(run_method(name, train, test, scale=scale, mfr=mfr, seed=seed))
-    return MethodResult(
-        method=name,
-        avg_f1=float(np.mean([r.avg_f1 for r in results])),
-        avg_auc=float(np.mean([r.avg_auc for r in results])),
-        prepare_seconds=float(np.mean([r.prepare_seconds for r in results])),
-        iteration_seconds=float(np.mean([r.iteration_seconds for r in results])),
-        select_seconds=float(np.mean([r.select_seconds for r in results])),
-        per_task=results[0].per_task,
-        subsets=results[0].subsets,
-    )

@@ -4,8 +4,7 @@ Training checkpoints, graceful shutdown and the serving stack's
 resilience primitives.  The package imports nothing above ``analysis``,
 ``errors`` and ``obs`` (rank 0 in the layer contract), so ``rl`` and
 ``core`` import it at module level.  Saved models live above ``core`` in
-:mod:`repro.core.artifact` (``repro.save_model``/``repro.load_model``),
-task-suite CSVs in :mod:`repro.data.suite_csv`.
+:mod:`repro.core.artifact` (``repro.save_model``/``repro.load_model``).
 
 * :class:`CheckpointManager` and the atomic-write helpers
   (:mod:`repro.io.checkpoint`) — durable, corruption-detecting training

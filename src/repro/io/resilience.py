@@ -109,13 +109,6 @@ class Deadline:
     def expired(self) -> bool:
         return self._clock() >= self._expires_at
 
-    def require(self, what: str = "operation") -> None:
-        """Raise :class:`DeadlineExceeded` when the budget is spent."""
-        if self.expired:
-            raise DeadlineExceeded(
-                f"{what} exceeded its {self.budget_s * 1000.0:.0f} ms budget"
-            )
-
     def __repr__(self) -> str:
         return (
             f"Deadline(budget_s={self.budget_s:.3f}, "
@@ -178,14 +171,12 @@ class Retry:
             raw = min(self.max_delay_s, self.base_delay_s * self.multiplier**attempt)
             yield raw * (1.0 - self.jitter * float(self._rng.random()))
 
-    def call(self, fn: Callable[[], T], *, deadline: Deadline | None = None) -> T:
-        """Invoke ``fn`` until it succeeds, attempts run out, or the
-        deadline expires; re-raises non-retryable exceptions immediately."""
+    def call(self, fn: Callable[[], T]) -> T:
+        """Invoke ``fn`` until it succeeds or attempts run out; re-raises
+        non-retryable exceptions immediately."""
         last_error: BaseException | None = None
         delays = self.delays()
         for attempt in range(1, self.max_attempts + 1):
-            if deadline is not None:
-                deadline.require("retryable operation")
             try:
                 return fn()
             except self.retry_on as exc:
@@ -193,8 +184,6 @@ class Retry:
                 if attempt == self.max_attempts:
                     break
                 delay = next(delays)
-                if deadline is not None:
-                    delay = min(delay, deadline.remaining())
                 if self._on_retry is not None:
                     self._on_retry(attempt, exc, delay)
                 self._sleep(delay)
@@ -265,10 +254,6 @@ class CircuitBreaker:
             self._transition(BREAKER_HALF_OPEN)
             self._probes = 0
         return self._state
-
-    @property
-    def consecutive_failures(self) -> int:
-        return self._failures
 
     def _transition(self, new_state: str) -> None:
         old_state = self._state
@@ -363,12 +348,6 @@ class TokenBucket:
                 self.capacity, self._tokens + elapsed * self.refill_per_s
             )
             self._last_refill = now
-
-    @property
-    def available(self) -> float:
-        """Tokens currently in the bucket (after a lazy refill)."""
-        self._refill()
-        return self._tokens
 
     def try_acquire(self, tokens: float = 1.0) -> bool:
         """Take ``tokens`` if available; False means shed the request."""

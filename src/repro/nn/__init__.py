@@ -21,7 +21,7 @@ The API is intentionally close to the familiar ``torch.nn`` shape::
 
 from repro.nn.classifier import MaskedMLPClassifier
 from repro.nn.dueling import DuelingHead, DuelingNetwork
-from repro.nn.initializers import he_init, zeros_init
+from repro.nn.initializers import he_init
 from repro.nn.layers import (
     Layer,
     Linear,
@@ -52,5 +52,4 @@ __all__ = [
     "he_init",
     "load_state_dict",
     "state_dict",
-    "zeros_init",
 ]

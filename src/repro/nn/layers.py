@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import LifecycleError
 
 from repro.analysis.numerics import stable_sigmoid
-from repro.nn.initializers import get_initializer
+from repro.nn.initializers import he_init
 
 
 class Parameter:
@@ -96,7 +96,7 @@ class Layer(ABC):
 
 
 class Linear(Layer):
-    """Fully connected layer ``y = x @ W + b``.
+    """Fully connected layer ``y = x @ W + b``: ``W`` starts He-normal, ``b`` zero.
 
     :meth:`forward` and :meth:`backward` also take a stacked layer
     (:meth:`stack`): weights ``(K, in, out)``, bias ``(K, out)`` and input
@@ -111,17 +111,16 @@ class Linear(Layer):
         in_features: int,
         out_features: int,
         rng: np.random.Generator,
-        weight_init: str = "he",
-        bias: bool = True,
         name: str = "linear",
     ) -> None:
         if in_features <= 0 or out_features <= 0:
             raise ValueError(
                 f"feature dimensions must be positive, got {in_features}, {out_features}"
             )
-        init = get_initializer(weight_init)
-        self.weight = Parameter(f"{name}.weight", init(in_features, out_features, rng))
-        self.bias = Parameter(f"{name}.bias", np.zeros(out_features)) if bias else None
+        self.weight = Parameter(
+            f"{name}.weight", he_init(in_features, out_features, rng)
+        )
+        self.bias = Parameter(f"{name}.bias", np.zeros(out_features))
         self._x: np.ndarray | None = None
 
     @classmethod
@@ -132,17 +131,12 @@ class Linear(Layer):
         training it leaves ``layers`` untouched until the caller copies
         slice ``k`` back into layer ``k``.
         """
-        biases = [layer.bias for layer in layers if layer.bias is not None]
-        if biases and len(biases) != len(layers):
-            raise ValueError("stacked layers must all have a bias or none")
         stacked = cls.__new__(cls)
         stacked.weight = Parameter(
             layers[0].weight.name, np.stack([layer.weight.value for layer in layers])
         )
-        stacked.bias = (
-            Parameter(biases[0].name, np.stack([bias.value for bias in biases]))
-            if biases
-            else None
+        stacked.bias = Parameter(
+            layers[0].bias.name, np.stack([layer.bias.value for layer in layers])
         )
         stacked._x = None
         return stacked
@@ -162,35 +156,25 @@ class Linear(Layer):
                 f"expected input with {self.in_features} features, got {x.shape[-1]}"
             )
         self._x = x
-        out = x @ self.weight.value
-        if self.bias is not None:
-            out = out + self.bias.value[..., None, :]
-        return out
+        return x @ self.weight.value + self.bias.value[..., None, :]
 
     def infer_batch(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.in_features:
             raise ValueError(
                 f"expected input with {self.in_features} features, got {x.shape[1]}"
             )
-        out = x @ self.weight.value
-        if self.bias is not None:
-            out = out + self.bias.value
-        return out
+        return x @ self.weight.value + self.bias.value
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise LifecycleError("backward called before forward")
         grad_output = np.atleast_2d(grad_output)
         self.weight.grad += self._x.swapaxes(-1, -2) @ grad_output
-        if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=-2)
+        self.bias.grad += grad_output.sum(axis=-2)
         return grad_output @ self.weight.value.swapaxes(-1, -2)
 
     def parameters(self) -> list[Parameter]:
-        params = [self.weight]
-        if self.bias is not None:
-            params.append(self.bias)
-        return params
+        return [self.weight, self.bias]
 
 
 class ReLU(Layer):

@@ -41,7 +41,6 @@ class DuelingDQNAgent:
         target_sync_every: int,
         rng: np.random.Generator,
         grad_clip: float = 10.0,
-        double_dqn: bool = True,
     ) -> None:
         if not 0.0 <= gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {gamma}")
@@ -53,7 +52,6 @@ class DuelingDQNAgent:
         self.epsilon_schedule = epsilon_schedule
         self.target_sync_every = target_sync_every
         self.grad_clip = grad_clip
-        self.double_dqn = double_dqn
         self._rng = rng
         self.online = DuelingNetwork(state_dim, n_actions, hidden, rng)
         self.target = DuelingNetwork(state_dim, n_actions, hidden, rng)
@@ -137,8 +135,9 @@ class DuelingDQNAgent:
     ) -> np.ndarray:
         """TD targets for the taken actions of a batch.
 
-        Targets use (Double-)DQN bootstrapping, then are tightened from
-        below by each step's observed return-to-go (the R̂ Algorithm 1
+        Targets use Double DQN bootstrapping (the online network picks the
+        next action, the target network scores it), then are tightened
+        from below by each step's observed return-to-go (the R̂ Algorithm 1
         stores in the buffer), which lower-bounds the optimal Q in this
         deterministic MDP.  The base agent ignores ``task_id``; multi-task
         reward-rescaling variants (the PopArt baseline) key their running
@@ -148,13 +147,8 @@ class DuelingDQNAgent:
         if not len(batch):
             raise ValueError("compute_targets requires a non-empty batch")
         next_q_target = self.target.infer(batch.next_states)
-        if self.double_dqn:
-            # Double DQN: online network picks the action, target scores it.
-            next_q_online = self.online.infer(batch.next_states)
-            best_actions = next_q_online.argmax(axis=1)
-            bootstrap = next_q_target[np.arange(len(batch)), best_actions]
-        else:
-            bootstrap = next_q_target.max(axis=1)
+        best_actions = self.online.infer(batch.next_states).argmax(axis=1)
+        bootstrap = next_q_target[np.arange(len(batch)), best_actions]
         targets = batch.rewards + np.where(batch.dones, 0.0, self.gamma * bootstrap)
 
         check_state_batch("agent.compute_targets", batch.states, self.state_dim)

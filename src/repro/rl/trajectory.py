@@ -52,10 +52,6 @@ class Trajectory:
     def length(self) -> int:
         return len(self.actions)
 
-    @property
-    def total_reward(self) -> float:
-        return float(self.rewards.sum())
-
 
 @dataclass(frozen=True)
 class EpisodeSummary:

@@ -9,8 +9,7 @@ that property into a service:
   greedy episodes in lockstep, at most one batched Q-forward per feature
   step (bit-exact with sequential :meth:`repro.core.pafeat.PAFeat.select`);
 * :class:`~repro.serve.registry.ModelRegistry` — versioned, checksum-
-  verified model loading with corruption fallback, hot swap and an LRU
-  task-representation cache;
+  verified model loading with corruption fallback and hot swap;
 * :class:`~repro.serve.batcher.MicroBatcher` — an asyncio request queue
   that flushes on batch size or latency budget, with bounded-depth
   admission control, per-request deadlines, a self-healing flush-loop
@@ -21,9 +20,9 @@ that property into a service:
   expired deadlines, a circuit breaker around model reloads) built on
   :mod:`repro.io.resilience`;
 * :class:`~repro.serve.metrics.ServeMetrics` — latency p50/p99, queue
-  depth, batch-size distribution, cache hit rate and the shed/deadline/
-  breaker/watchdog resilience counters, kept as plain attributes and
-  rendered as the ``/metrics`` page by the class itself.
+  depth, batch-size distribution and the shed/deadline/breaker/watchdog
+  resilience counters, kept as plain attributes and rendered as the
+  ``/metrics`` page by the class itself.
 
 Run it: ``python -m repro serve --checkpoint-dir <model-or-versions-dir>``
 (see ``examples/serve_client.py`` for a self-contained demo).
@@ -38,12 +37,7 @@ from repro.serve.batcher import (
 )
 from repro.serve.engine import BatchedGreedyEngine
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
-from repro.serve.registry import (
-    ModelRegistry,
-    ModelVersion,
-    RegistryError,
-    task_fingerprint,
-)
+from repro.serve.registry import ModelRegistry, ModelVersion, RegistryError
 from repro.serve.server import SelectionServer
 
 __all__ = [
@@ -59,5 +53,4 @@ __all__ = [
     "SelectionServer",
     "ServeMetrics",
     "ServiceUnavailable",
-    "task_fingerprint",
 ]

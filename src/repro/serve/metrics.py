@@ -5,8 +5,8 @@
 under one lock in its ``observe_*`` methods, and renders the ``/metrics``
 page itself in Prometheus text format 0.0.4: the counter and gauge
 families from the ``(name, type, help, attribute)`` table :data:`_PAGE`,
-then the latency histogram, then the provider-backed gauges
-(circuit-breaker state, representation-cache hit rate).
+then the latency histogram, then the provider-backed circuit-breaker
+state gauge.
 
 Two complementary latency views:
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from repro.analysis import tsan
 
@@ -126,10 +126,6 @@ class LatencyHistogram:
         rank = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
         return ordered[rank]
 
-    @property
-    def window_size(self) -> int:
-        return len(self._window)
-
     def snapshot(self) -> dict:
         return {
             "count": self.total,
@@ -164,7 +160,6 @@ class ServeMetrics:
         self.breaker_transitions_total = 0
         #: queue-wait + batch-execution time per request.
         self.request_latency = LatencyHistogram()
-        self._cache_stats: Callable[[], Mapping[str, int]] | None = None
         self._breaker_state: Callable[[], str] | None = None
 
     # -- recording ------------------------------------------------------
@@ -210,27 +205,11 @@ class ServeMetrics:
             self.queue_depth = int(depth)
             self.queue_depth_peak = max(self.queue_depth_peak, self.queue_depth)
 
-    def set_cache_stats_provider(
-        self, provider: Callable[[], Mapping[str, int]]
-    ) -> None:
-        """Hook the registry's representation-cache counters in lazily."""
-        self._cache_stats = provider
-
     def set_breaker_state_provider(self, provider: Callable[[], str]) -> None:
         """Hook the reload circuit breaker's state in lazily."""
         self._breaker_state = provider
 
     # -- reading --------------------------------------------------------
-    def cache_hit_rate(self) -> float | None:
-        """Representation-cache hit rate in [0, 1], or None when unwired."""
-        if self._cache_stats is None:
-            return None
-        stats = self._cache_stats()
-        lookups = int(stats.get("hits", 0)) + int(stats.get("misses", 0))
-        if lookups == 0:
-            return 0.0
-        return int(stats.get("hits", 0)) / lookups
-
     def snapshot(self) -> dict:
         with self._lock:
             data = {
@@ -249,11 +228,6 @@ class ServeMetrics:
         data["latency"] = self.request_latency.snapshot()
         if self._breaker_state is not None:
             data["breaker_state"] = self._breaker_state()
-        hit_rate = self.cache_hit_rate()
-        if hit_rate is not None:
-            data["cache_hit_rate"] = round(hit_rate, 6)
-            assert self._cache_stats is not None
-            data["cache"] = dict(self._cache_stats())
         return data
 
     def render(self) -> str:
@@ -297,14 +271,10 @@ class ServeMetrics:
             yield f'repro_serve_latency_ms_bucket{{le="{label}"}} {cumulative}'
 
     def _provider_lines(self) -> Iterator[str]:
-        """Provider-backed gauges: breaker state and cache hit rate."""
+        """The provider-backed gauge: circuit-breaker state."""
         if self._breaker_state is not None:
             state = self._breaker_state()
             value = BREAKER_STATE_VALUES.get(state, -1)
             yield "# HELP repro_serve_breaker_state 0=closed 1=half_open 2=open"
             yield "# TYPE repro_serve_breaker_state gauge"
             yield f"repro_serve_breaker_state {value}"
-        hit_rate = self.cache_hit_rate()
-        if hit_rate is not None:
-            yield "# TYPE repro_serve_cache_hit_rate gauge"
-            yield f"repro_serve_cache_hit_rate {hit_rate:.6f}"

@@ -41,32 +41,18 @@ field (the current pair, the skip history) is therefore guarded by the
 swap lock — a :class:`repro.analysis.tsan.TrackedLock`, so chaos runs
 with ``REPRO_TSAN=1`` verify the locking dynamically.  The lock is held
 only for attribute rebinds and list snapshots, never across file I/O.
-The representation cache is intentionally *not* locked: it is touched
-only by the event-loop thread (repolint's ASYNC902 checks this).
-
-**Representation cache.**  Selection requests arrive as raw task data
-(features + labels); the |Pearson| task representation is the only
-preprocessing, and repeat requests for the same task are common in
-production (retries, A/B probes, shared dashboards).  A bounded LRU keyed
-on a SHA-256 fingerprint of the task bytes makes those repeats skip the
-recompute; hits and misses feed the ``/metrics`` cache-hit-rate gauge.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from repro.analysis import tsan
 from repro.analysis.tsan import TrackedLock
 from repro.core.artifact import load_model
 from repro.core.pafeat import PAFeat
-from repro.data.stats import pearson_representation
 from repro.errors import ServeError
 
 _LOG = logging.getLogger(__name__)
@@ -108,33 +94,10 @@ def artifact_signature(path: Path) -> FileSignature | None:
     )
 
 
-def task_fingerprint(features: np.ndarray, labels: np.ndarray) -> str:
-    """Content hash of a task's data — the representation-cache key.
-
-    Covers values, dtypes and shapes of both arrays, so any change in the
-    task produces a different key.
-    """
-    features = np.ascontiguousarray(features)
-    labels = np.ascontiguousarray(labels)
-    digest = hashlib.sha256()
-    for array in (features, labels):
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(str(array.shape).encode("utf-8"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
 class ModelRegistry:
     """Versioned store of inference artifacts under one root directory."""
 
-    def __init__(
-        self, root: str | Path, representation_cache_size: int = 256
-    ) -> None:
-        if representation_cache_size < 1:
-            raise ValueError(
-                f"representation_cache_size must be >= 1, "
-                f"got {representation_cache_size}"
-            )
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         if not self.root.is_dir():
             raise FileNotFoundError(f"registry root {self.root} is not a directory")
@@ -155,10 +118,6 @@ class ModelRegistry:
         # when it failed: while it still has it, a rescan counts the
         # version as skipped without re-reading it or listing it again.
         self._failed: dict[Path, FileSignature | None] = {}
-        self._cache_capacity = representation_cache_size
-        self._representations: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._cache_hits = 0
-        self._cache_misses = 0
 
     # -- discovery ------------------------------------------------------
     def candidate_versions(self) -> list[tuple[str, Path]]:
@@ -256,16 +215,6 @@ class ModelRegistry:
             return self._current is not None
 
     @property
-    def model(self) -> PAFeat:
-        """The currently served model; :meth:`load` must have succeeded."""
-        with self._swap_lock:
-            tsan.note(self, "_current")
-            current = self._current
-        if current is None:
-            raise RegistryError("no model loaded; call load() first")
-        return current[0]
-
-    @property
     def version(self) -> ModelVersion:
         with self._swap_lock:
             tsan.note(self, "_current")
@@ -296,30 +245,3 @@ class ModelRegistry:
         with self._swap_lock:
             tsan.note(self, "_skips_total")
             return self._skips_total
-
-    # -- representation cache ------------------------------------------
-    def representation(
-        self, features: np.ndarray, labels: np.ndarray
-    ) -> np.ndarray:
-        """The task's |Pearson| representation, LRU-cached by fingerprint."""
-        key = task_fingerprint(features, labels)
-        cached = self._representations.get(key)
-        if cached is not None:
-            self._cache_hits += 1
-            self._representations.move_to_end(key)
-            return cached
-        self._cache_misses += 1
-        value = pearson_representation(features, labels)
-        self._representations[key] = value
-        while len(self._representations) > self._cache_capacity:
-            self._representations.popitem(last=False)
-        return value
-
-    def cache_stats(self) -> dict[str, int]:
-        """Hit/miss counters for the ``/metrics`` cache-hit-rate gauge."""
-        return {
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "size": len(self._representations),
-            "capacity": self._cache_capacity,
-        }

@@ -8,7 +8,7 @@ connections) does not justify one.
 Request path::
 
     client ──POST /select──▶ admission (rate limit, deadline)
-                         ──▶ registry.representation (LRU)
+                         ──▶ pearson_representation
                          ──▶ MicroBatcher.submit ──┐
                                                    ▼  flush on
                               BatchedGreedyEngine ◀┘  size/time
@@ -18,17 +18,18 @@ Request path::
 Endpoints:
 
 * ``POST /select`` — body ``{"features": [[...]], "labels": [...]}`` (raw
-  task data; the representation is computed and LRU-cached) or
+  task data; the representation is computed per request) or
   ``{"representation": [...]}`` (precomputed |Pearson| vector), plus an
   optional ``"timeout_ms"`` — the client's latency budget, capped by the
   server's.  Response: the selected subset, the serving model version and
-  the request latency.  A malformed request, or a task of another feature
-  count than the serving model's, is a ``400`` before admission.
+  the request latency.  A malformed request (a body that is not UTF-8
+  JSON, a non-finite or out-of-range number, a bad ``timeout_ms``), or a
+  task of another feature count than the serving model's, is a ``400``
+  before admission.
 * ``GET /healthz`` — liveness + the served model version, batcher
   liveness and reload-breaker state.
 * ``GET /metrics`` — Prometheus-style text (latency p50/p99, queue depth,
-  batch-size distribution, cache hit rate, shed/deadline/breaker/watchdog
-  counters).
+  batch-size distribution, shed/deadline/breaker/watchdog counters).
 * ``POST /reload`` — rescan the registry root and hot-swap to a newer
   valid model version (no restart; corrupt candidates are skipped).
 
@@ -66,6 +67,7 @@ import numpy as np
 
 from repro.analysis import tsan
 from repro.core.batch import check_representations
+from repro.data.stats import pearson_representation
 from repro.errors import DataValidationError, LifecycleError, ServeError
 from repro.io.lifecycle import GracefulShutdown
 from repro.io.resilience import (
@@ -240,7 +242,6 @@ class SelectionServer:
             ),
             version,
         )
-        self.metrics.set_cache_stats_provider(self.registry.cache_stats)
         self._batcher = MicroBatcher(
             self._select_batch,
             max_batch_size=self.max_batch_size,
@@ -344,7 +345,7 @@ class SelectionServer:
     ) -> None:
         try:
             response = await self._handle_request(reader)
-        except (_BadRequest, json.JSONDecodeError) as exc:
+        except _BadRequest as exc:
             self.metrics.observe_error()
             response = _json_response(400, {"error": str(exc)})
         except _DROPPED_CONNECTION_ERRORS:
@@ -518,7 +519,12 @@ class SelectionServer:
                 {"error": "rate limit exceeded"},
                 headers=(_retry_after_header(self._bucket.retry_after_s()),),
             )
-        payload = json.loads(raw.decode("utf-8")) if raw else {}
+        try:
+            payload = json.loads(raw.decode("utf-8")) if raw else {}
+        except (ValueError, RecursionError) as exc:
+            # Not UTF-8, not JSON, an integer of more digits than int()
+            # converts, or nesting deeper than the decoder recurses.
+            raise _BadRequest(str(exc)) from exc
         if not isinstance(payload, dict):
             raise _BadRequest("request body must be a JSON object")
         deadline = self._request_deadline(payload)
@@ -574,13 +580,16 @@ class SelectionServer:
         budget_ms = self.request_timeout_ms
         client_ms = payload.get("timeout_ms")
         if client_ms is not None:
-            if not isinstance(client_ms, (int, float)) or client_ms <= 0:
-                raise _BadRequest("'timeout_ms' must be a positive number")
-            budget_ms = (
-                float(client_ms)
-                if budget_ms is None
-                else min(budget_ms, float(client_ms))
-            )
+            # bool is an int subclass, and an int may exceed float range.
+            if isinstance(client_ms, bool) or not isinstance(client_ms, (int, float)):
+                raise _BadRequest("'timeout_ms' must be a finite positive number")
+            try:
+                client_ms = float(client_ms)
+            except OverflowError as exc:
+                raise _BadRequest(f"'timeout_ms' out of range: {exc}") from exc
+            if not (math.isfinite(client_ms) and client_ms > 0):
+                raise _BadRequest("'timeout_ms' must be a finite positive number")
+            budget_ms = client_ms if budget_ms is None else min(budget_ms, client_ms)
         if budget_ms is None:
             return None
         return Deadline.after_ms(budget_ms, clock=self._clock)
@@ -588,29 +597,37 @@ class SelectionServer:
     def _parse_task(self, payload: dict) -> np.ndarray:
         """Representation from the request: precomputed, or raw task data.
 
-        Its width is checked against the serving model here, at admission,
-        so a request of the wrong width gets its own 400 instead of failing
+        It is checked against the serving model here, at admission (width,
+        finiteness), so a bad request gets its own 400 instead of failing
         the batch it would have ridden in (the engine's own check stays as
         the backstop for a hot swap to a model of another width).
         """
         if "representation" in payload:
             try:
                 rep = np.asarray(payload["representation"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise _BadRequest(f"non-numeric representation: {exc}") from exc
             if rep.ndim != 1:
                 raise _BadRequest("'representation' must be a flat number list")
+            # A |Pearson| vector lies in [0, 1] (NaN fails both tests); an
+            # entry near float's range would overflow the state encoding.
+            if not ((rep >= 0.0) & (rep <= 1.0)).all():
+                raise _BadRequest("'representation' entries must lie in [0, 1]")
         elif "features" in payload and "labels" in payload:
             try:
                 features = np.asarray(payload["features"], dtype=np.float64)
                 labels = np.asarray(payload["labels"], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise _BadRequest(f"non-numeric task data: {exc}") from exc
             if features.ndim != 2:
                 raise _BadRequest("'features' must be a 2-D number matrix")
             if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
                 raise _BadRequest("'labels' must align with the feature rows")
-            rep = self.registry.representation(features, labels)
+            # As StructuredTable does for library tasks: a NaN or infinite
+            # cell would otherwise read as correlation 0, silently.
+            if not (np.isfinite(features).all() and np.isfinite(labels).all()):
+                raise _BadRequest("task data must be finite (no NaN or Infinity)")
+            rep = pearson_representation(features, labels)
         else:
             raise _BadRequest(
                 "request needs either 'representation' or 'features'+'labels'"

@@ -206,10 +206,8 @@ class TestProgressCache:
 
 
 class TestIntraTaskExplorer:
-    def make_explorer(self, invoke_probability=1.0, use_pe=True):
-        config = ITEConfig(
-            invoke_probability=invoke_probability, use_policy_exploitation=use_pe
-        )
+    def make_explorer(self, invoke_probability=1.0):
+        config = ITEConfig(invoke_probability=invoke_probability)
         return IntraTaskExplorer(4, config, np.random.default_rng(0))
 
     def test_default_start_for_empty_tree(self):
@@ -239,6 +237,14 @@ class TestIntraTaskExplorer:
         assert explorer.tree(0) is not explorer.tree(1)
         assert explorer.tree(0) is explorer.tree(0)
 
-    def test_policy_exploitation_flag(self):
-        assert self.make_explorer(use_pe=True).exploration_policy_is_learned
-        assert not self.make_explorer(use_pe=False).exploration_policy_is_learned
+    def test_policy_exploitation_sets_the_restart_policy(self, tiny_split):
+        """Table III's "w/o PE": without policy exploitation a fit restarts
+        customised episodes with the random policy; by default, the learned
+        one."""
+        train, _ = tiny_split
+        default = PAFeat(fast_config(n_iterations=1)).fit(train)
+        without_pe = PAFeat(
+            fast_config(n_iterations=1, ite=ITEConfig(use_policy_exploitation=False))
+        ).fit(train)
+        assert default.trainer.restart_policy == "learned"
+        assert without_pe.trainer.restart_policy == "random"

@@ -1,11 +1,10 @@
-"""Unit tests for tasks, task suites and split utilities."""
+"""Unit tests for tasks, task suites and row splits."""
 
 import numpy as np
 import pytest
 
-from repro.data.splits import train_test_split_indices
 from repro.data.table import StructuredTable
-from repro.data.tasks import Task, TaskSuite
+from repro.data.tasks import TaskSuite
 
 
 @pytest.fixture
@@ -22,11 +21,6 @@ class TestTask:
         assert task.n_features == 5
         assert task.labels.shape == (20,)
         assert task.ground_truth_features == (1, 2)
-
-    def test_positive_rate(self, rng):
-        table = StructuredTable(rng.standard_normal((4, 2)), np.array([1, 1, 0, 1]))
-        task = Task("t", 0, table)
-        assert task.positive_rate() == pytest.approx(0.75)
 
 
 class TestTaskSuite:
@@ -66,19 +60,3 @@ class TestTaskSuite:
         b, _ = suite.split_rows(0.7, np.random.default_rng(3))
         np.testing.assert_array_equal(a.table.features, b.table.features)
 
-
-class TestSplitIndices:
-    def test_partition_complete_and_disjoint(self, rng):
-        train, test = train_test_split_indices(100, 0.7, rng)
-        assert len(train) + len(test) == 100
-        assert not set(train) & set(test)
-
-    def test_both_sides_non_empty_extreme_fraction(self, rng):
-        train, test = train_test_split_indices(10, 0.999, rng)
-        assert len(test) >= 1
-        train, test = train_test_split_indices(10, 0.001, rng)
-        assert len(train) >= 1
-
-    def test_too_few_rows_raise(self, rng):
-        with pytest.raises(ValueError, match="at least 2"):
-            train_test_split_indices(1, 0.5, rng)

@@ -99,16 +99,6 @@ class TestEvaluateSubset:
         assert good["f1"] > bad["f1"] + 0.15
         assert good["auc"] > bad["auc"] + 0.15
 
-    def test_linear_kernel_option(self):
-        x, labels = linearly_separable(400)
-        result = evaluate_subset_with_svm(
-            (0, 1), x[:300], labels[:300], x[300:], labels[300:], kernel="linear"
-        )
-        assert result["f1"] > 0.8
-
-    def test_invalid_kernel_raises(self):
-        with pytest.raises(ValueError, match="kernel"):
-            evaluate_subset_with_svm((0,), np.zeros((4, 1)), np.zeros(4), np.zeros((4, 1)), np.zeros(4), kernel="poly")
 
 
 class TestMaskedClassifier:

@@ -1,4 +1,4 @@
-"""Tests for model and dataset persistence."""
+"""Tests for model persistence."""
 
 import copy
 import json
@@ -11,8 +11,6 @@ from repro import load_model, save_model
 from repro.core.artifact import config_from_dict, config_to_dict
 from repro.core.config import PAFeatConfig
 from repro.core.pafeat import PAFeat
-from repro.data.suite_csv import load_suite_csv, save_suite_csv
-from repro.data.tasks import TaskSuite
 from repro.io.checkpoint import CheckpointManager
 from tests.conftest import fast_config
 from tests.faults import flip_bit, truncate_file
@@ -95,7 +93,7 @@ class TestModelPersistence:
         registry = ModelRegistry(directory)
         registry.load()
         assert registry.recent_skips() == []
-        assert registry.model.select_all_unseen(train) == expected
+        assert registry.serving()[0].select_all_unseen(train) == expected
 
     def test_unfitted_model_raises(self, tmp_path):
         with pytest.raises(RuntimeError, match="not fitted"):
@@ -180,85 +178,3 @@ class TestCheckpointLogging:
             f"skipping corrupt checkpoint {newest}: "
         )
 
-
-class TestSuiteCsv:
-    def test_round_trip(self, tiny_suite, tmp_path):
-        save_suite_csv(tiny_suite, tmp_path / "data")
-        restored = load_suite_csv(tmp_path / "data")
-        np.testing.assert_allclose(restored.table.features, tiny_suite.table.features)
-        np.testing.assert_array_equal(restored.table.labels, tiny_suite.table.labels)
-        assert restored.n_seen == tiny_suite.n_seen
-        assert restored.n_unseen == tiny_suite.n_unseen
-
-    def test_ground_truth_survives(self, tiny_suite, tmp_path):
-        save_suite_csv(tiny_suite, tmp_path / "data")
-        restored = load_suite_csv(tmp_path / "data")
-        for original, loaded in zip(tiny_suite.all_tasks(), restored.all_tasks()):
-            assert original.ground_truth_features == loaded.ground_truth_features
-
-    def test_column_names_survive(self, tiny_suite, tmp_path):
-        save_suite_csv(tiny_suite, tmp_path / "data")
-        restored = load_suite_csv(tmp_path / "data")
-        assert restored.table.feature_names == tiny_suite.table.feature_names
-        assert restored.table.label_names == tiny_suite.table.label_names
-
-    def test_corrupt_sidecar_detected(self, tiny_suite, tmp_path):
-        directory = save_suite_csv(tiny_suite, tmp_path / "data")
-        sidecar = json.loads((directory / "suite.json").read_text())
-        sidecar["n_features"] = 999
-        (directory / "suite.json").write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match="columns"):
-            load_suite_csv(directory)
-
-    def test_loaded_suite_usable_for_training(self, tiny_suite, tmp_path):
-        save_suite_csv(tiny_suite, tmp_path / "data")
-        restored = load_suite_csv(tmp_path / "data")
-        train, _ = restored.split_rows(0.7, np.random.default_rng(0))
-        model = PAFeat(fast_config(n_iterations=3)).fit(train)
-        assert model.select(train.unseen_tasks[0])
-
-    def test_round_trip_without_ground_truth(self, tiny_suite, tmp_path):
-        suite = TaskSuite(
-            tiny_suite.name,
-            tiny_suite.table,
-            seen_label_indices=[t.label_index for t in tiny_suite.seen_tasks],
-            unseen_label_indices=[t.label_index for t in tiny_suite.unseen_tasks],
-            ground_truth=None,  # real exports rarely know the answer key
-        )
-        save_suite_csv(suite, tmp_path / "data")
-        restored = load_suite_csv(tmp_path / "data")
-        assert all(t.ground_truth_features is None for t in restored.all_tasks())
-        assert restored.n_seen == suite.n_seen
-
-    def test_round_trip_with_zero_unseen_tasks(self, tiny_suite, tmp_path):
-        suite = TaskSuite(
-            tiny_suite.name,
-            tiny_suite.table,
-            seen_label_indices=[t.label_index for t in tiny_suite.all_tasks()],
-            unseen_label_indices=[],
-        )
-        save_suite_csv(suite, tmp_path / "data")
-        restored = load_suite_csv(tmp_path / "data")
-        assert restored.n_unseen == 0
-        assert restored.n_seen == suite.n_seen
-
-    def test_ragged_row_reported_by_line(self, tiny_suite, tmp_path):
-        directory = save_suite_csv(tiny_suite, tmp_path / "data")
-        csv_path = directory / "data.csv"
-        lines = csv_path.read_text().splitlines()
-        truncated = ",".join(lines[3].split(",")[:-2])  # drop two trailing cells
-        lines[3] = truncated
-        csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="row at line 4"):
-            load_suite_csv(directory)
-
-    def test_non_numeric_cell_reported_by_line(self, tiny_suite, tmp_path):
-        directory = save_suite_csv(tiny_suite, tmp_path / "data")
-        csv_path = directory / "data.csv"
-        lines = csv_path.read_text().splitlines()
-        cells = lines[5].split(",")
-        cells[0] = "not-a-number"
-        lines[5] = ",".join(cells)
-        csv_path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="row at line 6.*non-numeric"):
-            load_suite_csv(directory)

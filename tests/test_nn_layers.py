@@ -68,11 +68,6 @@ class TestLinear:
         grad_in = layer.backward(np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(grad_in, [[3.0, 7.0]])
 
-    def test_no_bias_mode(self, rng):
-        layer = Linear(3, 2, rng, bias=False)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
     def test_invalid_dims_raise(self, rng):
         with pytest.raises(ValueError, match="must be positive"):
             Linear(0, 2, rng)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.dueling import DuelingHead, DuelingNetwork
-from repro.nn.initializers import get_initializer, he_init, zeros_init
+from repro.nn.initializers import he_init
 from repro.nn.losses import BCELoss, HuberLoss
 from repro.nn.network import MLP, load_state_dict, state_dict
 from repro.nn.optim import Adam
@@ -14,13 +14,6 @@ class TestInitializers:
     def test_he_variance_scales_with_fan_in(self, rng):
         weights = he_init(1000, 50, rng)
         assert weights.std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.15)
-
-    def test_zeros(self, rng):
-        assert np.all(zeros_init(3, 3, rng) == 0.0)
-
-    def test_lookup_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown initializer"):
-            get_initializer("nope")
 
     def test_invalid_fan_raises(self, rng):
         with pytest.raises(ValueError):

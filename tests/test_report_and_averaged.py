@@ -1,10 +1,6 @@
-"""Tests for the report orchestrator and multi-run averaging."""
-
-import numpy as np
-import pytest
+"""Tests for the report orchestrator."""
 
 from repro.experiments import report
-from repro.experiments.runner import run_method_averaged
 
 
 class TestReportOrchestrator:
@@ -33,27 +29,3 @@ class TestReportOrchestrator:
         rendered = sections["Table I"]()
         assert "yeast" in rendered
 
-
-class TestRunMethodAveraged:
-    def test_averages_over_runs(self):
-        result = run_method_averaged(
-            "k-best", "water-quality", scale="smoke", n_runs=2
-        )
-        assert result.method == "k-best"
-        assert 0.0 <= result.avg_f1 <= 1.0
-        assert result.per_task  # first run's detail retained
-
-    def test_single_run_equals_direct(self):
-        averaged = run_method_averaged(
-            "all-features", "water-quality", scale="smoke", n_runs=1, base_seed=3
-        )
-        from repro.experiments.runner import load_suite, run_method
-
-        suite = load_suite("water-quality", "smoke")
-        train, test = suite.split_rows(0.7, np.random.default_rng(3))
-        direct = run_method("all-features", train, test, scale="smoke", seed=3)
-        assert averaged.avg_f1 == pytest.approx(direct.avg_f1)
-
-    def test_invalid_runs_raise(self):
-        with pytest.raises(ValueError, match="n_runs"):
-            run_method_averaged("k-best", "water-quality", scale="smoke", n_runs=0)

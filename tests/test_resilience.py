@@ -50,10 +50,10 @@ class TestDeadline:
     def test_after_ms_and_require(self):
         clock = FakeClock()
         deadline = Deadline.after_ms(250.0, clock=clock)
-        deadline.require("step one")  # within budget: no raise
+        assert deadline.remaining() == pytest.approx(0.25)
+        assert not deadline.expired
         clock.advance(0.25)
-        with pytest.raises(DeadlineExceeded, match="step one exceeded its 250 ms"):
-            deadline.require("step one")
+        assert deadline.expired
 
     def test_zero_budget_is_born_expired(self):
         deadline = Deadline(0.0, clock=FakeClock())
@@ -126,29 +126,6 @@ class TestRetry:
         raw = [0.1, 0.2, 0.4, 0.5, 0.5]  # capped exponential, pre-jitter
         for delay, bound in zip(first, raw):
             assert 0.5 * bound <= delay <= bound  # jitter=0.5 scales in [.5, 1]
-
-    def test_deadline_stops_attempts_and_caps_sleeps(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
-        sleeps: list[float] = []
-
-        def sleep(seconds: float) -> None:
-            sleeps.append(seconds)
-            clock.advance(seconds)
-
-        def always_down() -> None:
-            clock.advance(0.6)  # each attempt burns budget
-            raise OSError("down")
-
-        retry = Retry(
-            max_attempts=10, base_delay_s=5.0, max_delay_s=5.0, jitter=0.0,
-            sleep=sleep,
-        )
-        with pytest.raises(DeadlineExceeded):
-            retry.call(always_down, deadline=deadline)
-        # Attempt 1 burns 0.6s, the backoff is capped to the 0.4s left, and
-        # attempt 2 is refused before running: exactly one capped sleep.
-        assert sleeps == [pytest.approx(0.4)]
 
     def test_on_retry_hook_sees_attempt_error_and_delay(self):
         seen: list[tuple[int, str, float]] = []
@@ -238,7 +215,6 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_failure()
         breaker.record_success()
-        assert breaker.consecutive_failures == 0
         breaker.record_failure()
         assert breaker.state == BREAKER_CLOSED
 
@@ -283,9 +259,11 @@ class TestTokenBucket:
         bucket = TokenBucket(2, 4.0, clock=clock)
         assert bucket.try_acquire(2.0)
         clock.advance(0.25)  # +1 token
-        assert bucket.available == pytest.approx(1.0)
+        assert not bucket.try_acquire(1.000001)
+        assert bucket.try_acquire(1.0)
         clock.advance(10.0)  # far past capacity
-        assert bucket.available == pytest.approx(2.0)
+        assert not bucket.try_acquire(2.000002)
+        assert bucket.try_acquire(2.0)
 
     def test_retry_after_names_the_refill_time(self):
         clock = FakeClock()

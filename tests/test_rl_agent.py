@@ -123,6 +123,24 @@ class TestUpdates:
         # stored return lifts the target to 2.
         assert agent.q_values(np.ones(4))[0][1] > 1.0
 
+    def test_bootstrap_is_target_q_at_online_argmax(self):
+        """Double DQN: the online network picks the next action and the
+        target network scores it, here where the target's own max differs."""
+        agent = make_agent(gamma=0.9)
+        next_state = np.full(4, 0.5)
+        # Zeroed heads make Q(s', ·) = 2 + centred advantage bias:
+        # online [2.5, 1.5] (argmax 0), target [1.5, 2.5] (max 2.5 at 1).
+        for network, favoured in ((agent.online, 0), (agent.target, 1)):
+            head = network.layers[-1]
+            for parameter in head.parameters():
+                parameter.value[...] = 0.0
+            head.value_head.bias.value[...] = 2.0
+            head.advantage_head.bias.value[favoured] = 1.0
+        assert agent.online.infer(next_state).argmax() == 0
+        assert agent.target.infer(next_state).argmax() == 1
+        batch = step_before(np.ones(4), 1, 1.0, next_state)
+        np.testing.assert_allclose(agent.compute_targets(batch), [1.0 + 0.9 * 1.5])
+
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError, match="non-empty"):
             make_agent().update(episode_batch(make_episode([1], state_dim=4), rows=[]))
@@ -182,11 +200,3 @@ class TestValidation:
     def test_invalid_gamma(self):
         with pytest.raises(ValueError, match="gamma"):
             make_agent(gamma=1.5)
-
-    def test_double_dqn_flag_changes_bootstrap(self):
-        plain = make_agent(double_dqn=False)
-        double = make_agent(double_dqn=True)
-        batch = step_before(np.ones(4), 1, 1.0, np.full(4, 0.5))
-        # Just exercising both paths; they should both train without error.
-        assert np.isfinite(plain.update(batch))
-        assert np.isfinite(double.update(batch))

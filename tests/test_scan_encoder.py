@@ -199,11 +199,13 @@ class TestMatchesReference:
                     else random_state(rng, m, env.max_selectable - 1)
                 )
                 returned = [env.reset_to(start)]
-                logical = [env.logical_state()]
+                logical = [EnvState(selected=env.selected, position=env.position)]
                 while not env.done:
                     state, _, _, _ = env.step(int(rng.integers(2)))
                     returned.append(state)
-                    logical.append(env.logical_state())
+                    logical.append(
+                        EnvState(selected=env.selected, position=env.position)
+                    )
                 # Compared after the episode: every returned state is its
                 # own memory, unchanged by later steps.
                 for state, at in zip(returned, logical):

@@ -119,3 +119,24 @@ class TestWrongFeatureCount:
         engine = BatchedGreedyEngine.from_model(fitted_tiny_model)
         with pytest.raises(DataValidationError, match=message):
             engine.select_tasks(narrow_suite.unseen_tasks)
+
+
+class TestNonFiniteRepresentation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_non_finite_representation(
+        self, fitted_tiny_model, tiny_split, value
+    ):
+        train, _ = tiny_split
+        good = [
+            pearson_representation(task.features, task.labels)
+            for task in train.unseen_tasks
+        ]
+        broken = good[0].copy()
+        broken[4] = value
+        engine = BatchedGreedyEngine.from_model(fitted_tiny_model)
+        with pytest.raises(
+            DataValidationError, match="representation 1 has a non-finite entry"
+        ):
+            engine.select_representations([good[1], broken, broken])
+        # The valid representations alone still answer.
+        assert len(engine.select_representations(good)) == len(good)

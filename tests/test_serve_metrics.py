@@ -30,7 +30,6 @@ class TestLatencyHistogram:
         # ...but stays in the cumulative counters.
         assert histogram.total == 5
         assert histogram.sum_ms == 110.0
-        assert histogram.window_size == 4
 
     def test_bucket_counts_are_cumulative_in_snapshot(self):
         histogram = LatencyHistogram(buckets_ms=(1.0, 10.0, math.inf))
@@ -87,17 +86,6 @@ class TestServeMetrics:
         assert snapshot["batch_sizes"] == {1: 1, 3: 2}
         assert snapshot["queue_depth"] == 2
         assert snapshot["queue_depth_peak"] == 5
-        assert "cache_hit_rate" not in snapshot  # no provider wired
-
-    def test_cache_hit_rate(self):
-        metrics = ServeMetrics()
-        assert metrics.cache_hit_rate() is None
-        stats = {"hits": 0, "misses": 0}
-        metrics.set_cache_stats_provider(lambda: stats)
-        assert metrics.cache_hit_rate() == 0.0
-        stats.update(hits=3, misses=1)
-        assert metrics.cache_hit_rate() == 0.75
-        assert metrics.snapshot()["cache_hit_rate"] == 0.75
 
     def test_prometheus_rendering(self):
         metrics = ServeMetrics()
@@ -223,8 +211,6 @@ repro_serve_latency_ms_bucket{le="+Inf"} 5
 # HELP repro_serve_breaker_state 0=closed 1=half_open 2=open
 # TYPE repro_serve_breaker_state gauge
 repro_serve_breaker_state 1
-# TYPE repro_serve_cache_hit_rate gauge
-repro_serve_cache_hit_rate 0.750000
 """
 
 FRESH_PAGE = r"""# HELP repro_serve_requests_total Selection requests completed.
@@ -295,7 +281,6 @@ def filled_metrics() -> ServeMetrics:
         metrics.observe_shed(reason)
     metrics.observe_queue_depth(7)
     metrics.observe_queue_depth(2)
-    metrics.set_cache_stats_provider(lambda: {"hits": 3, "misses": 1})
     metrics.set_breaker_state_provider(lambda: "half_open")
     return metrics
 

@@ -1,4 +1,4 @@
-"""Model registry: version discovery, corruption fallback, hot swap, caching."""
+"""Model registry: version discovery, corruption fallback, hot swap."""
 
 from __future__ import annotations
 
@@ -6,13 +6,12 @@ import json
 import logging
 import shutil
 
-import numpy as np
 import pytest
 
 from repro import load_model, save_model
 from repro.errors import ArtifactError, DataValidationError
 from repro.io.checkpoint import sha256_file
-from repro.serve import ModelRegistry, RegistryError, task_fingerprint
+from repro.serve import ModelRegistry, RegistryError
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,7 @@ class TestDiscoveryAndLoad:
         assert version.path == model_artifact
         assert version.n_features == 12  # TINY_SPEC feature count
         assert registry.version is version
-        assert registry.model.select is not None
+        assert registry.serving()[0].select is not None
         assert registry.recent_skips() == []
 
     def test_versioned_root_serves_newest(self, model_artifact, tmp_path):
@@ -155,7 +154,7 @@ class TestDiscoveryAndLoad:
     def test_accessors_require_load(self, tmp_path):
         registry = ModelRegistry(tmp_path)
         with pytest.raises(RegistryError, match="call load"):
-            registry.model
+            registry.serving()
         with pytest.raises(RegistryError, match="call load"):
             registry.version
 
@@ -182,13 +181,13 @@ class TestHotSwap:
         shutil.copytree(model_artifact, root / "v0001")
         registry = ModelRegistry(root)
         registry.load()
-        old_model = registry.model
+        old_model = registry.serving()[0]
 
         shutil.copytree(model_artifact, root / "v0002")
         corrupt_weights(root / "v0002")
         assert registry.refresh() is False
         assert registry.version.name == "v0001"
-        assert registry.model is old_model
+        assert registry.serving()[0] is old_model
         assert [path.name for path, _ in registry.recent_skips()] == ["v0002"]
 
     def test_known_bad_version_is_read_once_and_listed_once(
@@ -232,51 +231,6 @@ class TestHotSwap:
         shutil.copytree(model_artifact, root / "v0002")
         assert registry.refresh() is True
         assert registry.version.name == "v0002"
-
-
-class TestRepresentationCache:
-    def test_hits_misses_and_values(self, model_artifact, rng):
-        registry = ModelRegistry(model_artifact)
-        features = rng.normal(size=(30, 5))
-        labels = (rng.random(30) > 0.5).astype(np.float64)
-        first = registry.representation(features, labels)
-        second = registry.representation(features, labels)
-        np.testing.assert_array_equal(first, second)
-        assert registry.cache_stats() == {
-            "hits": 1, "misses": 1, "size": 1, "capacity": 256,
-        }
-
-    def test_lru_eviction_is_bounded(self, model_artifact, rng):
-        registry = ModelRegistry(model_artifact, representation_cache_size=2)
-        tasks = [
-            (rng.normal(size=(10, 3)), (rng.random(10) > 0.5).astype(np.float64))
-            for _ in range(3)
-        ]
-        for features, labels in tasks:
-            registry.representation(features, labels)
-        assert registry.cache_stats()["size"] == 2
-        # task 0 was evicted: requesting it again is a miss...
-        registry.representation(*tasks[0])
-        assert registry.cache_stats()["misses"] == 4
-        # ...while task 2 (recently used) still hits.
-        registry.representation(*tasks[2])
-        assert registry.cache_stats()["hits"] == 1
-
-    def test_cache_size_validation(self, model_artifact):
-        with pytest.raises(ValueError, match="representation_cache_size"):
-            ModelRegistry(model_artifact, representation_cache_size=0)
-
-
-class TestTaskFingerprint:
-    def test_sensitive_to_values_shape_and_dtype(self, rng):
-        features = rng.normal(size=(8, 4))
-        labels = np.ones(8)
-        base = task_fingerprint(features, labels)
-        assert task_fingerprint(features, labels) == base
-        assert task_fingerprint(features + 1e-12, labels) != base
-        assert task_fingerprint(features.astype(np.float32), labels) != base
-        assert task_fingerprint(features.reshape(4, 8), labels) != base
-        assert task_fingerprint(features, np.zeros(8)) != base
 
 
 class TestThreadSafety:

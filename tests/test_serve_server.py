@@ -79,6 +79,12 @@ async def http_full(host, port, method, path, payload=None):
     return status, headers, parsed
 
 
+#: An integer of 401 digits, beyond float range, and the eleven entries
+#: that complete a representation for the tiny model's 12 features.
+_HUGE_INT = "1" + "0" * 400
+_REP_TAIL = ", 0.5" * 11
+
+
 def run_with_server(registry, scenario, **server_kwargs):
     """Start a server on an ephemeral port, run the scenario, stop it."""
 
@@ -144,13 +150,10 @@ class TestEndpoints:
             second = await http(host, port, "POST", "/select", payload=payload)
             return first, second
 
-        registry = ModelRegistry(model_artifact)
-        (s1, b1), (s2, b2) = run_with_server(registry, scenario)
+        (s1, b1), (s2, b2) = run_with_server(ModelRegistry(model_artifact), scenario)
         assert (s1, s2) == (200, 200)
         assert tuple(b1["subset"]) == fitted_tiny_model.select(task)
         assert b1["subset"] == b2["subset"]
-        stats = registry.cache_stats()
-        assert (stats["hits"], stats["misses"]) == (1, 1)
 
     def test_concurrent_selects_share_batches(self, model_artifact, tiny_split):
         train, _ = tiny_split
@@ -188,7 +191,6 @@ class TestEndpoints:
         assert status == 200
         assert "repro_serve_requests_total 1" in text
         assert 'repro_serve_latency_ms{quantile="0.99"}' in text
-        assert "repro_serve_cache_hit_rate" in text
 
     def test_reload_hot_swaps_to_new_version(self, model_artifact, tmp_path):
         root = tmp_path / "versions"
@@ -301,6 +303,87 @@ class TestErrorPaths:
 
         status, _ = run_with_server(ModelRegistry(model_artifact), scenario)
         assert status == 400
+
+    @pytest.mark.parametrize(
+        "raw_body, fragment",
+        [
+            pytest.param(
+                f'{{"representation": [{_HUGE_INT}{_REP_TAIL}]}}',
+                "int too large", id="huge-int-in-representation",
+            ),
+            pytest.param(
+                f'{{"features": [[0.5], [1.5]], "labels": [0, {_HUGE_INT}]}}',
+                "int too large", id="huge-int-in-labels",
+            ),
+            pytest.param(
+                f'{{"representation": [0.5{_REP_TAIL}], "timeout_ms": {_HUGE_INT}}}',
+                "timeout_ms", id="huge-int-timeout",
+            ),
+            pytest.param(b"\xff\xfe{}", "utf-8", id="body-not-utf8"),
+            pytest.param(
+                f'{{"representation": [NaN{_REP_TAIL}]}}',
+                "[0, 1]", id="nan-in-representation",
+            ),
+            pytest.param(
+                f'{{"representation": [0.5{_REP_TAIL[:-5]}, 1e400]}}',
+                "[0, 1]", id="1e400-in-representation",
+            ),
+            pytest.param(
+                f'{{"representation": [1.5e308{_REP_TAIL}]}}',
+                "[0, 1]", id="representation-out-of-range",
+            ),
+            pytest.param(
+                f'{{"representation": [0.5{_REP_TAIL}], "timeout_ms": true}}',
+                "timeout_ms", id="bool-timeout",
+            ),
+            pytest.param(
+                f'{{"representation": [0.5{_REP_TAIL}], "timeout_ms": NaN}}',
+                "timeout_ms", id="nan-timeout",
+            ),
+            pytest.param(
+                f'{{"representation": [0.5{_REP_TAIL}], "timeout_ms": Infinity}}',
+                "timeout_ms", id="infinite-timeout",
+            ),
+            pytest.param(
+                '{"representation": [' + "1" * 5000 + "]}",
+                "", id="int-of-5000-digits",
+            ),
+            pytest.param("[" * 10_000 + "]" * 10_000, "recursion", id="deep-nesting"),
+        ],
+    )
+    def test_malformed_numbers_and_bodies_are_400(
+        self, model_artifact, raw_body, fragment
+    ):
+        """Never a 500, and never a subset computed from a value no valid
+        request holds."""
+        if isinstance(raw_body, str):
+            raw_body = raw_body.encode()
+
+        async def scenario(server, host, port):
+            return await http(host, port, "POST", "/select", raw_body=raw_body)
+
+        status, body = run_with_server(ModelRegistry(model_artifact), scenario)
+        assert status == 400
+        assert fragment in body["error"]
+
+    @pytest.mark.parametrize("column", ["features", "labels"])
+    def test_non_finite_task_data_is_400(self, model_artifact, tiny_split, column):
+        """A NaN cell would otherwise read as correlation 0 (and a NaN
+        label as 0 for every feature), answering a made-up subset."""
+        train, _ = tiny_split
+        task = train.unseen_tasks[0]
+        payload = {"features": task.features.tolist(), "labels": task.labels.tolist()}
+        if column == "features":
+            payload["features"][3][5] = float("nan")
+        else:
+            payload["labels"][3] = float("nan")
+
+        async def scenario(server, host, port):
+            return await http(host, port, "POST", "/select", payload=payload)
+
+        status, body = run_with_server(ModelRegistry(model_artifact), scenario)
+        assert status == 400
+        assert "finite" in body["error"]
 
     def test_unknown_path_is_404_and_wrong_method_is_405(self, model_artifact):
         async def scenario(server, host, port):
