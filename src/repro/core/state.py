@@ -67,6 +67,8 @@ _T_MEAN_REMAINING = _MOVED.index(_MEAN_REMAINING)
 _T_MAX_REMAINING = _MOVED.index(_MAX_REMAINING)
 _T_PERCENTILE = _MOVED.index(_PERCENTILE)
 _T_REDUNDANCY = _MOVED.index(_REDUNDANCY)
+# Their offsets among the scan scalars, as an index array.
+_MOVED_SCALARS = np.array(_MOVED)
 
 
 @dataclass(frozen=True)
@@ -127,21 +129,27 @@ class ScanEncoder:
     percentile and the redundancy, with the terminal cursor last (progress
     1, the rest 0).  A step then costs one :meth:`move` (one write of a
     table entry) plus, for the rows that select, one :meth:`select`;
-    :meth:`window` reads the states of a run of deselects off the same
-    table.  Each entry is the exact operation ``encode_state`` always
+    :meth:`window` reads the scan scalars of a run of deselects off the
+    same table.  Each entry is the exact operation ``encode_state`` always
     used, so the encodings are bit-identical:
 
     * a mean is ``np.add.reduce(x) / len(x)``, which is what ``np.mean``
       computes for float64 (the same pairwise sum, the same division);
       a 2-D ``add.reduce`` over the last axis runs that sum on each row,
-      and the selected values are kept contiguous, in scan order;
+      and the selected values are kept contiguous, in scan order.  Fewer
+      than 8 values are summed left to right, and the unused slots after
+      them hold -0.0, which leaves a sum as it is, so while every
+      selecting row holds fewer than 8 features one ``add.reduce`` over
+      the first 7 slots is each row's own sum;
     * max and comparison counts are exact in any order, so suffix maxima
-      come from one reversed ``maximum.accumulate``, percentiles from
-      ``count_nonzero`` over ``(rows, m, m)`` comparisons, and the
-      redundancy from a running ``maximum`` over the selected features'
-      correlation columns;
+      come from one reversed ``maximum.accumulate``, percentiles from one
+      stable ``argsort`` per row (the count of values at most ``rep[p]``
+      is one past the end of ``rep[p]``'s run of equal values in sorted
+      order), and the redundancy from a running ``maximum`` over the
+      selected features' correlation columns;
     * fractions, progress and the budget left are exact small-integer
-      arithmetic, whether numpy or Python does it.
+      arithmetic, whether numpy or Python does it; the selected fraction
+      and the budget left come from per-count tables.
 
     ``rows`` arguments are anything numpy indexes rows with: one row, an
     index array, or (for :meth:`move`) a slice.
@@ -171,8 +179,12 @@ class ScanEncoder:
         self._feature_corr = feature_corr
         #: Selected features per row.
         self.counts = np.zeros(n_rows, dtype=np.int64)
-        # Each row's selected |corr| values, in scan order.
-        self._chosen = np.zeros((n_rows, m))
+        # Each row's selected |corr| values, in scan order; -0.0 after them.
+        self._chosen = np.full((n_rows, m), -0.0)
+        # The selected fraction and the budget left, per selected count.
+        selected = np.arange(m + 1)
+        self._fractions = selected / m
+        self._budget_left = np.maximum(0.0, (self.budget - selected) / self.budget)
         # Redundancy per row and cursor position p: the max of corr[p, k]
         # over the selected k.  ``_running`` folds in one column per select
         # from maximum's identity, -inf; the table's redundancy plane is
@@ -191,19 +203,9 @@ class ScanEncoder:
         for position in range(m):
             np.add.reduce(reps[:, position:], axis=1, out=mean_remaining[:, position])
         mean_remaining[:, :m] /= np.arange(m, 0, -1)
-        # mean(rep <= rep[p]) is a count of Trues over m: exact however the
-        # count is taken (NaNs compare False either way).  One comparison
-        # per block of rows, at most 2**20 booleans: a 64-row batch at
-        # m = 72 is one block, while at m = 1020 a row is a block, as a
-        # (64, m, m) comparison would take 64 MiB.
-        block = max(1, 2**20 // (m * m))
-        for start in range(0, n_rows, block):
-            part = reps[start : start + block]
-            table[start : start + block, _T_PERCENTILE, :m] = (
-                np.count_nonzero(part[:, None, :] <= part[:, :, None], axis=2) / m
-            )
+        table[:, _T_PERCENTILE, :m] = _percentiles(reps)
         #: State columns of the table's scalars.
-        self._columns = 2 * m + np.array(_MOVED)
+        self._columns = 2 * m + _MOVED_SCALARS
         self.states = np.zeros((n_rows, state_dim(m)))
         self.states[:, :m] = reps
         self.states[:, 2 * m + _BUDGET_LEFT] = 1.0
@@ -218,21 +220,22 @@ class ScanEncoder:
     def window(
         self, rows: "slice | np.ndarray", position: int, width: int
     ) -> np.ndarray:
-        """The states ``rows`` reach at ``position … position + width − 1``
-        by deselecting every feature in between, as one block.
+        """The scan scalars ``rows`` reach at ``position … position + width
+        − 1`` by deselecting every feature in between, as one block.
 
         A deselect only moves the cursor, so the state at offset ``j`` is
-        the row's current state with what :meth:`move` to ``position + j``
-        would write.  Returns a ``(n · width, state_dim)`` array, row
-        ``i · width + j`` for row ``i`` of ``rows`` at offset ``j``; the
-        encoder's own states are left as they are.
+        the row's current ``[rep | mask]`` and its current scan scalars
+        with what :meth:`move` to ``position + j`` would write.  Returns
+        the scalars alone, a ``(n · width, 9)`` array, row ``i · width +
+        j`` for row ``i`` of ``rows`` at offset ``j``; the encoder's own
+        states are left as they are.
         """
-        current = self.states[rows]
+        current = self.states[rows, 2 * self.n_features :]
         n_rows = current.shape[0]
         block = np.repeat(current, width, axis=0).reshape(n_rows, width, -1)
         span = self._table[rows, :, position : position + width]
-        block[:, :, self._columns] = span.swapaxes(1, 2)
-        return block.reshape(n_rows * width, -1)
+        block[:, :, _MOVED_SCALARS] = span.swapaxes(1, 2)
+        return block.reshape(n_rows * width, N_SCAN_SCALARS)
 
     def select(self, rows: "int | np.ndarray", position: int) -> None:
         """``rows`` (one row or an index array), with the cursor at
@@ -262,10 +265,14 @@ class ScanEncoder:
         selected = np.asarray(state.selected, dtype=np.int64)
         count = len(selected)
         self.counts[row] = count
+        self._chosen[row] = -0.0
         self._chosen[row, :count] = self._table[row, _T_CURSOR, selected]
+        # The empty selection: fraction 0, mean 0, the whole budget left.
         self.states[row, m:] = 0.0
-        self.states[row, m + selected] = 1.0
-        self._write_selection(row, count)
+        self.states[row, 2 * m + _BUDGET_LEFT] = 1.0
+        if count:
+            self.states[row, m + selected] = 1.0
+            self._write_selection(row, count)
         self._running[row] = -np.inf
         self._table[row, _T_REDUNDANCY] = 0.0
         if self._feature_corr is not None and count:
@@ -278,20 +285,43 @@ class ScanEncoder:
     def _write_selection(
         self, rows: "int | np.ndarray", counts: "int | np.ndarray"
     ) -> None:
-        """The selected fraction, mean |corr| and budget left of ``rows``."""
+        """The selected fraction, mean |corr| and budget left of ``rows``,
+        each holding at least one feature."""
         scalars = 2 * self.n_features
         states = self.states
-        states[rows, scalars + _FRAC_SELECTED] = counts / self.n_features
-        states[rows, scalars + _BUDGET_LEFT] = np.maximum(
-            0.0, (self.budget - counts) / self.budget
-        )
+        states[rows, scalars + _FRAC_SELECTED] = self._fractions[counts]
+        states[rows, scalars + _BUDGET_LEFT] = self._budget_left[counts]
+        if np.max(counts) < 8:
+            states[rows, scalars + _MEAN_SELECTED] = (
+                np.add.reduce(self._chosen[rows, :7], axis=-1) / counts
+            )
+            return
         for row, count in zip(
             np.reshape(rows, -1).tolist(), np.reshape(counts, -1).tolist()
         ):
-            if count:
-                states[row, scalars + _MEAN_SELECTED] = (
-                    np.add.reduce(self._chosen[row, :count]) / count
-                )
+            states[row, scalars + _MEAN_SELECTED] = (
+                np.add.reduce(self._chosen[row, :count]) / count
+            )
+
+
+def _percentiles(reps: np.ndarray) -> np.ndarray:
+    """``mean(rep <= rep[p])`` for every position ``p`` of every row.
+
+    A count of the values at most ``rep[p]``, over m: in sorted order, one
+    past the end of ``rep[p]``'s run of equal values (signed zeros are one
+    run).  NaN sorts last, each NaN its own run, and is at most nothing.
+    """
+    n_rows, m = reps.shape
+    order = np.argsort(reps, axis=1, kind="stable")
+    rows = np.arange(n_rows)[:, None]
+    ordered = reps[rows, order]
+    run_ends = np.full((n_rows, m), m)
+    run_ends[:, :-1] = np.where(ordered[:, 1:] != ordered[:, :-1], np.arange(1, m), m)
+    counts = np.minimum.accumulate(run_ends[:, ::-1], axis=1)[:, ::-1]
+    counts[np.isnan(ordered)] = 0
+    plane = np.empty((n_rows, m))
+    plane[rows, order] = counts / m
+    return plane
 
 
 def encode_state(

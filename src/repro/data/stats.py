@@ -12,12 +12,18 @@ import numpy as np
 
 from repro.analysis.numerics import safe_div, safe_xlogy
 
+# The normal float range a column's sum of squares must fall in.
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
+
 
 def pearson_representation(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-feature |Pearson correlation| with the label vector.
 
     Returns a vector in [0, 1] of length ``m``.  Constant features (or a
-    constant label vector) get a correlation of 0 rather than NaN.
+    constant label vector) get a correlation of 0 rather than NaN.  A
+    column of any finite magnitude gets its |Pearson| (see
+    :func:`_centered_columns`).
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -29,13 +35,13 @@ def pearson_representation(features: np.ndarray, labels: np.ndarray) -> np.ndarr
         )
     if features.shape[0] < 2:
         return np.zeros(features.shape[1])
-    x_centered = features - features.mean(axis=0)
-    y_centered = labels - labels.mean()
-    x_std = np.sqrt(np.sum(x_centered**2, axis=0))
-    y_std = np.sqrt(np.sum(y_centered**2))
-    denominator = x_std * y_std
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = np.where(denominator > 0, x_centered.T @ y_centered / denominator, 0.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        x_centered, x_std = _centered_columns(features)
+        y_column, y_norm = _centered_columns(labels[:, None])
+        denominator = x_std * y_norm[0]
+        corr = np.where(
+            denominator > 0, x_centered.T @ y_column[:, 0] / denominator, 0.0
+        )
     return np.abs(np.clip(corr, -1.0, 1.0))
 
 
@@ -98,9 +104,31 @@ def feature_redundancy_matrix(features: np.ndarray) -> np.ndarray:
     n, m = features.shape
     if n < 2:
         return np.zeros((m, m))
-    centered = features - features.mean(axis=0)
-    std = np.sqrt(np.sum(centered**2, axis=0))
-    denominator = std[:, None] * std[None, :]
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        centered, std = _centered_columns(features)
+        denominator = std[:, None] * std[None, :]
         corr = np.where(denominator > 0, centered.T @ centered / denominator, 0.0)
     return np.abs(np.clip(corr, -1.0, 1.0))
+
+
+def _centered_columns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column of ``values`` less its mean, and the norm of the result.
+
+    A column whose sum of squares overflows, or falls below the smallest
+    normal float, loses its correlation to the squaring (a finite column
+    near 1e160 reads 0, one near 1e-160 loses digits).  |Pearson| does not
+    depend on scale, so such a column is redone divided by its largest
+    |value|; every other column keeps this arithmetic's bits.  A constant
+    column stays 0.  Callers ignore overflow, underflow and invalid
+    results (``np.errstate``): the first pass may produce them.
+    """
+    centered = values - values.mean(axis=0)
+    squares = np.sum(centered**2, axis=0)
+    if _TINY <= squares.min() and squares.max() <= _HUGE:
+        return centered, np.sqrt(squares)
+    redo = ~((squares >= _TINY) & (squares <= _HUGE))
+    scale = np.max(np.abs(values[:, redo]), axis=0)
+    scaled = values[:, redo] / np.where(scale > 0, scale, 1.0)
+    centered[:, redo] = scaled - scaled.mean(axis=0)
+    squares[redo] = np.sum(centered[:, redo] ** 2, axis=0)
+    return centered, np.sqrt(squares)

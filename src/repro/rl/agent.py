@@ -28,7 +28,13 @@ from repro.rl.schedules import Schedule
 
 
 class DuelingDQNAgent:
-    """Dueling DQN with target network, epsilon-greedy policy and Adam."""
+    """Dueling DQN with target network, epsilon-greedy policy and Adam.
+
+    Training acts through :meth:`act`.  Every greedy action comes from
+    :meth:`act_preactivations`, on first-layer pre-activations that
+    :meth:`act_batch` computes from states and the lockstep kernel
+    (:mod:`repro.core.batch`) keeps per episode.
+    """
 
     def __init__(
         self,
@@ -85,21 +91,41 @@ class DuelingDQNAgent:
             return int(best[0])
         return int(self._rng.choice(best))
 
-    def act_batch(self, states: np.ndarray) -> np.ndarray:
-        """Greedy actions for a batch of states in one forward pass.
+    @property
+    def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
+        """The online network's first-layer weight ``(state_dim, h)`` and
+        bias ``(h,)``: a state's pre-activation is ``state @ W + b``."""
+        weight, bias = self.online.layers[0].parameters()
+        return weight.value, bias.value
 
-        The one greedy rule: every greedy episode (``PAFeat.select``,
-        serving, training-time scoring, explanations) runs the lockstep
-        kernel of :mod:`repro.core.batch`, which calls this once per round
-        with one forward over the active episodes' states at the round's
-        positions.  Deliberately
-        side-effect free — it neither advances the epsilon schedule's
-        action counter nor draws from the exploration RNG, so inference
-        traffic cannot perturb training state.  Exact Q ties break to the
-        lowest action index (``argmax``).
+    def act_preactivations(self, preactivations: np.ndarray) -> np.ndarray:
+        """Greedy actions for a batch of first-layer pre-activations.
+
+        The one greedy rule: the rest of the online network (ReLU, any
+        further trunk layers, the dueling head), then an argmax that breaks
+        exact Q ties to the lowest action, action 0.  :meth:`act_batch` is
+        this rule on ``states @ W + b``; the lockstep kernel of
+        :mod:`repro.core.batch`, which runs every greedy episode
+        (``PAFeat.select``, serving, training-time scoring, explanations),
+        calls it once per round on pre-activations it keeps per episode.
+        Deliberately side-effect free — it neither advances the epsilon
+        schedule's action counter nor draws from the exploration RNG, so
+        inference traffic cannot perturb training state.
         """
-        q = self.q_values(states)
-        return np.asarray(q.argmax(axis=1), dtype=np.int64)
+        x = preactivations
+        for layer in self.online.layers[1:]:
+            x = layer.infer_batch(x)
+        return np.asarray(x.argmax(axis=1), dtype=np.int64)
+
+    def act_batch(self, states: np.ndarray) -> np.ndarray:
+        """Greedy actions for a batch of states in one forward pass:
+        :meth:`act_preactivations` on ``states @ W + b``, the arithmetic of
+        the first layer's inference pass, so its Q rows are
+        :meth:`q_values`'s."""
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        check_state_batch("agent.act_batch", states, self.state_dim)
+        weight, bias = self.first_layer
+        return self.act_preactivations(states @ weight + bias)
 
     def update(self, batch: ReplayBatch, task_id: int | None = None) -> float:
         """One Dueling-DQN step on a replay minibatch; returns the loss.

@@ -14,14 +14,15 @@ it:
   representation of the wrong feature count fails before any work, with
   its index in the request;
 * chunking: arbitrarily large request batches are split into lockstep
-  groups of at most ``max_batch_size`` episodes, keeping the
-  ``(B, state_dim)`` activations cache-sized.  The default is the
-  kernel's :data:`~repro.core.batch.FORWARD_ROWS`, its rows per forward.
+  groups of at most ``max_batch_size`` episodes, keeping the kernel's
+  per-call state cache-sized.  The default is the kernel's
+  :data:`~repro.core.batch.FORWARD_ROWS`, its rows per forward.
 
-A task's subset does not depend on the batch it rides in, and the engine
-answers with the same empty-subset fallback
-(:func:`repro.core.batch.served_subsets`), so results equal per-task
-:meth:`repro.core.pafeat.PAFeat.select` exactly.
+A task's subset does not depend on the batch it rides in, except at a
+Q-gap within rounding of 0, and the engine answers with the same
+empty-subset fallback (:func:`repro.core.batch.served_subsets`), so
+results equal per-task :meth:`repro.core.pafeat.PAFeat.select` exactly
+away from such near-ties.
 """
 
 from __future__ import annotations

@@ -184,3 +184,29 @@ def test_env_encode_passes_contract_on_real_episode(contracts_on):
     while not env.done:
         state, _, _, _ = env.step(0)
         assert np.all(np.isfinite(state))
+
+
+def test_kernel_checks_each_state_row_it_scores(contracts_on, rng):
+    """The lockstep kernel scores first-layer pre-activations, not states;
+    with contracts on it still checks the full state row behind each one,
+    in lookahead windows and in lockstep rounds."""
+    from repro.core.batch import batched_greedy_subsets
+    from repro.core.config import EnvConfig
+    from repro.core.state import state_dim
+    from repro.rl.agent import DuelingDQNAgent
+    from repro.rl.schedules import ConstantSchedule
+
+    m = 6
+    agent = DuelingDQNAgent(
+        state_dim(m), 2, (8,), 0.9, 1e-3, ConstantSchedule(0.0), 10, rng
+    )
+    advantage = agent.online.layers[-1].advantage_head.bias.value
+    representations = [np.abs(rng.normal(size=m)) for _ in range(3)]
+    corr = np.abs(rng.normal(size=(m, m)))
+    corr[:, 0] = np.nan  # the redundancy a row shows once it selects feature 0
+    advantage[0] = 1e3  # deselect everything: windows of 1, 2 and 3 rows
+    config = EnvConfig(max_feature_ratio=1.0)
+    assert batched_greedy_subsets(agent, representations[:1], config, corr) == [()]
+    advantage[0], advantage[1] = 0.0, 1e3  # select everything, in lockstep
+    with pytest.raises(ContractViolation, match="batch.greedy"):
+        batched_greedy_subsets(agent, representations, config, corr)

@@ -3,11 +3,34 @@
 import numpy as np
 import pytest
 
+from repro.data.catalog import DATASETS
 from repro.data.stats import (
     feature_redundancy_matrix,
     mutual_information_scores,
     pearson_representation,
 )
+from repro.data.synthetic import generate_suite
+
+
+def reference_pearson(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``pearson_representation`` before columns of extreme magnitude were
+    rescaled, frozen as the oracle for every other column."""
+    x_centered = features - features.mean(axis=0)
+    y_centered = labels - labels.mean()
+    x_std = np.sqrt(np.sum(x_centered**2, axis=0))
+    y_std = np.sqrt(np.sum(y_centered**2))
+    denominator = x_std * y_std
+    with np.errstate(invalid="ignore", divide="ignore"):
+        corr = np.where(denominator > 0, x_centered.T @ y_centered / denominator, 0.0)
+    return np.abs(np.clip(corr, -1.0, 1.0))
+
+
+def two_correlated_columns(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    labels = rng.integers(0, 2, 200).astype(float)
+    features = np.column_stack(
+        [labels + rng.standard_normal(200), labels + 0.9 * rng.standard_normal(200)]
+    )
+    return features, labels
 
 
 class TestPearsonRepresentation:
@@ -46,6 +69,55 @@ class TestPearsonRepresentation:
     def test_row_mismatch_raises(self, rng):
         with pytest.raises(ValueError, match="row mismatch"):
             pearson_representation(rng.standard_normal((5, 2)), np.zeros(6))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160])
+    def test_scale_of_a_column_or_the_labels_does_not_matter(self, rng, scale):
+        features, labels = two_correlated_columns(rng)
+        expected = pearson_representation(features, labels)
+        scaled = features.copy()
+        scaled[:, 1] *= scale
+        representation = pearson_representation(scaled, labels)
+        # The untouched column keeps its bits.
+        assert representation[0] == expected[0]
+        assert representation[1] == pytest.approx(expected[1], abs=1e-12)
+        np.testing.assert_allclose(
+            pearson_representation(features, labels * scale), expected, atol=1e-12
+        )
+
+    def test_column_whose_mean_overflows(self, rng):
+        features, labels = two_correlated_columns(rng)
+        expected = pearson_representation(features, labels)
+        shifted = features.copy()
+        shifted[:, 1] = 1e306 * (1.0 + 0.1 * features[:, 1])
+        with np.errstate(over="ignore"):
+            assert np.isinf(shifted[:, 1].mean())
+        np.testing.assert_allclose(
+            pearson_representation(shifted, labels), expected, atol=1e-12
+        )
+
+    def test_constant_column_of_any_magnitude_scores_zero(self, rng):
+        features, labels = two_correlated_columns(rng)
+        for value in (1e-300, 1e306, -1.7e308):
+            constant = features.copy()
+            constant[:, 1] = value
+            assert pearson_representation(constant, labels)[1] == 0.0
+
+    def test_select_wide_pools_keep_their_bits(self):
+        """The bootstrap pools the select and serve benchmarks ask, on the
+        emotions twin, are representations of ordinary magnitude: every
+        one equals the reference's bit for bit."""
+        suite = generate_suite(DATASETS["emotions"].to_synthetic())
+        n = suite.table.n_rows
+        for seed in (0, 41):
+            rng = np.random.default_rng([seed, 1])
+            for index in range(256):
+                task = suite.unseen_tasks[index % len(suite.unseen_tasks)]
+                table = suite.table.select_rows(rng.integers(0, n, size=n))
+                features = table.features
+                labels = table.label_column(task.label_index)
+                representation = pearson_representation(features, labels)
+                expected = reference_pearson(features, labels)
+                assert representation.tobytes() == expected.tobytes()
 
 
 class TestMutualInformation:
@@ -102,3 +174,16 @@ class TestRedundancyMatrix:
         matrix = feature_redundancy_matrix(x)
         assert matrix[0, 1] == 0.0
         assert matrix[0, 0] == 0.0
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160])
+    def test_scale_of_a_column_does_not_matter(self, rng, scale):
+        features, _ = two_correlated_columns(rng)
+        features = np.column_stack([features, rng.standard_normal(200)])
+        expected = feature_redundancy_matrix(features)
+        scaled = features.copy()
+        scaled[:, 1] *= scale
+        matrix = feature_redundancy_matrix(scaled)
+        np.testing.assert_allclose(matrix, expected, atol=1e-12)
+        # Entries between untouched columns keep their bits.
+        assert matrix[0, 2] == expected[0, 2]
+        assert matrix[2, 2] == expected[2, 2]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines.popart import PopArtAgent
+from repro.core.state import state_dim
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.schedules import ConstantSchedule
 from tests.conftest import episode_batch, make_episode
@@ -58,6 +60,41 @@ class TestActionSelection:
             assert agent.act_batch(states).tolist() == [0, 0]
         assert agent._rng.bit_generator.state == rng_state
         assert agent.action_count == count
+
+    @pytest.mark.parametrize("agent_class", [DuelingDQNAgent, PopArtAgent])
+    @pytest.mark.parametrize("hidden", [(64,), (16, 16)])
+    def test_act_batch_is_the_q_values_argmax(self, agent_class, hidden):
+        """``act_batch`` is the greedy rule on ``states @ W + b``: the
+        argmax of ``q_values``'s rows, bit for bit, at any row count."""
+        rng = np.random.default_rng(len(hidden))
+        dim = state_dim(72)
+        agent = agent_class(dim, 2, hidden, 0.9, 1e-3, ConstantSchedule(0.0), 100, rng)
+        weight, bias = agent.first_layer
+        assert (weight.shape, bias.shape) == ((dim, hidden[0]), (hidden[0],))
+        for rows in (1, 2, 64, 129):
+            states = rng.normal(size=(rows, dim))
+            expected = agent.q_values(states).argmax(axis=1)
+            assert np.array_equal(agent.act_batch(states), expected)
+            assert np.array_equal(
+                agent.act_preactivations(states @ weight + bias), expected
+            )
+        assert agent.act_batch(states[0]).tolist() == [expected[0]]
+
+    @pytest.mark.parametrize("hidden", [(64,), (16, 16)])
+    def test_dead_relus_tie_to_action_zero(self, hidden):
+        """Every hidden unit dead: both Q are the head's, an exact tie."""
+        rng = np.random.default_rng(7)
+        dim = state_dim(12)
+        agent = DuelingDQNAgent(
+            dim, 2, hidden, 0.9, 1e-3, ConstantSchedule(0.0), 100, rng
+        )
+        agent.first_layer[1][...] = -1e6
+        agent.online.layers[-1].advantage_head.bias.value[...] = 0.25
+        states = rng.uniform(size=(9, dim))
+        q = agent.q_values(states)
+        assert np.all(q[:, 0] == q[:, 1])
+        assert q.argmax(axis=1).tolist() == [0] * 9
+        assert agent.act_batch(states).tolist() == [0] * 9
 
     def test_full_exploration_is_uniform(self):
         agent = make_agent(epsilon=1.0)

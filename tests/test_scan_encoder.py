@@ -20,7 +20,13 @@ import pytest
 
 from repro.core.config import EnvConfig
 from repro.core.env import FeatureSelectionEnv
-from repro.core.state import EnvState, ScanEncoder, encode_state, state_dim
+from repro.core.state import (
+    N_SCAN_SCALARS,
+    EnvState,
+    ScanEncoder,
+    encode_state,
+    state_dim,
+)
 from repro.nn.dueling import DuelingNetwork
 from repro.rl.agent import DuelingDQNAgent
 from repro.rl.schedules import ConstantSchedule
@@ -153,9 +159,10 @@ class TestMatchesReference:
             assert np.array_equal(encoder.states[row], expected)
 
     def test_window_rows(self, m: int, with_corr: bool) -> None:
-        """Row (i, j) of a lookahead block is the state row i reaches at
-        ``position + j`` by deselecting the features in between; the
-        encoder's own states stay as they were."""
+        """Row (i, j) of a lookahead block is the scan scalars row i
+        reaches at ``position + j`` by deselecting the features in between,
+        and the row's ``[rep | mask]`` is the encoder's; the encoder's own
+        states stay as they were."""
         rng = np.random.default_rng(4000 + m)
         corr = correlation(rng, m) if with_corr else None
         reps = representations(rng, 3, m)
@@ -173,13 +180,16 @@ class TestMatchesReference:
                 # The widest window ends on the last feature.
                 for width in {1, m - position, int(rng.integers(1, m - position + 1))}:
                     block = encoder.window(rows, position, width)
-                    assert block.shape == (len(ids) * width, state_dim(m))
+                    assert block.shape == (len(ids) * width, N_SCAN_SCALARS)
                     for index, (row, j) in enumerate(
                         (row, j) for row in ids for j in range(width)
                     ):
                         state = EnvState(selected[row], position + j)
                         expected = reference_encode(reps[row], state, m, 0.5, corr)
-                        assert np.array_equal(block[index], expected)
+                        assert np.array_equal(block[index], expected[2 * m :])
+                        assert np.array_equal(
+                            encoder.states[row, : 2 * m], expected[: 2 * m]
+                        )
             assert np.array_equal(encoder.states, before)
 
     def test_env_step_returns(self, m: int, with_corr: bool) -> None:
@@ -212,9 +222,8 @@ class TestMatchesReference:
                     assert np.array_equal(state, reference_encode(rep, at, m, mfr, corr))
 
 
-def test_batch_of_several_percentile_blocks() -> None:
-    """The percentile table is built in blocks of rows (11 rows at m = 300):
-    every row of a three-block batch encodes as the reference does."""
+def test_wide_batch_encodes_as_the_reference() -> None:
+    """A 25-row batch at m = 300: every row encodes as the reference does."""
     rng = np.random.default_rng(5)
     m = 300
     reps = representations(rng, 25, m)
@@ -224,6 +233,51 @@ def test_batch_of_several_percentile_blocks() -> None:
         for row in range(25):
             expected = reference_encode(reps[row], EnvState((), position), m)
             assert np.array_equal(encoder.states[row], expected)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 72, 127, 128, 129, 300])
+@pytest.mark.parametrize("n_rows", [1, 8, 64])
+def test_percentiles_are_the_comparison_counts(m: int, n_rows: int) -> None:
+    """The percentile plane, from one argsort per row, is the share of
+    values at most the cursor's, as comparisons count it: on repeated
+    values, NaN (at most nothing, and nothing is at most it) and both
+    signed zeros (equal)."""
+    rng = np.random.default_rng(m * 100 + n_rows)
+    reps = np.round(rng.normal(size=(n_rows, m)), 1)
+    for value in (np.nan, 0.0, -0.0):
+        reps[rng.random((n_rows, m)) < 0.1] = value
+    counts = np.count_nonzero(reps[:, None, :] <= reps[:, :, None], axis=2)
+    encoder = ScanEncoder(reps)
+    for position in range(m):
+        encoder.move(position, slice(None))
+        assert np.array_equal(encoder.states[:, 2 * m + 7], counts[:, position] / m)
+
+
+def test_one_select_reaching_the_eighth_and_the_seventh_feature(
+    with_corr: bool,
+) -> None:
+    """One ``select`` call in which one row takes its 8th feature and
+    another its 7th: the mean |corr| of fewer than 8 values and of 8, side
+    by side."""
+    m = 12
+    rng = np.random.default_rng(8)
+    reps = representations(rng, 3, m)
+    corr = correlation(rng, m) if with_corr else None
+    encoder = ScanEncoder(reps, 1.0, corr)
+    picks = {0: set(range(8)), 1: set(range(1, 8)), 2: {3}}
+    for position in range(9):
+        choosing = [row for row in range(3) if position in picks[row]]
+        if len(choosing) == 1:
+            encoder.select(choosing[0], position)
+        elif choosing:
+            encoder.select(np.asarray(choosing), position)
+        encoder.move(position + 1, slice(None))
+    assert encoder.counts.tolist() == [8, 7, 1]
+    for row in range(3):
+        expected = reference_encode(
+            reps[row], EnvState(tuple(sorted(picks[row])), 9), m, 1.0, corr
+        )
+        assert np.array_equal(encoder.states[row], expected)
 
 
 class TestLeanForward:

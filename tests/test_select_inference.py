@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import AgentConfig, EnvConfig, PAFeatConfig
 from repro.core.pafeat import PAFeat
-from repro.core.state import feature_count, state_dim
+from repro.core.state import EnvState, encode_state, state_dim
 from repro.data.stats import pearson_representation
 from repro.data.synthetic import SyntheticSpec, generate_suite
 from repro.errors import DataValidationError
@@ -62,24 +62,32 @@ class _TieAgent(DuelingDQNAgent):
     """Q rows tie exactly unless the cursor feature is in the top half.
 
     The percentile scalar is the share of features whose |corr| is at most
-    the cursor's; from 0.5 up, select wins outright.
+    the cursor's.  One hidden unit reads it less ``0.5 - 1/(2m)``, so the
+    unit is positive from 0.5 up and 0 below, after the ReLU.  Every other
+    weight is 0 but the value bias, 1, and the select advantage's weight
+    on that unit: below 0.5 both Q are 1, from 0.5 up select wins
+    outright.
     """
 
-    def q_values(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(states)
-        percentile = states[:, 2 * feature_count(self.state_dim) + 7]
-        q = np.ones((states.shape[0], 2))
-        q[percentile >= 0.5, 0] = 0.0
-        return q
+    def __init__(self, n_features: int) -> None:
+        super().__init__(
+            state_dim(n_features), 2, (8,), 0.9, 1e-3, ConstantSchedule(0.0), 10,
+            np.random.default_rng(0),
+        )
+        for parameter in self.online.parameters():
+            parameter.value[...] = 0.0
+        weight, bias = self.first_layer
+        weight[2 * n_features + 7, 0] = 1.0
+        bias[0] = 1 / (2 * n_features) - 0.5
+        head = self.online.layers[-1]
+        head.value_head.bias.value[0] = 1.0
+        head.advantage_head.weight.value[0, 1] = 1.0
 
 
 class TestExactTies:
     def test_ties_break_to_the_lowest_action_on_every_path(self, tiny_suite):
         m = tiny_suite.n_features
-        agent = _TieAgent(
-            state_dim(m), 2, (8,), 0.9, 1e-3, ConstantSchedule(0.0), 10,
-            np.random.default_rng(0),
-        )
+        agent = _TieAgent(m)
         config = PAFeatConfig(env=EnvConfig(max_feature_ratio=1.0))
         model = PAFeat(config)
         model._loaded_agent = agent
@@ -88,6 +96,10 @@ class TestExactTies:
             rep = pearson_representation(task.features, task.labels)
             top_half = [np.mean(rep <= rep[p]) >= 0.5 for p in range(m)]
             expected[task.name] = tuple(int(p) for p in np.flatnonzero(top_half))
+            # Every bottom-half cursor is an exact tie.
+            for p in np.flatnonzero(np.logical_not(top_half)):
+                state = encode_state(rep, EnvState((), int(p)), m)
+                assert agent.q_values(state).tolist() == [[1.0, 1.0]]
         before = training_state(agent)
         for _ in range(3):
             assert {

@@ -59,7 +59,10 @@ def tune_select_rate(agent, representations, rate: float) -> None:
     BLAS forward, not of the kernel).
     """
     encoder = ScanEncoder(np.stack(representations))
-    q = agent.q_values(encoder.window(slice(None), 0, encoder.n_features))
+    m = encoder.n_features
+    # Full states: each task's [rep | mask] beside its window's scalar rows.
+    head = np.repeat(encoder.states[:, : 2 * m], m, axis=0)
+    q = agent.q_values(np.hstack([head, encoder.window(slice(None), 0, m)]))
     gaps = np.sort(q[:, 1] - q[:, 0])
     above = min(max(int(rate * len(gaps)), 1), len(gaps) - 1)
     cut = (gaps[-above - 1] + gaps[-above]) / 2
@@ -136,23 +139,40 @@ class _CountingAgent:
     def __init__(self, agent) -> None:
         self.agent = agent
         self.state_dim = agent.state_dim
+        self.first_layer = agent.first_layer
         self.forwards: list[int] = []
 
-    def act_batch(self, states: np.ndarray) -> np.ndarray:
-        states = np.atleast_2d(states)
-        self.forwards.append(states.shape[0])
-        return self.agent.act_batch(states)
+    def act_preactivations(self, preactivations: np.ndarray) -> np.ndarray:
+        self.forwards.append(preactivations.shape[0])
+        return self.agent.act_preactivations(preactivations)
 
 
-class _CursorThresholdAgent:
-    """A stub policy: select exactly when the cursor's |corr| exceeds 1/2."""
+class _StubAgent:
+    """A stub policy on a one-unit first layer ``(W, b)``: ``act_batch``
+    and the kernel read the same pre-activations."""
 
     def __init__(self, n_features: int) -> None:
         self.state_dim = state_dim(n_features)
-        self._cursor = 2 * n_features + 1  # the |corr| scan scalar
+        self.first_layer = (np.zeros((self.state_dim, 1)), np.zeros(1))
 
     def act_batch(self, states: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(states)[:, self._cursor] > 0.5).astype(np.int64)
+        weight, bias = self.first_layer
+        return self.act_preactivations(np.atleast_2d(states) @ weight + bias)
+
+    def act_preactivations(self, preactivations: np.ndarray) -> np.ndarray:
+        return (preactivations[:, 0] > 0).astype(np.int64)
+
+
+class _CursorThresholdAgent(_StubAgent):
+    """A stub policy: select exactly when the cursor's |corr| exceeds 1/2.
+
+    Its one unit reads the cursor scan scalar with bias -0.5."""
+
+    def __init__(self, n_features: int) -> None:
+        super().__init__(n_features)
+        weight, bias = self.first_layer
+        weight[2 * n_features + 1] = 1.0  # the |corr| scan scalar
+        bias[0] = -0.5
 
 
 def picks(n_features: int, *positions: int) -> np.ndarray:
@@ -356,21 +376,16 @@ class TestTrainerGreedySubsets:
         assert list(trainer.greedy_subsets(backwards)) == backwards
 
 
-class _DeselectEverythingAgent:
+class _DeselectEverythingAgent(_StubAgent):
     """A stub policy that never selects — exercises the empty fallback."""
 
-    def __init__(self, n_features: int) -> None:
-        self.state_dim = state_dim(n_features)
 
-    def act_batch(self, states: np.ndarray) -> np.ndarray:
-        return np.zeros(np.atleast_2d(states).shape[0], dtype=np.int64)
-
-
-class _SelectEverythingAgent(_DeselectEverythingAgent):
+class _SelectEverythingAgent(_StubAgent):
     """A stub policy that always selects, until its budget ends the episode."""
 
-    def act_batch(self, states: np.ndarray) -> np.ndarray:
-        return np.ones(np.atleast_2d(states).shape[0], dtype=np.int64)
+    def __init__(self, n_features: int) -> None:
+        super().__init__(n_features)
+        self.first_layer[1][0] = 1.0
 
 
 class TestFallbackAndValidation:
